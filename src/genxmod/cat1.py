@@ -9,16 +9,20 @@ commutation of ker s and ker t.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .crossed import ExtAction, GXMod, GXModMorphism
-from .groups import Hom, compose_homs, kernel, image, validate_hom
-from .gwa import GwaObject, sub_gwa, validate_gwa_morphism
+from .groups import Hom, Map, check_hom_shape, compose_homs, hom_violations, image, kernel
+from .gwa import GwaObject, action_preserved_violations, sub_gwa
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
+    RawViolation,
     StructuralError,
     ValidationReport,
-    _Collector,
+    holds,
+    prefixed,
+    report,
 )
 
 
@@ -43,31 +47,39 @@ def _check_cat1_wiring(c: GCat1) -> None:
 def validate_gcat1(c: GCat1, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
     """Check both structure maps, their interchange law, and the kernel action law."""
     _check_cat1_wiring(c)
-    report = ValidationReport(c.name or "gcat1")
-    report = report.merged(validate_hom(c.s, max_violations), "s")
-    report = report.merged(validate_hom(c.t, max_violations), "t")
-    report = report.merged(validate_gwa_morphism(c.s, c.G, c.G, max_violations), "s")
-    report = report.merged(validate_gwa_morphism(c.t, c.G, c.G, max_violations), "t")
-    col = _Collector(max_violations)
-    sm, tm = c.s.map, c.t.map
-    for g in range(c.G.order):
-        if sm[tm[g]] != tm[g]:
-            col.add("st_equals_t", (g,), f"s(t({g})) = {sm[tm[g]]} != t({g}) = {tm[g]}")
-        if tm[sm[g]] != sm[g]:
-            col.add("ts_equals_s", (g,), f"t(s({g})) = {tm[sm[g]]} != s({g}) = {sm[g]}")
-    act = c.G.self_action.act
-    ker_s = kernel(c.s).members
-    ker_t = kernel(c.t).members
+    check_hom_shape(c.s, c.t)
+    return report(c.name or "gcat1", gcat1_violations(c.G, c.s.map, c.t.map), max_violations)
+
+
+def gcat1_violations(G: GwaObject, sm: Map, tm: Map) -> Iterator[RawViolation]:
+    """The laws of (G, s, t) for the endomorphism maps sm and tm."""
+    g = G.group
+    yield from prefixed("s", hom_violations(g, g, sm))
+    yield from prefixed("t", hom_violations(g, g, tm))
+    yield from prefixed("s", action_preserved_violations(G, G, sm))
+    yield from prefixed("t", action_preserved_violations(G, G, tm))
+    yield from interchange_violations(sm, tm)
+    ker_s = tuple(x for x, y in enumerate(sm) if y == g.identity)
+    ker_t = tuple(x for x, y in enumerate(tm) if y == g.identity)
+    yield from kernel_action_violations(G.self_action.act, ker_s, ker_t)
+
+
+def interchange_violations(sm: Map, tm: Map) -> Iterator[RawViolation]:
+    """s o t = t and t o s = s, witnessed by g."""
+    for g, (s_g, t_g) in enumerate(zip(sm, tm)):
+        if sm[t_g] != t_g:
+            yield "st_equals_t", (g,), "s(t({0})) = {1} != t({0}) = {2}", (sm[t_g], t_g)
+        if tm[s_g] != s_g:
+            yield "ts_equals_s", (g,), "t(s({0})) = {1} != s({0}) = {2}", (tm[s_g], s_g)
+
+
+def kernel_action_violations(act, ker_s, ker_t) -> Iterator[RawViolation]:
+    """Every y in ker t acts trivially on every x in ker s, witnessed by (y, x)."""
     for y in ker_t:
         row = act[y]
         for x in ker_s:
             if row[x] != x:
-                col.add(
-                    "kernel_action",
-                    (y, x),
-                    f"^{y} {x} = {row[x]} != {x} (x in ker s, y in ker t)",
-                )
-    return report.merged(col.report(""))
+                yield "kernel_action", (y, x), "^{0} {1} = {2} != {1} (x in ker s, y in ker t)", (row[x],)
 
 
 def check_ordinary_cat1(c: GCat1) -> bool:
@@ -87,8 +99,7 @@ def check_ordinary_cat1(c: GCat1) -> bool:
     ker_s = kernel(c.s).members
     ker_t = kernel(c.t).members
     commute = all(g.op[x][y] == g.op[y][x] for x in ker_s for y in ker_t)
-    law = all(act[y][x] == x for x in ker_s for y in ker_t)
-    if commute != law:
+    if commute != holds(kernel_action_violations(act, ker_s, ker_t)):
         raise StructuralError("conjugation kernel law disagrees with commutation check")
     return True
 
@@ -144,21 +155,25 @@ def validate_gcat1_morphism(
 ) -> ValidationReport:
     if m.f.source != m.source.G.group or m.f.target != m.target.G.group:
         raise StructuralError("morphism endpoints do not match the cat1 groups")
-    report = ValidationReport(m.name or "gcat1 morphism")
-    report = report.merged(validate_hom(m.f, max_violations), "f")
-    report = report.merged(
-        validate_gwa_morphism(m.f, m.source.G, m.target.G, max_violations), "f"
-    )
-    col = _Collector(max_violations)
-    fm = m.f.map
-    s1, t1 = m.source.s.map, m.source.t.map
-    s2, t2 = m.target.s.map, m.target.t.map
-    for g in range(m.source.G.order):
-        if fm[s1[g]] != s2[fm[g]]:
-            col.add("commutes_with_s", (g,), f"f(s({g})) = {fm[s1[g]]} != s'(f({g})) = {s2[fm[g]]}")
-        if fm[t1[g]] != t2[fm[g]]:
-            col.add("commutes_with_t", (g,), f"f(t({g})) = {fm[t1[g]]} != t'(f({g})) = {t2[fm[g]]}")
-    return report.merged(col.report(""))
+    check_hom_shape(m.f)
+    violations = gcat1_morphism_violations(m.source, m.target, m.f.map)
+    return report(m.name or "gcat1 morphism", violations, max_violations)
+
+
+def gcat1_morphism_violations(c1: GCat1, c2: GCat1, fm: Map) -> Iterator[RawViolation]:
+    """The laws of f: c1 -> c2 for the map fm."""
+    yield from prefixed("f", hom_violations(c1.G.group, c2.G.group, fm))
+    yield from prefixed("f", action_preserved_violations(c1.G, c2.G, fm))
+    yield from commutes_violations(fm, c1.s.map, c1.t.map, c2.s.map, c2.t.map)
+
+
+def commutes_violations(fm, s1, t1, s2, t2) -> Iterator[RawViolation]:
+    """f o s = s' o f and f o t = t' o f, witnessed by g."""
+    for g, f_g in enumerate(fm):
+        if fm[s1[g]] != s2[f_g]:
+            yield "commutes_with_s", (g,), "f(s({0})) = {1} != s'(f({0})) = {2}", (fm[s1[g]], s2[f_g])
+        if fm[t1[g]] != t2[f_g]:
+            yield "commutes_with_t", (g,), "f(t({0})) = {1} != t'(f({0})) = {2}", (fm[t1[g]], t2[f_g])
 
 
 def identity_gcat1_morphism(c: GCat1) -> GCat1Morphism:

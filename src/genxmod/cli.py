@@ -2,8 +2,9 @@
 
 Commands: validate, construct, enumerate, equivalence, catalog; plus
 --seed-fixtures to install the shipped fixture files.  Exit codes: 0 all
-checks passed, 1 axiom or precondition failure, 2 parse/structural failure,
-3 pool too small for the requested equivalence run.
+checks passed, 1 axiom or precondition failure, 2 parse/structural failure
+(including a malformed GXMOD_MAX_MORPHISMS), 3 incomplete equivalence run:
+the pool is too small or the morphism cap was reached.
 
 JSON output is canonical (sorted keys, compact separators), so repeated runs
 on the same inputs produce byte-identical files.
@@ -43,6 +44,7 @@ from .search import (
     enumerate_liftings,
     enumerate_self_actions,
     gwa_objects_for,
+    morphism_cap,
     standard_pool,
     verify_equivalence,
 )
@@ -281,10 +283,11 @@ def cmd_equivalence(args) -> int:
         return EXIT_AXIOM
     try:
         pool = standard_pool(args.bound)
+        cap = morphism_cap()
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = verify_equivalence(base, pool)
+    report = verify_equivalence(base, pool, cap)
     doc = equivalence_report_doc(report)
     if args.format == "human":
         lines = [
@@ -299,13 +302,15 @@ def cmd_equivalence(args) -> int:
         ]
         for reason in report.incomplete:
             lines.append(f"incomplete: {reason}")
+        if report.truncated:
+            lines.append(f"truncated: the morphism cap of {cap} was reached; morphism checks are partial")
         for failure in report.failures:
             lines.append(f"FAILURE: {failure}")
         lines.append("ok" if report.ok else "NOT OK")
         _write("\n".join(lines) + "\n", args.out)
     else:
         _write(dumps(doc), args.out)
-    if report.incomplete:
+    if report.incomplete or report.truncated:
         return EXIT_INCOMPLETE
     if report.failures:
         return EXIT_AXIOM

@@ -19,34 +19,44 @@ if-and-only-if are testable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .crossed import (
     ExtAction,
     GXMod,
     GXModMorphism,
+    check_gxmod_morphism_shape,
+    equivariance_violations,
+    gxmod_morphism_violations,
+    gxmod_violations,
     is_simply_connected,
     transport_codomain,
-    validate_gxmod,
     validate_gxmod_morphism,
 )
 from .groups import (
     Hom,
+    Map,
     Subgroup,
+    Table,
+    check_hom_shape,
     compose_homs,
+    hom_violations,
     identity_hom,
     image,
     inverse_hom,
     kernel,
-    validate_hom,
 )
 from .gwa import GwaObject, is_ideal, quotient_gwa, sub_gwa
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     PreconditionError,
+    RawViolation,
     StructuralError,
     ValidationReport,
-    _Collector,
+    holds,
+    prefixed,
+    report,
 )
 
 
@@ -118,6 +128,15 @@ class Inconclusive:
     reason: str = ""
 
 
+def triangle_violations(
+    law: str, template: str, outer: Map, inner: Map, expected: Map
+) -> Iterator[RawViolation]:
+    """outer(inner(i)) = expected(i) for every i, witnessed by i."""
+    for i, want in enumerate(expected):
+        if outer[inner[i]] != want:
+            yield law, (i,), template, (outer[inner[i]], want)
+
+
 # ---------------------------------------------------------------------------
 # coverings
 
@@ -127,12 +146,16 @@ def validate_covering(c: Covering, max_violations: int = DEFAULT_MAX_VIOLATIONS)
         raise StructuralError("covering f endpoints mismatch")
     if c.g.source != c.total.B.group or c.g.target != c.base.B.group:
         raise StructuralError("covering g endpoints mismatch")
-    report = ValidationReport(c.name or "covering")
-    report = report.merged(validate_gxmod_morphism(c.as_morphism(), max_violations))
-    col = _Collector(max_violations)
-    if not c.f.is_bijective():
-        col.add("component_iso", (), "f is not a bijection")
-    return report.merged(col.report(""))
+    check_hom_shape(c.f, c.g)
+    violations = covering_violations(c.total, c.base, c.f.map, c.g.map)
+    return report(c.name or "covering", violations, max_violations)
+
+
+def covering_violations(total: GXMod, base: GXMod, fm: Map, gm: Map) -> Iterator[RawViolation]:
+    """The laws of the covering <f, g>: total -> base for the maps fm and gm."""
+    yield from gxmod_morphism_violations(total, base, fm, gm)
+    if not len(fm) == len(set(fm)) == base.A.order:
+        yield "component_iso", (), "f is not a bijection", ()
 
 
 def identity_covering(x: GXMod) -> Covering:
@@ -178,25 +201,21 @@ def validate_covering_morphism(
 ) -> ValidationReport:
     if m.source.base != m.target.base:
         raise StructuralError("covering morphism endpoints cover different bases")
-    report = ValidationReport(m.name or "covering morphism")
-    inner = GXModMorphism(m.source.total, m.target.total, m.f, m.g)
-    report = report.merged(validate_gxmod_morphism(inner, max_violations))
-    col = _Collector(max_violations)
-    for a in range(m.source.total.A.order):
-        if m.target.f.map[m.f.map[a]] != m.source.f.map[a]:
-            col.add(
-                "triangle_f",
-                (a,),
-                f"f'(f({a})) = {m.target.f.map[m.f.map[a]]} != f~({a}) = {m.source.f.map[a]}",
-            )
-    for b in range(m.source.total.B.order):
-        if m.target.g.map[m.g.map[b]] != m.source.g.map[b]:
-            col.add(
-                "triangle_g",
-                (b,),
-                f"g'(g({b})) = {m.target.g.map[m.g.map[b]]} != g~({b}) = {m.source.g.map[b]}",
-            )
-    return report.merged(col.report(""))
+    check_gxmod_morphism_shape(GXModMorphism(m.source.total, m.target.total, m.f, m.g))
+    violations = covering_morphism_violations(m.source, m.target, m.f.map, m.g.map)
+    return report(m.name or "covering morphism", violations, max_violations)
+
+
+def covering_morphism_violations(c1: Covering, c2: Covering, um: Map, vm: Map) -> Iterator[RawViolation]:
+    """The laws of <u, v>: c1 -> c2 for the maps um and vm."""
+    yield from gxmod_morphism_violations(c1.total, c2.total, um, vm)
+    yield from triangle_violations("triangle_f", "f'(f({0})) = {1} != f~({0}) = {2}", c2.f.map, um, c1.f.map)
+    yield from triangle_g_violations(c1, c2, vm)
+
+
+def triangle_g_violations(c1: Covering, c2: Covering, vm: Map) -> Iterator[RawViolation]:
+    """g' o v = g~ for the B-component vm of a covering morphism, witnessed by b."""
+    return triangle_violations("triangle_g", "g'(g({0})) = {1} != g~({0}) = {2}", c2.g.map, vm, c1.g.map)
 
 
 def identity_covering_morphism(c: Covering) -> CoveringMorphism:
@@ -217,9 +236,9 @@ def morphism_between_coverings(m: CoveringMorphism) -> Covering:
     Its A-component is forced to be (f')^-1 o f~, hence bijective; the
     bijectivity is asserted.
     """
-    report = validate_covering_morphism(m)
-    if not report.ok:
-        raise PreconditionError("covering_morphism", report.summary())
+    check = validate_covering_morphism(m)
+    if not check.ok:
+        raise PreconditionError("covering_morphism", check.summary())
     if not m.f.is_bijective():
         raise StructuralError("covering morphism A-component failed to be bijective")
     return Covering(m.source.total, m.target.total, m.f, m.g)
@@ -280,10 +299,9 @@ def factor_through_covering(
 # liftings
 
 
-def induced_action(base: GXMod, x_obj: GwaObject, omega: Hom) -> ExtAction:
-    """The action of X on A obtained through omega: x . a = omega(x) . a."""
-    act = tuple(base.action.act[omega.map[x]] for x in range(x_obj.order))
-    return ExtAction(x_obj, base.A, act)
+def induced_action(base: GXMod, om: Map) -> Table:
+    """The action table of X on A obtained through the map om: x . a = omega(x) . a."""
+    return tuple(base.action.act[b] for b in om)
 
 
 def lifting_as_gxmod(l: Lifting) -> GXMod:
@@ -292,7 +310,7 @@ def lifting_as_gxmod(l: Lifting) -> GXMod:
         l.base.A,
         l.X,
         l.phi,
-        induced_action(l.base, l.X, l.omega),
+        ExtAction(l.X, l.base.A, induced_action(l.base, l.omega.map)),
         f"lifting({l.name})" if l.name else "",
     )
 
@@ -303,20 +321,23 @@ def validate_lifting(l: Lifting, max_violations: int = DEFAULT_MAX_VIOLATIONS) -
         raise StructuralError("phi endpoints mismatch")
     if l.omega.source != l.X.group or l.omega.target != l.base.B.group:
         raise StructuralError("omega endpoints mismatch")
-    report = ValidationReport(l.name or "lifting")
-    report = report.merged(validate_hom(l.phi, max_violations), "phi")
-    report = report.merged(validate_hom(l.omega, max_violations), "omega")
-    col = _Collector(max_violations)
-    for a in range(l.base.A.order):
-        if l.omega.map[l.phi.map[a]] != l.base.alpha.map[a]:
-            col.add(
-                "factorization",
-                (a,),
-                f"omega(phi({a})) = {l.omega.map[l.phi.map[a]]} != alpha({a}) = {l.base.alpha.map[a]}",
-            )
-    report = report.merged(col.report(""))
-    report = report.merged(validate_gxmod(lifting_as_gxmod(l), max_violations), "induced")
-    return report
+    check_hom_shape(l.phi, l.omega)
+    return report(l.name or "lifting", lifting_violations(l.base, l.X, l.phi.map, l.omega.map), max_violations)
+
+
+def lifting_violations(base: GXMod, x_obj: GwaObject, pm: Map, om: Map) -> Iterator[RawViolation]:
+    """The laws of the lifting of base through x_obj for the maps pm: A -> X and om: X -> B."""
+    yield from prefixed("phi", hom_violations(base.A.group, x_obj.group, pm))
+    yield from prefixed("omega", hom_violations(x_obj.group, base.B.group, om))
+    yield from factorization_violations(base, pm, om)
+    act = induced_action(base, om)
+    yield from prefixed("induced", gxmod_violations(pm, act, base.A.self_action.act, x_obj.self_action.act))
+
+
+def factorization_violations(base: GXMod, pm: Map, om: Map) -> Iterator[RawViolation]:
+    """omega o phi = alpha, witnessed by a."""
+    template = "omega(phi({0})) = {1} != alpha({0}) = {2}"
+    return triangle_violations("factorization", template, om, pm, base.alpha.map)
 
 
 def lifting_criterion(base: GXMod, x_obj: GwaObject, phi: Hom, omega: Hom) -> bool:
@@ -326,18 +347,9 @@ def lifting_criterion(base: GXMod, x_obj: GwaObject, phi: Hom, omega: Hom) -> bo
     exactly when phi(x . a) = ^x phi(a) for all x, a; the peiffer condition is
     automatic given the factorization.
     """
-    for a in range(base.A.order):
-        if omega.map[phi.map[a]] != base.alpha.map[a]:
-            raise PreconditionError("factorization", f"omega o phi != alpha at {a}")
-    act = base.action.act
-    sx = x_obj.self_action.act
-    pm, om = phi.map, omega.map
-    for x in range(x_obj.order):
-        row = act[om[x]]
-        for a in range(base.A.order):
-            if pm[row[a]] != sx[x][pm[a]]:
-                return False
-    return True
+    for _, (a,), _, _ in factorization_violations(base, phi.map, omega.map):
+        raise PreconditionError("factorization", f"omega o phi != alpha at {a}")
+    return holds(equivariance_violations(phi.map, induced_action(base, omega.map), x_obj.self_action.act))
 
 
 def self_lifting(x: GXMod) -> Lifting:
@@ -367,11 +379,11 @@ def quotient_lifting(x: GXMod, n: Subgroup) -> Lifting:
         raise PreconditionError(
             "contained_in_kernel", "N is not contained in the kernel of alpha"
         )
-    report = is_ideal(n, x.A)
-    if not report.is_ideal:
+    ideal = is_ideal(n, x.A)
+    if not ideal.is_ideal:
         raise PreconditionError(
-            report.failed_condition() or "ideal",
-            f"N is not an ideal of A: {report.failed_condition()} fails at {report.witness}",
+            ideal.failed_condition() or "ideal",
+            f"N is not an ideal of A: {ideal.failed_condition()} fails at {ideal.witness}",
         )
     q_gwa, proj = quotient_gwa(x.A, n)
     omega_map = [None] * q_gwa.order
@@ -440,24 +452,28 @@ def validate_lifting_morphism(
         raise StructuralError("lifting morphism endpoints lift different bases")
     if m.f.source != m.source.X.group or m.f.target != m.target.X.group:
         raise StructuralError("lifting morphism f endpoints mismatch")
-    report = ValidationReport(m.name or "lifting morphism")
-    report = report.merged(validate_hom(m.f, max_violations), "f")
-    col = _Collector(max_violations)
-    for x in range(m.source.X.order):
-        if m.target.omega.map[m.f.map[x]] != m.source.omega.map[x]:
-            col.add(
-                "triangle_omega",
-                (x,),
-                f"omega'(f({x})) = {m.target.omega.map[m.f.map[x]]} != omega({x}) = {m.source.omega.map[x]}",
-            )
-    for a in range(m.source.base.A.order):
-        if m.f.map[m.source.phi.map[a]] != m.target.phi.map[a]:
-            col.add(
-                "triangle_phi",
-                (a,),
-                f"f(phi({a})) = {m.f.map[m.source.phi.map[a]]} != phi'({a}) = {m.target.phi.map[a]}",
-            )
-    return report.merged(col.report(""))
+    check_hom_shape(m.f)
+    violations = lifting_morphism_violations(m.source, m.target, m.f.map)
+    return report(m.name or "lifting morphism", violations, max_violations)
+
+
+def lifting_morphism_violations(l1: Lifting, l2: Lifting, fm: Map) -> Iterator[RawViolation]:
+    """The laws of f: l1 -> l2 for the map fm between the X components."""
+    yield from prefixed("f", hom_violations(l1.X.group, l2.X.group, fm))
+    yield from triangle_omega_violations(l1, l2, fm)
+    yield from triangle_phi_violations(l1, l2, fm)
+
+
+def triangle_omega_violations(l1: Lifting, l2: Lifting, fm: Map) -> Iterator[RawViolation]:
+    """omega' o f = omega, witnessed by x."""
+    template = "omega'(f({0})) = {1} != omega({0}) = {2}"
+    return triangle_violations("triangle_omega", template, l2.omega.map, fm, l1.omega.map)
+
+
+def triangle_phi_violations(l1: Lifting, l2: Lifting, fm: Map) -> Iterator[RawViolation]:
+    """f o phi = phi', witnessed by a."""
+    template = "f(phi({0})) = {1} != phi'({0}) = {2}"
+    return triangle_violations("triangle_phi", template, fm, l1.phi.map, l2.phi.map)
 
 
 def identity_lifting_morphism(l: Lifting) -> LiftingMorphism:
@@ -477,9 +493,8 @@ def lifting_morphism_as_lifting(m: LiftingMorphism) -> Lifting | Inconclusive:
     """
     if not m.target.omega.is_injective():
         return Inconclusive("omega' is not a monomorphism")
-    for a in range(m.source.base.A.order):
-        if m.f.map[m.source.phi.map[a]] != m.target.phi.map[a]:
-            raise StructuralError("f o phi != phi' despite omega' being injective")
+    if not holds(triangle_phi_violations(m.source, m.target, m.f.map)):
+        raise StructuralError("f o phi != phi' despite omega' being injective")
     return Lifting(lifting_as_gxmod(m.target), m.source.X, m.source.phi, m.f)
 
 

@@ -13,25 +13,40 @@ of the axioms and is asserted, not assumed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .groups import (
     Hom,
+    Map,
     Subgroup,
     Table,
+    check_hom_shape,
     compose_homs,
+    hom_violations,
     identity_hom,
     image,
     inverse_hom,
     kernel,
 )
-from .gwa import GwaObject, is_gwa_morphism, is_subobject, sub_gwa
+from .gwa import (
+    GwaObject,
+    action_preserved_violations,
+    action_violations,
+    intertwining_violations,
+    is_gwa_morphism,
+    is_subobject,
+    sub_gwa,
+)
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     PreconditionError,
+    RawViolation,
     StructuralError,
     ValidationReport,
-    _Collector,
+    holds,
+    prefixed,
+    report,
 )
 
 
@@ -50,11 +65,6 @@ class ExtAction:
         return self.act[b][a]
 
 
-def trivial_ext_action(actor: GwaObject, space: GwaObject) -> ExtAction:
-    row = tuple(range(space.order))
-    return ExtAction(actor, space, tuple(row for _ in range(actor.order)))
-
-
 def validate_ext_action(
     x: ExtAction, max_violations: int = DEFAULT_MAX_VIOLATIONS
 ) -> ValidationReport:
@@ -63,38 +73,16 @@ def validate_ext_action(
         raise StructuralError("external action table dimensions mismatch")
     if any(v < 0 or v >= na for row in x.act for v in row):
         raise StructuralError("external action entry out of range")
-    col = _Collector(max_violations)
-    act = x.act
-    ob, oa = x.actor.group.op, x.space.group.op
-    eb = x.actor.group.identity
-    for a in range(na):
-        if act[eb][a] != a:
-            col.add("action_identity", (a,), f"{eb}.{a} = {act[eb][a]}, expected {a}")
-    for b1 in range(nb):
-        row1 = act[b1]
-        for b2 in range(nb):
-            row12 = act[ob[b1][b2]]
-            row2 = act[b2]
-            for a in range(na):
-                if row12[a] != row1[row2[a]]:
-                    col.add(
-                        "action_compatibility",
-                        (b1, b2, a),
-                        f"({b1}*{b2}).{a} = {row12[a]} != {b1}.({b2}.{a}) = {row1[row2[a]]}",
-                    )
-                    break
-    for b in range(nb):
-        row = act[b]
-        for a1 in range(na):
-            for a2 in range(na):
-                if row[oa[a1][a2]] != oa[row[a1]][row[a2]]:
-                    col.add(
-                        "action_automorphism",
-                        (b, a1, a2),
-                        f"{b}.({a1}*{a2}) = {row[oa[a1][a2]]} != ({b}.{a1})*({b}.{a2}) = {oa[row[a1]][row[a2]]}",
-                    )
-                    break
-    return col.report("ext action")
+    violations = action_violations(x.act, x.actor.group, x.space.group.op, EXT_ACTION_DETAILS)
+    return report("ext action", violations, max_violations)
+
+
+# detail templates of action_violations for an action of B on A, written b.a
+EXT_ACTION_DETAILS = (
+    "{1}.{0} = {2}, expected {0}",
+    "({0}*{1}).{2} = {3} != {0}.({1}.{2}) = {4}",
+    "{0}.({1}*{2}) = {3} != ({0}.{1})*({0}.{2}) = {4}",
+)
 
 
 @dataclass(frozen=True)
@@ -131,31 +119,32 @@ def validate_gxmod(x: GXMod, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Va
     condition.
     """
     _check_gxmod_wiring(x)
-    col = _Collector(max_violations)
-    am, act = x.alpha.map, x.action.act
-    sb = x.B.self_action.act
-    sa = x.A.self_action.act
-    for b in range(x.B.order):
-        row = act[b]
+    violations = gxmod_violations(x.alpha.map, x.action.act, x.A.self_action.act, x.B.self_action.act)
+    return report(x.name or "gxmod", violations, max_violations)
+
+
+def gxmod_violations(alpha: Map, act: Table, sa: Table, sb: Table) -> Iterator[RawViolation]:
+    """Both defining conditions of alpha: A -> B with B acting on A by act.
+
+    sa and sb are the self-actions of A and B.  Peiffer witnesses are (a, a1):
+    alpha(a) . a1 = ^a a1.
+    """
+    yield from equivariance_violations(alpha, act, sb)
+    for a, sa_row in enumerate(sa):
+        row = act[alpha[a]]
+        for a1, y in enumerate(sa_row):
+            if row[a1] != y:
+                yield "peiffer", (a, a1), "alpha({0}).{1} = {2} != ^{0} {1} = {3}", (row[a1], y)
+
+
+def equivariance_violations(alpha: Map, act: Table, sb: Table) -> Iterator[RawViolation]:
+    """alpha(b . a) = ^b alpha(a), witnessed by (b, a)."""
+    for b, row in enumerate(act):
         sb_row = sb[b]
-        for a in range(x.A.order):
-            if am[row[a]] != sb_row[am[a]]:
-                col.add(
-                    "equivariance",
-                    (b, a),
-                    f"alpha({b}.{a}) = {am[row[a]]} != ^{b} alpha({a}) = {sb_row[am[a]]}",
-                )
-    for a in range(x.A.order):
-        row = act[am[a]]
-        sa_row = sa[a]
-        for a1 in range(x.A.order):
-            if row[a1] != sa_row[a1]:
-                col.add(
-                    "peiffer",
-                    (a, a1),
-                    f"alpha({a}).{a1} = {row[a1]} != ^{a} {a1} = {sa_row[a1]}",
-                )
-    return col.report(x.name or "gxmod")
+        for a, ba in enumerate(row):
+            if alpha[ba] != sb_row[alpha[a]]:
+                template = "alpha({0}.{1}) = {2} != ^{0} alpha({1}) = {3}"
+                yield "equivariance", (b, a), template, (alpha[ba], sb_row[alpha[a]])
 
 
 def validate_gxmod_full(x: GXMod, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
@@ -163,15 +152,14 @@ def validate_gxmod_full(x: GXMod, max_violations: int = DEFAULT_MAX_VIOLATIONS) 
     from .groups import validate_group, validate_hom
     from .gwa import validate_gwa
 
-    report = ValidationReport(x.name or "gxmod")
-    report = report.merged(validate_group(x.A.group, max_violations), "A.group")
-    report = report.merged(validate_gwa(x.A, max_violations), "A")
-    report = report.merged(validate_group(x.B.group, max_violations), "B.group")
-    report = report.merged(validate_gwa(x.B, max_violations), "B")
-    report = report.merged(validate_hom(x.alpha, max_violations), "alpha")
-    report = report.merged(validate_ext_action(x.action, max_violations), "action")
-    report = report.merged(validate_gxmod(x, max_violations))
-    return report
+    full = ValidationReport(x.name or "gxmod")
+    full = full.merged(validate_group(x.A.group, max_violations), "A.group")
+    full = full.merged(validate_gwa(x.A, max_violations), "A")
+    full = full.merged(validate_group(x.B.group, max_violations), "B.group")
+    full = full.merged(validate_gwa(x.B, max_violations), "B")
+    full = full.merged(validate_hom(x.alpha, max_violations), "alpha")
+    full = full.merged(validate_ext_action(x.action, max_violations), "action")
+    return full.merged(validate_gxmod(x, max_violations))
 
 
 @dataclass(frozen=True)
@@ -192,48 +180,35 @@ def validate_gxmod_morphism(
     the crossed module axioms, kept as a consistency probe).  Preservation of
     the codomain self-action by g is not part of the morphism notion.
     """
-    from .groups import validate_hom
+    check_gxmod_morphism_shape(m)
+    violations = gxmod_morphism_violations(m.source, m.target, m.f.map, m.g.map)
+    return report(m.name or "gxmod morphism", violations, max_violations)
 
+
+def check_gxmod_morphism_shape(m: GXModMorphism) -> None:
+    """Raise StructuralError unless f: A -> A' and g: B -> B' are total maps."""
     if m.f.source != m.source.A.group or m.f.target != m.target.A.group:
         raise StructuralError("f endpoints do not match the A components")
     if m.g.source != m.source.B.group or m.g.target != m.target.B.group:
         raise StructuralError("g endpoints do not match the B components")
-    col = _Collector(max_violations)
-    report = ValidationReport("gxmod morphism" if not m.name else m.name)
-    report = report.merged(validate_hom(m.f, max_violations), "f")
-    report = report.merged(validate_hom(m.g, max_violations), "g")
-    fm, gm = m.f.map, m.g.map
-    am_src, am_tgt = m.source.alpha.map, m.target.alpha.map
-    for a in range(m.source.A.order):
-        if gm[am_src[a]] != am_tgt[fm[a]]:
-            col.add(
-                "square",
-                (a,),
-                f"g(alpha({a})) = {gm[am_src[a]]} != alpha'(f({a})) = {am_tgt[fm[a]]}",
-            )
-    act_src, act_tgt = m.source.action.act, m.target.action.act
-    for b in range(m.source.B.order):
-        row = act_src[b]
-        tgt_row = act_tgt[gm[b]]
-        for a in range(m.source.A.order):
-            if fm[row[a]] != tgt_row[fm[a]]:
-                col.add(
-                    "equivariance",
-                    (b, a),
-                    f"f({b}.{a}) = {fm[row[a]]} != g({b}).f({a}) = {tgt_row[fm[a]]}",
-                )
-    sa_src, sa_tgt = m.source.A.self_action.act, m.target.A.self_action.act
-    for a in range(m.source.A.order):
-        row = sa_src[a]
-        tgt_row = sa_tgt[fm[a]]
-        for a1 in range(m.source.A.order):
-            if fm[row[a1]] != tgt_row[fm[a1]]:
-                col.add(
-                    "domain_action_preserved",
-                    (a, a1),
-                    f"f(^{a} {a1}) = {fm[row[a1]]} != ^f({a}) f({a1}) = {tgt_row[fm[a1]]}",
-                )
-    return report.merged(col.report(""))
+    check_hom_shape(m.f, m.g)
+
+
+def gxmod_morphism_violations(src: GXMod, tgt: GXMod, fm: Map, gm: Map) -> Iterator[RawViolation]:
+    """The laws of <f, g>: src -> tgt for the maps fm: A -> A' and gm: B -> B'."""
+    yield from prefixed("f", hom_violations(src.A.group, tgt.A.group, fm))
+    yield from prefixed("g", hom_violations(src.B.group, tgt.B.group, gm))
+    yield from square_violations(src.alpha.map, tgt.alpha.map, fm, gm)
+    template = "f({0}.{1}) = {2} != g({0}).f({1}) = {3}"
+    yield from intertwining_violations("equivariance", template, src.action.act, tgt.action.act, gm, fm)
+    yield from action_preserved_violations(src.A, tgt.A, fm, "domain_action_preserved")
+
+
+def square_violations(src_alpha: Map, tgt_alpha: Map, fm: Map, gm: Map) -> Iterator[RawViolation]:
+    """g o alpha = alpha' o f, witnessed by a."""
+    for a, b in enumerate(src_alpha):
+        if gm[b] != tgt_alpha[fm[a]]:
+            yield "square", (a,), "g(alpha({0})) = {1} != alpha'(f({0})) = {2}", (gm[b], tgt_alpha[fm[a]])
 
 
 def identity_gxmod_morphism(x: GXMod) -> GXModMorphism:
@@ -249,10 +224,6 @@ def compose_gxmod_morphisms(outer: GXModMorphism, inner: GXModMorphism) -> GXMod
         compose_homs(outer.f, inner.f),
         compose_homs(outer.g, inner.g),
     )
-
-
-def is_gxmod_isomorphism(m: GXModMorphism) -> bool:
-    return m.f.is_bijective() and m.g.is_bijective() and validate_gxmod_morphism(m).ok
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +276,7 @@ def from_invariant_subgroup(g: GwaObject, h: Subgroup) -> GXMod:
     """(H, G, incl) for a subgroup invariant under the whole ambient self-action."""
     if not is_subobject(h, g):
         act = g.self_action.act
-        members = set(h.members)
-        wit = next(
-            (x, n)
-            for x in range(g.order)
-            for n in h.members
-            if act[x][n] not in members
-        )
+        wit = next((x, n) for x in range(g.order) for n in h.members if act[x][n] not in h)
         raise PreconditionError(
             "subobject", f"subgroup is not invariant under the ambient action at {wit}"
         )
@@ -344,11 +309,9 @@ def image_gxmod(x: GXMod) -> GXMod:
 
 
 def _require_gwa_iso(f: Hom, src: GwaObject, tgt: GwaObject, label: str) -> None:
-    from .groups import is_hom
-
     if f.source != src.group or f.target != tgt.group:
         raise StructuralError(f"{label} endpoints mismatch")
-    if not is_hom(f):
+    if not holds(hom_violations(f.source, f.target, f.map)):
         raise PreconditionError(label, f"{label} is not a homomorphism")
     if not f.is_bijective():
         raise PreconditionError(label, f"{label} is not bijective")

@@ -9,17 +9,21 @@ every check is a direct exhaustive loop.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
+    RawViolation,
     StructuralError,
     ValidationReport,
-    _Collector,
+    holds,
+    report,
 )
 
 Table = tuple[tuple[int, ...], ...]
+Map = tuple[int, ...]
 
 
 def _freeze(rows) -> Table:
@@ -120,30 +124,28 @@ def validate_group(t: GroupTable, max_violations: int = DEFAULT_MAX_VIOLATIONS) 
     if not (0 <= t.identity < n):
         raise StructuralError("identity index out of range")
 
-    col = _Collector(max_violations)
-    op = t.op
-    e = t.identity
+    return report(t.name or "group", group_violations(t), max_violations)
+
+
+def group_violations(t: GroupTable) -> Iterator[RawViolation]:
+    """The identity, inverse and associativity laws of t's tables."""
+    n, op, e = t.order, t.op, t.identity
     for g in range(n):
         if op[e][g] != g or op[g][e] != g:
-            col.add("identity_law", (g,), f"op({e},{g})={op[e][g]}, op({g},{e})={op[g][e]}, expected {g}")
+            yield "identity_law", (g,), "op({1},{0})={2}, op({0},{1})={3}, expected {0}", (e, op[e][g], op[g][e])
     for g in range(n):
         gi = t.inv[g]
         if op[g][gi] != e or op[gi][g] != e:
-            col.add("inverse_law", (g,), f"op({g},{gi})={op[g][gi]}, op({gi},{g})={op[gi][g]}, expected {e}")
+            values = (gi, op[g][gi], op[gi][g], e)
+            yield "inverse_law", (g,), "op({0},{1})={2}, op({1},{0})={3}, expected {4}", values
     for a in range(n):
         for b in range(n):
             ab = op[a][b]
             row_a = op[a]
             for c in range(n):
                 if op[ab][c] != row_a[op[b][c]]:
-                    col.add(
-                        "associativity",
-                        (a, b, c),
-                        f"op(op({a},{b}),{c})={op[ab][c]} != op({a},op({b},{c}))={row_a[op[b][c]]}",
-                    )
-                    if col.saturated("associativity"):
-                        return col.report(t.name or "group")
-    return col.report(t.name or "group")
+                    template = "op(op({0},{1}),{2})={3} != op({0},op({1},{2}))={4}"
+                    yield "associativity", (a, b, c), template, (op[ab][c], row_a[op[b][c]])
 
 
 # ---------------------------------------------------------------------------
@@ -287,39 +289,35 @@ class Hom:
 
 
 def hom(source: GroupTable, target: GroupTable, mapping, name: str = "") -> Hom:
-    m = tuple(int(x) for x in mapping)
-    if len(m) != source.order:
-        raise StructuralError("hom map length does not match source order")
-    if any(x < 0 or x >= target.order for x in m):
-        raise StructuralError("hom map entry out of range")
-    return Hom(source, target, m, name)
+    f = Hom(source, target, tuple(int(x) for x in mapping), name)
+    check_hom_shape(f)
+    return f
+
+
+def check_hom_shape(*homs: Hom) -> None:
+    """Raise StructuralError unless each map sends every source element into its target."""
+    for f in homs:
+        if len(f.map) != f.source.order:
+            raise StructuralError("hom map length does not match source order")
+        if any(x < 0 or x >= f.target.order for x in f.map):
+            raise StructuralError("hom map entry out of range")
 
 
 def validate_hom(f: Hom, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
-    if len(f.map) != f.source.order:
-        raise StructuralError("hom map length does not match source order")
-    if any(x < 0 or x >= f.target.order for x in f.map):
-        raise StructuralError("hom map entry out of range")
-    col = _Collector(max_violations)
-    src, tgt, m = f.source, f.target, f.map
+    check_hom_shape(f)
+    return report(f.name or "hom", hom_violations(f.source, f.target, f.map), max_violations)
+
+
+def hom_violations(src: GroupTable, tgt: GroupTable, m: Map) -> Iterator[RawViolation]:
+    """The map m: src -> tgt preserves the identity and the operation."""
     if m[src.identity] != tgt.identity:
-        col.add("identity_preserved", (src.identity,), f"f(e)={m[src.identity]} != {tgt.identity}")
+        yield "identity_preserved", (src.identity,), "f(e)={1} != {2}", (m[src.identity], tgt.identity)
+    sop, top = src.op, tgt.op
     for g in range(src.order):
+        row, trow = sop[g], top[m[g]]
         for h in range(src.order):
-            if m[src.op[g][h]] != tgt.op[m[g]][m[h]]:
-                col.add(
-                    "homomorphism",
-                    (g, h),
-                    f"f({g}*{h})={m[src.op[g][h]]} != f({g})*f({h})={tgt.op[m[g]][m[h]]}",
-                )
-    return col.report(f.name or "hom")
-
-
-def is_hom(f: Hom) -> bool:
-    src, tgt, m = f.source, f.target, f.map
-    return all(
-        m[src.op[g][h]] == tgt.op[m[g]][m[h]] for g in range(src.order) for h in range(src.order)
-    )
+            if m[row[h]] != trow[m[h]]:
+                yield "homomorphism", (g, h), "f({0}*{1})={2} != f({0})*f({1})={3}", (m[row[h]], trow[m[h]])
 
 
 def identity_hom(g: GroupTable) -> Hom:
@@ -356,10 +354,7 @@ class Subgroup:
     members: tuple[int, ...]  # sorted
 
     def __contains__(self, g: int) -> bool:
-        return g in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return g in self.members
 
 
 def subgroup(parent: GroupTable, members) -> Subgroup:
@@ -377,14 +372,6 @@ def subgroup(parent: GroupTable, members) -> Subgroup:
             if parent.op[a][b] not in s:
                 raise StructuralError(f"subgroup not closed under op at ({a},{b})")
     return Subgroup(parent, tuple(ms))
-
-
-def is_subgroup_set(parent: GroupTable, members) -> bool:
-    try:
-        subgroup(parent, members)
-    except StructuralError:
-        return False
-    return True
 
 
 def subgroup_closure(parent: GroupTable, gens) -> Subgroup:
@@ -408,11 +395,6 @@ def kernel(f: Hom) -> Subgroup:
 
 def image(f: Hom) -> Subgroup:
     return Subgroup(f.target, tuple(sorted(set(f.map))))
-
-
-def is_normal(parent: GroupTable, members) -> bool:
-    s = set(members)
-    return all(parent.conjugate(g, n) in s for g in range(parent.order) for n in s)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +458,8 @@ def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     found = []
     for imgs in itertools.product(*candidates):
         m = _extend_map(src, tgt, gens, list(imgs))
-        if m is None:
-            continue
-        f = Hom(src, tgt, m)
-        if is_hom(f):
-            found.append(f)
+        if m is not None and holds(hom_violations(src, tgt, m)):
+            found.append(Hom(src, tgt, m))
     found.sort(key=lambda f: f.map)
     return tuple(found)
 

@@ -8,15 +8,18 @@ every act[g] distributes over the operation, i.e. acts by automorphisms.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .groups import GroupTable, Hom, Subgroup, Table, _freeze, subgroup
+from .groups import GroupTable, Hom, Map, Subgroup, Table, _freeze, subgroup
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     PreconditionError,
+    RawViolation,
     StructuralError,
     ValidationReport,
-    _Collector,
+    holds,
+    report,
 )
 
 
@@ -88,37 +91,45 @@ def validate_gwa(g: GwaObject, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> 
         raise StructuralError("self-action table dimensions do not match order")
     if any(x < 0 or x >= n for row in act for x in row):
         raise StructuralError("self-action table entry out of range")
-    col = _Collector(max_violations)
-    op = g.group.op
-    e = g.group.identity
-    for h in range(n):
-        if act[e][h] != h:
-            col.add("action_identity", (h,), f"^{e} {h} = {act[e][h]}, expected {h}")
-    for g1 in range(n):
-        row1 = act[g1]
-        for g2 in range(n):
+    violations = action_violations(act, g.group, g.group.op, SELF_ACTION_DETAILS)
+    return report(g.name or "gwa", violations, max_violations)
+
+
+# detail templates of action_violations for a self-action, written ^x y
+SELF_ACTION_DETAILS = (
+    "^{1} {0} = {2}, expected {0}",
+    "^({0}*{1}) {2} = {3} != ^{0}(^{1} {2}) = {4}",
+    "^{0}({1}*{2}) = {3} != (^{0} {1})*(^{0} {2}) = {4}",
+)
+
+
+def action_violations(act: Table, actor: GroupTable, space_op: Table, details) -> Iterator[RawViolation]:
+    """The identity, compatibility and automorphism laws of an action.
+
+    act[x][y] is x . y for x in actor and y in the group with table space_op;
+    details holds the three laws' detail templates.  Only the first failing y
+    is witnessed for each (x1, x2) and each (x, y1).
+    """
+    identity, compatibility, automorphism = details
+    op, e = actor.op, actor.identity
+    for h, y in enumerate(act[e]):
+        if y != h:
+            yield "action_identity", (h,), identity, (e, y)
+    ns = len(space_op)
+    for g1, row1 in enumerate(act):
+        for g2, row2 in enumerate(act):
             row12 = act[op[g1][g2]]
-            row2 = act[g2]
-            for h in range(n):
+            for h in range(ns):
                 if row12[h] != row1[row2[h]]:
-                    col.add(
-                        "action_compatibility",
-                        (g1, g2, h),
-                        f"^({g1}*{g2}) {h} = {row12[h]} != ^{g1}(^{g2} {h}) = {row1[row2[h]]}",
-                    )
+                    yield "action_compatibility", (g1, g2, h), compatibility, (row12[h], row1[row2[h]])
                     break
-    for a in range(n):
-        row = act[a]
-        for h1 in range(n):
-            for h2 in range(n):
-                if row[op[h1][h2]] != op[row[h1]][row[h2]]:
-                    col.add(
-                        "action_automorphism",
-                        (a, h1, h2),
-                        f"^{a}({h1}*{h2}) = {row[op[h1][h2]]} != (^{a} {h1})*(^{a} {h2}) = {op[row[h1]][row[h2]]}",
-                    )
+    for a, row in enumerate(act):
+        for h1 in range(ns):
+            for h2 in range(ns):
+                if row[space_op[h1][h2]] != space_op[row[h1]][row[h2]]:
+                    values = (row[space_op[h1][h2]], space_op[row[h1]][row[h2]])
+                    yield "action_automorphism", (a, h1, h2), automorphism, values
                     break
-    return col.report(g.name or "gwa")
 
 
 def validate_gwa_morphism(
@@ -127,24 +138,30 @@ def validate_gwa_morphism(
     """Check that f preserves the self-action: f(^g g1) = ^f(g) f(g1)."""
     if f.source != src.group or f.target != tgt.group:
         raise StructuralError("hom endpoints do not match the given gwa objects")
-    col = _Collector(max_violations)
-    sa, ta, m = src.self_action.act, tgt.self_action.act, f.map
-    for g in range(src.order):
-        for g1 in range(src.order):
-            if m[sa[g][g1]] != ta[m[g]][m[g1]]:
-                col.add(
-                    "action_preserved",
-                    (g, g1),
-                    f"f(^{g} {g1}) = {m[sa[g][g1]]} != ^f({g}) f({g1}) = {ta[m[g]][m[g1]]}",
-                )
-    return col.report("gwa morphism")
+    return report("gwa morphism", action_preserved_violations(src, tgt, f.map), max_violations)
+
+
+def action_preserved_violations(
+    src: GwaObject, tgt: GwaObject, m: Map, law: str = "action_preserved"
+) -> Iterator[RawViolation]:
+    """m(^g g1) = ^m(g) m(g1): the map m of groups preserves the self-actions."""
+    template = "f(^{0} {1}) = {2} != ^f({0}) f({1}) = {3}"
+    return intertwining_violations(law, template, src.self_action.act, tgt.self_action.act, m, m)
+
+
+def intertwining_violations(
+    law: str, template: str, src_act: Table, tgt_act: Table, actor_map: Map, space_map: Map
+) -> Iterator[RawViolation]:
+    """space_map(x . y) = actor_map(x) . space_map(y) for every x and y, witnessed by (x, y)."""
+    for x, row in enumerate(src_act):
+        tgt_row = tgt_act[actor_map[x]]
+        for y, xy in enumerate(row):
+            if space_map[xy] != tgt_row[space_map[y]]:
+                yield law, (x, y), template, (space_map[xy], tgt_row[space_map[y]])
 
 
 def is_gwa_morphism(f: Hom, src: GwaObject, tgt: GwaObject) -> bool:
-    sa, ta, m = src.self_action.act, tgt.self_action.act, f.map
-    return all(
-        m[sa[g][g1]] == ta[m[g]][m[g1]] for g in range(src.order) for g1 in range(src.order)
-    )
+    return holds(action_preserved_violations(src, tgt, f.map))
 
 
 def is_subobject(h: Subgroup, g: GwaObject) -> bool:
@@ -222,11 +239,11 @@ def quotient_gwa(g: GwaObject, n: Subgroup) -> tuple[GwaObject, Hom]:
     Cosets are indexed by ascending minimal member, which keeps the identity
     coset at index 0 whenever the identity is element 0.
     """
-    report = is_ideal(n, g)
-    if not report.is_ideal:
+    ideal = is_ideal(n, g)
+    if not ideal.is_ideal:
         raise PreconditionError(
-            report.failed_condition() or "ideal",
-            f"subgroup is not an ideal: {report.failed_condition()} fails at {report.witness}",
+            ideal.failed_condition() or "ideal",
+            f"subgroup is not an ideal: {ideal.failed_condition()} fails at {ideal.witness}",
         )
     op = g.group.op
     members = n.members

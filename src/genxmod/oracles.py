@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .coverlift import Covering, Lifting, lifting_as_gxmod
-from .crossed import GXMod, GXModMorphism, validate_gxmod_morphism
+from .coverlift import Covering, CoveringMorphism, Lifting, LiftingMorphism, lifting_as_gxmod
+from .crossed import GXMod, GXModMorphism
 from .groups import Hom, all_homs
 from .validation import StructuralError, Violation
 
@@ -148,6 +148,50 @@ def raw_is_gxmod(x: GXMod) -> bool:
     )
 
 
+def raw_hom_witnesses(src_op, tgt_op, m) -> list[tuple[int, int]]:
+    n = len(src_op)
+    return [
+        (a, b) for a in range(n) for b in range(n) if m[src_op[a][b]] != tgt_op[m[a]][m[b]]
+    ]
+
+
+def raw_gxmod_morphism_violations(src: GXMod, tgt: GXMod, fm, gm):
+    """Re-test the morphism conditions of <f, g>: src -> tgt straight off the tables."""
+    na, nb = range(len(fm)), range(len(gm))
+    act_s, act_t = src.action.act, tgt.action.act
+    sa_s, sa_t = src.A.self_action.act, tgt.A.self_action.act
+    return (
+        [("f.homomorphism", w) for w in raw_hom_witnesses(src.A.group.op, tgt.A.group.op, fm)]
+        + [("g.homomorphism", w) for w in raw_hom_witnesses(src.B.group.op, tgt.B.group.op, gm)]
+        + [("square", (a,)) for a in na if gm[src.alpha.map[a]] != tgt.alpha.map[fm[a]]]
+        + [("equivariance", (b, a)) for b in nb for a in na if fm[act_s[b][a]] != act_t[gm[b]][fm[a]]]
+        + [
+            ("domain_action_preserved", (a, a1))
+            for a in na
+            for a1 in na
+            if fm[sa_s[a][a1]] != sa_t[fm[a]][fm[a1]]
+        ]
+    )
+
+
+def raw_is_covering_morphism(c1: Covering, c2: Covering, um, vm) -> bool:
+    """<u, v> is a crossed module morphism between the totals over both triangles."""
+    return (
+        not raw_gxmod_morphism_violations(c1.total, c2.total, um, vm)
+        and all(c2.f.map[u] == f for u, f in zip(um, c1.f.map))
+        and all(c2.g.map[v] == g for v, g in zip(vm, c1.g.map))
+    )
+
+
+def raw_is_lifting_morphism(l1: Lifting, l2: Lifting, fm) -> bool:
+    """f is a homomorphism of the X parts commuting with the omega and phi triangles."""
+    return (
+        not raw_hom_witnesses(l1.X.group.op, l2.X.group.op, fm)
+        and all(l2.omega.map[f] == om for f, om in zip(fm, l1.omega.map))
+        and all(fm[p1] == p2 for p1, p2 in zip(l1.phi.map, l2.phi.map))
+    )
+
+
 # ---------------------------------------------------------------------------
 # brute-force searches mirroring the criterion theorems
 
@@ -166,9 +210,8 @@ def search_factorizations(src: GXMod, m: GXModMorphism, c: Covering) -> list[GXM
         for g_prime in all_homs(src.B.group, c.total.B.group):
             if any(gt[g_prime.map[b]] != gm[b] for b in range(src.B.order)):
                 continue
-            cand = GXModMorphism(src, c.total, f_prime, g_prime)
-            if validate_gxmod_morphism(cand, max_violations=1).ok:
-                out.append(cand)
+            if not raw_gxmod_morphism_violations(src, c.total, f_prime.map, g_prime.map):
+                out.append(GXModMorphism(src, c.total, f_prime, g_prime))
     return out
 
 
@@ -181,16 +224,13 @@ def search_extensions(m: GXModMorphism, l: Lifting) -> list[GXModMorphism]:
     for g_tilde in all_homs(src.B.group, l.X.group):
         if any(om[g_tilde.map[b]] != m.g.map[b] for b in range(src.B.order)):
             continue
-        cand = GXModMorphism(src, target, m.f, g_tilde)
-        if validate_gxmod_morphism(cand, max_violations=1).ok:
-            out.append(cand)
+        if not raw_gxmod_morphism_violations(src, target, m.f.map, g_tilde.map):
+            out.append(GXModMorphism(src, target, m.f, g_tilde))
     return out
 
 
 def search_covering_isomorphisms(c1: Covering, c2: Covering) -> list:
     """Invertible covering morphisms c1 -> c2, by direct enumeration."""
-    from .coverlift import CoveringMorphism, validate_covering_morphism
-
     out = []
     for u in all_homs(c1.total.A.group, c2.total.A.group):
         if not u.is_bijective():
@@ -198,23 +238,17 @@ def search_covering_isomorphisms(c1: Covering, c2: Covering) -> list:
         for v in all_homs(c1.total.B.group, c2.total.B.group):
             if not v.is_bijective():
                 continue
-            cand = CoveringMorphism(c1, c2, u, v)
-            if validate_covering_morphism(cand, max_violations=1).ok:
-                out.append(cand)
+            if raw_is_covering_morphism(c1, c2, u.map, v.map):
+                out.append(CoveringMorphism(c1, c2, u, v))
     return out
 
 
 def search_lifting_isomorphisms(l1: Lifting, l2: Lifting) -> list:
     """Invertible lifting morphisms l1 -> l2, by direct enumeration."""
-    from .coverlift import LiftingMorphism, validate_lifting_morphism
-
     out = []
     for f in all_homs(l1.X.group, l2.X.group):
-        if not f.is_bijective():
-            continue
-        cand = LiftingMorphism(l1, l2, f)
-        if validate_lifting_morphism(cand, max_violations=1).ok:
-            out.append(cand)
+        if f.is_bijective() and raw_is_lifting_morphism(l1, l2, f.map):
+            out.append(LiftingMorphism(l1, l2, f))
     return out
 
 
@@ -246,6 +280,8 @@ def _replay(obj, law: list[str], w: tuple[int, ...]) -> bool:
             return obj.omega.map[obj.phi.map[a]] != obj.base.alpha.map[a]
         if head == "induced":
             return _replay(lifting_as_gxmod(obj), rest, w)
+        if head in ("phi", "omega"):
+            return _replay_hom_law(getattr(obj, head), rest, w)
         if head == "X":
             return _replay_gwa_law(obj.X, rest, w)
         if head == "base":
@@ -265,7 +301,7 @@ def _replay(obj, law: list[str], w: tuple[int, ...]) -> bool:
         if head == "alpha":
             return _replay_hom_law(obj.alpha, rest, w)
         if head == "action":
-            return _replay_ext_law(obj, rest, w)
+            return _replay_action_law(obj.action.act, obj.B.group, obj.A.group.op, rest, w)
         if head == "equivariance":
             b, a = w
             return (
@@ -299,18 +335,21 @@ def _replay_group_law(g, law: list[str], w) -> bool:
 def _replay_gwa_law(gw, law: list[str], w) -> bool:
     if law[0] == "group":
         return _replay_group_law(gw.group, law[1:], w)
-    op = gw.group.op
-    act = gw.self_action.act
+    return _replay_action_law(gw.self_action.act, gw.group, gw.group.op, law, w)
+
+
+def _replay_action_law(act, actor, space_op, law: list[str], w) -> bool:
+    """A law of the action act of the group actor on the group with table space_op."""
     if law[0] == "action_identity":
         (h,) = w
-        return act[gw.group.identity][h] != h
+        return act[actor.identity][h] != h
     if law[0] == "action_compatibility":
         g1, g2, h = w
-        return act[op[g1][g2]][h] != act[g1][act[g2][h]]
+        return act[actor.op[g1][g2]][h] != act[g1][act[g2][h]]
     if law[0] == "action_automorphism":
         a, h1, h2 = w
-        return act[a][op[h1][h2]] != op[act[a][h1]][act[a][h2]]
-    raise StructuralError(f"no replay rule for gwa law {law}")
+        return act[a][space_op[h1][h2]] != space_op[act[a][h1]][act[a][h2]]
+    raise StructuralError(f"no replay rule for action law {law}")
 
 
 def _replay_hom_law(f: Hom, law: list[str], w) -> bool:
@@ -320,21 +359,6 @@ def _replay_hom_law(f: Hom, law: list[str], w) -> bool:
     if law[0] == "identity_preserved":
         return f.map[f.source.identity] != f.target.identity
     raise StructuralError(f"no replay rule for hom law {law}")
-
-
-def _replay_ext_law(x: GXMod, law: list[str], w) -> bool:
-    act = x.action.act
-    ob, oa = x.B.group.op, x.A.group.op
-    if law[0] == "action_identity":
-        (a,) = w
-        return act[x.B.group.identity][a] != a
-    if law[0] == "action_compatibility":
-        b1, b2, a = w
-        return act[ob[b1][b2]][a] != act[b1][act[b2][a]]
-    if law[0] == "action_automorphism":
-        b, a1, a2 = w
-        return act[b][oa[a1][a2]] != oa[act[b][a1]][act[b][a2]]
-    raise StructuralError(f"no replay rule for ext action law {law}")
 
 
 def _replay_cat1_law(c, law: list[str], w) -> bool:

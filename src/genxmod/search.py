@@ -17,8 +17,14 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cat1 import GCat1, GCat1Morphism
-from .crossed import ExtAction, GXMod, validate_gxmod
+from .cat1 import (
+    GCat1,
+    GCat1Morphism,
+    commutes_violations,
+    interchange_violations,
+    kernel_action_violations,
+)
+from .crossed import ExtAction, GXMod, gxmod_violations, square_violations
 from .coverlift import (
     Covering,
     CoveringMorphism,
@@ -26,20 +32,24 @@ from .coverlift import (
     LiftingMorphism,
     compose_covering_morphisms,
     compose_lifting_morphisms,
+    covering_morphism_violations,
     covering_to_lifting,
+    covering_violations,
+    factorization_violations,
     functor_on_covering_morphism,
     functor_on_lifting_morphism,
     identity_covering,
     identity_covering_morphism,
     identity_lifting_morphism,
     image_lifting,
+    lifting_morphism_violations,
     lifting_to_covering,
+    lifting_violations,
     natural_lifting,
     self_lifting,
-    validate_covering,
-    validate_covering_morphism,
-    validate_lifting,
-    validate_lifting_morphism,
+    triangle_g_violations,
+    triangle_omega_violations,
+    triangle_phi_violations,
 )
 from .groups import (
     GroupTable,
@@ -57,7 +67,7 @@ from .groups import (
     trivial_group,
 )
 from .gwa import GwaObject, SelfAction, is_gwa_morphism
-from .validation import StructuralError
+from .validation import PreconditionError, StructuralError, holds
 
 MAX_MORPHISMS_ENV = "GXMOD_MAX_MORPHISMS"
 DEFAULT_MAX_MORPHISMS = 20000
@@ -158,30 +168,27 @@ def enumerate_ext_actions(b: GwaObject, a: GwaObject) -> tuple[ExtAction, ...]:
 @lru_cache(maxsize=None)
 def enumerate_gxmods(a: GwaObject, b: GwaObject) -> tuple[GXMod, ...]:
     """All pairs (alpha, action) making (a, b) a generalized crossed module."""
+    sa, sb = a.self_action.act, b.self_action.act
     out = []
     for alpha in all_homs(a.group, b.group):
         for action in enumerate_ext_actions(b, a):
-            x = GXMod(a, b, alpha, action)
-            if validate_gxmod(x, max_violations=1).ok:
-                out.append(x)
+            if holds(gxmod_violations(alpha.map, action.act, sa, sb)):
+                out.append(GXMod(a, b, alpha, action))
     return tuple(out)
 
 
 def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     """All liftings of base whose middle object is drawn from the pool."""
-    am = base.alpha.map
-    na = base.A.order
     out: list[Lifting] = []
     for x_gwa in gwa_objects(pool):
         for omega in all_homs(x_gwa.group, base.B.group):
             om = omega.map
             for phi in all_homs(base.A.group, x_gwa.group):
                 pm = phi.map
-                if any(om[pm[i]] != am[i] for i in range(na)):
-                    continue
-                lift = Lifting(base, x_gwa, phi, omega)
-                if validate_lifting(lift, max_violations=1).ok:
-                    out.append(lift)
+                if holds(factorization_violations(base, pm, om)) and holds(
+                    lifting_violations(base, x_gwa, pm, om)
+                ):
+                    out.append(Lifting(base, x_gwa, phi, omega))
     return tuple(out)
 
 
@@ -208,10 +215,7 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
     out: list[Covering] = []
     for f0 in automorphisms(a_group):
         f_map = f0.map
-        f_inv = [0] * na
-        for i, v in enumerate(f_map):
-            f_inv[v] = i
-        f_inv = tuple(f_inv)
+        f_inv = tuple(f_map.index(i) for i in range(na))
         a_tilde = GwaObject(a_group, _pullback_self_action(base.A, f_map, f_inv))
         f = Hom(a_group, a_group, f_map)
         for b_gwa in gwa_objects(pool):
@@ -225,14 +229,13 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
                 action = ExtAction(b_gwa, a_tilde, forced)
                 for alpha_t in all_homs(a_group, b_gwa.group):
                     atm = alpha_t.map
-                    if any(gm[atm[i]] != base.alpha.map[f_map[i]] for i in range(na)):
+                    if not holds(square_violations(atm, base.alpha.map, f_map, gm)):
+                        continue
+                    if not holds(gxmod_violations(atm, forced, a_tilde.self_action.act, b_gwa.self_action.act)):
                         continue
                     total = GXMod(a_tilde, b_gwa, alpha_t, action)
-                    if not validate_gxmod(total, max_violations=1).ok:
-                        continue
-                    cover = Covering(total, base, f, g)
-                    if validate_covering(cover, max_violations=1).ok:
-                        out.append(cover)
+                    if holds(covering_violations(total, base, f_map, gm)):
+                        out.append(Covering(total, base, f, g))
     return tuple(out)
 
 
@@ -244,17 +247,7 @@ def _structure_map_pairs(g: GroupTable) -> tuple[tuple[Hom, Hom], ...]:
     idempotent with a common image.
     """
     endos = all_homs(g, g)
-    n = g.order
-    pairs = []
-    for s in endos:
-        sm = s.map
-        for t in endos:
-            tm = t.map
-            if all(sm[tm[x]] == tm[x] for x in range(n)) and all(
-                tm[sm[x]] == sm[x] for x in range(n)
-            ):
-                pairs.append((s, t))
-    return tuple(pairs)
+    return tuple((s, t) for s in endos for t in endos if holds(interchange_violations(s.map, t.map)))
 
 
 @lru_cache(maxsize=None)
@@ -287,8 +280,7 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
             key = (kernel(s).members, kernel(t).members)
             res = kernel_cond.get(key)
             if res is None:
-                res = all(act[y][x] == x for y in key[1] for x in key[0])
-                kernel_cond[key] = res
+                res = kernel_cond[key] = holds(kernel_action_violations(act, *key))
             if res:
                 out.append(GCat1(gw, s, t))
     return tuple(out)
@@ -296,37 +288,24 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
 
 def gcat1_morphisms_between(c1: GCat1, c2: GCat1) -> tuple[GCat1Morphism, ...]:
     """All cat1-group morphisms c1 -> c2."""
-    n = c1.G.order
     s1, t1 = c1.s.map, c1.t.map
     s2, t2 = c2.s.map, c2.t.map
-    out = []
-    for f in all_homs(c1.G.group, c2.G.group):
-        fm = f.map
-        if any(fm[s1[x]] != s2[fm[x]] for x in range(n)):
-            continue
-        if any(fm[t1[x]] != t2[fm[x]] for x in range(n)):
-            continue
-        if not is_gwa_morphism(f, c1.G, c2.G):
-            continue
-        out.append(GCat1Morphism(c1, c2, f))
-    return tuple(out)
+    return tuple(
+        GCat1Morphism(c1, c2, f)
+        for f in all_homs(c1.G.group, c2.G.group)
+        if holds(commutes_violations(f.map, s1, t1, s2, t2)) and is_gwa_morphism(f, c1.G, c2.G)
+    )
 
 
 def lifting_morphisms_between(l1: Lifting, l2: Lifting) -> tuple[LiftingMorphism, ...]:
     """All morphisms l1 -> l2: homs between the X parts commuting with both triangles."""
-    out = []
-    om1, om2 = l1.omega.map, l2.omega.map
-    pm1, pm2 = l1.phi.map, l2.phi.map
-    for f in all_homs(l1.X.group, l2.X.group):
-        fm = f.map
-        if any(om2[fm[x]] != om1[x] for x in range(l1.X.order)):
-            continue
-        if any(fm[pm1[a]] != pm2[a] for a in range(l1.base.A.order)):
-            continue
-        m = LiftingMorphism(l1, l2, f)
-        if validate_lifting_morphism(m, max_violations=1).ok:
-            out.append(m)
-    return tuple(out)
+    return tuple(
+        LiftingMorphism(l1, l2, f)
+        for f in all_homs(l1.X.group, l2.X.group)
+        if holds(triangle_omega_violations(l1, l2, f.map))
+        and holds(triangle_phi_violations(l1, l2, f.map))
+        and holds(lifting_morphism_violations(l1, l2, f.map))
+    )
 
 
 def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorphism, ...]:
@@ -335,21 +314,14 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     The A-component is forced to (f2)^-1 o f1 by the f-triangle; only the
     B-component is searched.
     """
-    u_map = tuple(_apply_inverse(c2.f.map, c1.f.map[a]) for a in range(c1.total.A.order))
+    u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
     u = Hom(c1.total.A.group, c2.total.A.group, u_map)
-    out = []
-    for v in all_homs(c1.total.B.group, c2.total.B.group):
-        vm = v.map
-        if any(c2.g.map[vm[b]] != c1.g.map[b] for b in range(c1.total.B.order)):
-            continue
-        m = CoveringMorphism(c1, c2, u, v)
-        if validate_covering_morphism(m, max_violations=1).ok:
-            out.append(m)
-    return tuple(out)
-
-
-def _apply_inverse(bij_map: tuple[int, ...], value: int) -> int:
-    return bij_map.index(value)
+    return tuple(
+        CoveringMorphism(c1, c2, u, v)
+        for v in all_homs(c1.total.B.group, c2.total.B.group)
+        if holds(triangle_g_violations(c1, c2, v.map))
+        and holds(covering_morphism_violations(c1, c2, u_map, v.map))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +332,9 @@ def _apply_inverse(bij_map: tuple[int, ...], value: int) -> int:
 class EquivalenceReport:
     """Everything verify_equivalence checked, with counts and failure details.
 
-    ok means zero failed checks and a pool rich enough to contain the
-    canonical liftings (natural, image, self) and the identity covering.
+    ok means zero failed checks, a pool rich enough to contain the canonical
+    liftings (natural, image, self) and the identity covering, and no
+    morphism category cut short by the morphism cap.
     """
 
     base_name: str
@@ -403,7 +376,7 @@ class EquivalenceReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures and not self.incomplete
+        return not self.failures and not self.incomplete and not self.truncated
 
     def consistent(self) -> bool:
         """Internal consistency: index tables and witness lists match the object lists."""
@@ -416,13 +389,20 @@ class EquivalenceReport:
         return True
 
 
-def _max_morphisms(explicit: int | None) -> int:
+def morphism_cap(explicit: int | None = None) -> int:
+    """The morphism cap: explicit, else GXMOD_MAX_MORPHISMS, else the default.
+
+    A malformed environment value raises StructuralError.
+    """
     if explicit is not None:
         return explicit
     env = os.environ.get(MAX_MORPHISMS_ENV)
-    if env:
+    if not env:
+        return DEFAULT_MAX_MORPHISMS
+    try:
         return max(1, int(env))
-    return DEFAULT_MAX_MORPHISMS
+    except ValueError:
+        raise StructuralError(f"{MAX_MORPHISMS_ENV} must be an integer, got {env!r}") from None
 
 
 def verify_equivalence(
@@ -439,7 +419,7 @@ def verify_equivalence(
     morphism, preserve identities and composition, and satisfy the naturality
     square of the covering-side unit.
     """
-    cap = _max_morphisms(max_morphisms)
+    cap = morphism_cap(max_morphisms)
     failures: list[str] = []
     incomplete: list[str] = []
 
@@ -502,38 +482,16 @@ def verify_equivalence(
             c2l.append(j)
         back = lifting_to_covering(lift)
         witness = CoveringMorphism(cov, back, cov.f, identity_hom(cov.total.B.group))
-        wreport = validate_covering_morphism(witness, max_violations=1)
-        if not wreport.ok or not witness.f.is_bijective() or not witness.g.is_bijective():
+        valid = holds(covering_morphism_violations(cov, back, witness.f.map, witness.g.map))
+        if not valid or not witness.f.is_bijective() or not witness.g.is_bijective():
             failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
         else:
             rt_witnesses.append(witness)
 
-    # morphisms
-    truncated = False
-    lifting_morphisms: list[LiftingMorphism] = []
-    for i, l1 in enumerate(liftings):
-        for l2 in liftings:
-            for m in lifting_morphisms_between(l1, l2):
-                if len(lifting_morphisms) >= cap:
-                    truncated = True
-                    break
-                lifting_morphisms.append(m)
-            if truncated:
-                break
-        if truncated:
-            break
-    covering_morphisms: list[CoveringMorphism] = []
-    for c1 in coverings:
-        for c2 in coverings:
-            for m in covering_morphisms_between(c1, c2):
-                if len(covering_morphisms) >= cap:
-                    truncated = True
-                    break
-                covering_morphisms.append(m)
-            if truncated:
-                break
-        if truncated:
-            break
+    # morphisms, each category capped on its own
+    lifting_morphisms, lifting_cut = _capped_morphisms(liftings, lifting_morphisms_between, cap)
+    covering_morphisms, covering_cut = _capped_morphisms(coverings, covering_morphisms_between, cap)
+    truncated = lifting_cut or covering_cut
 
     # cached functor images of the objects, reused by the morphism-level loops
     cov_image = {i: lifting_to_covering(l) for i, l in enumerate(liftings)}
@@ -562,7 +520,7 @@ def verify_equivalence(
     nat_failed = 0
     for m in lifting_morphisms:
         cm = functor_on_lifting_morphism(m)
-        if validate_covering_morphism(cm, max_violations=1).ok:
+        if holds(covering_morphism_violations(cm.source, cm.target, cm.f.map, cm.g.map)):
             checks_passed += 1
         else:
             checks_failed += 1
@@ -575,7 +533,7 @@ def verify_equivalence(
             failures.append("lifting morphism: round trip not exact")
     for m in covering_morphisms:
         lm = functor_on_covering_morphism(m)
-        if validate_lifting_morphism(lm, max_violations=1).ok:
+        if holds(lifting_morphism_violations(lm.source, lm.target, lm.f.map)):
             checks_passed += 1
         else:
             checks_failed += 1
@@ -662,8 +620,21 @@ def verify_equivalence(
     )
 
 
+def _capped_morphisms(objects, between, cap: int) -> tuple[list, bool]:
+    """between(o1, o2) over every ordered pair, up to cap; the flag says more existed."""
+    found = []
+    for o1 in objects:
+        for o2 in objects:
+            for m in between(o1, o2):
+                if len(found) >= cap:
+                    return found, True
+                found.append(m)
+    return found, False
+
+
 def _try(fn, *args):
+    """fn(*args), or None when its construction precondition fails."""
     try:
         return fn(*args)
-    except Exception:
+    except (PreconditionError, StructuralError):
         return None

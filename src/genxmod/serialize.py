@@ -92,10 +92,6 @@ def lifting_doc(l: Lifting) -> dict:
     }
 
 
-def hom_doc(f: Hom) -> dict:
-    return {"map": list(f.map)}
-
-
 def equivalence_report_doc(rep: EquivalenceReport) -> dict:
     lifting_pos = {id(l): i for i, l in enumerate(rep.liftings)}
     covering_pos = {id(c): i for i, c in enumerate(rep.coverings)}

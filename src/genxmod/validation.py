@@ -1,14 +1,21 @@
-"""Violation reports and error types shared by every validator in the package.
+"""Violations, the two consumers every check is built on, and the error types.
 
-Validators never raise on an axiom failure: they collect witnessed violations
-into a ValidationReport so that each law can be tested independently.  Only
-malformed data (wrong shapes, out-of-range indices, mismatched references)
-raises StructuralError, and unmet operation preconditions raise
+Each law is written once, in the module that owns it, as a generator over raw
+tables and maps that yields one raw violation per failing instance: a tuple
+(law, witness, template, values) whose detail is
+template.format(*witness, *values).  Validators chain law generators
+(prefixing a component's laws, e.g. "alpha.homomorphism") into report(),
+which keeps at most max_violations per law and renders only the details it
+keeps; predicates and enumerators use holds(), which stops at the first
+violation and renders nothing.  Validators never raise on an axiom failure:
+only malformed data (wrong shapes, out-of-range indices, mismatched
+references) raises StructuralError, and unmet preconditions raise
 PreconditionError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 DEFAULT_MAX_VIOLATIONS = 10
@@ -41,6 +48,10 @@ class Violation:
 
     def prefixed(self, prefix: str) -> "Violation":
         return Violation(f"{prefix}.{self.law}", self.witness, self.detail)
+
+
+# what a law generator yields: (law, witness, template, values)
+RawViolation = tuple[str, tuple[int, ...], str, tuple]
 
 
 @dataclass(frozen=True)
@@ -76,22 +87,26 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-class _Collector:
-    """Accumulates violations with a per-law cap so every broken law is witnessed."""
+def prefixed(prefix: str, violations: Iterable[RawViolation]) -> Iterator[RawViolation]:
+    """The violations of a component, with their laws renamed to prefix.law."""
+    for law, witness, template, values in violations:
+        yield f"{prefix}.{law}", witness, template, values
 
-    def __init__(self, max_per_law: int = DEFAULT_MAX_VIOLATIONS):
-        self.max_per_law = max_per_law
-        self._by_law: dict[str, int] = {}
-        self.violations: list[Violation] = []
 
-    def add(self, law: str, witness: tuple[int, ...], detail: str = "") -> None:
-        seen = self._by_law.get(law, 0)
-        if seen < self.max_per_law:
-            self.violations.append(Violation(law, witness, detail))
-        self._by_law[law] = seen + 1
+def report(
+    subject: str, violations: Iterable[RawViolation], max_violations: int = DEFAULT_MAX_VIOLATIONS
+) -> ValidationReport:
+    """Every law's first max_violations violations, in the order they were yielded."""
+    seen: dict[str, int] = {}
+    kept = []
+    for law, witness, template, values in violations:
+        count = seen.get(law, 0)
+        if count < max_violations:
+            kept.append(Violation(law, witness, template.format(*witness, *values)))
+            seen[law] = count + 1
+    return ValidationReport(subject, tuple(kept))
 
-    def saturated(self, law: str) -> bool:
-        return self._by_law.get(law, 0) >= self.max_per_law
 
-    def report(self, subject: str) -> ValidationReport:
-        return ValidationReport(subject, tuple(self.violations))
+def holds(violations: Iterable[RawViolation]) -> bool:
+    """True when no violation is yielded; stops at the first one."""
+    return next(iter(violations), None) is None

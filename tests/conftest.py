@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# property tests stay deterministic and bounded, like the rest of the suite
+settings.register_profile("genxmod", derandomize=True, database=None, max_examples=200, deadline=None)
+settings.load_profile("genxmod")
 
 from genxmod.fixtures import a3_s3, gx1, gx3
 from genxmod.search import standard_pool

@@ -161,8 +161,25 @@ def test_max_morphisms_env_respected(fixture_dir, tmp_path, monkeypatch):
     rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4", "--out", str(out)])
     payload = json.loads(out.read_text())
     assert payload["truncated"] is True
+    assert payload["ok"] is False
     assert payload["lifting_morphism_count"] <= 3
-    assert rc == 0
+    assert rc == 3
+
+
+def test_truncated_run_is_reported_in_human_format(fixture_dir, monkeypatch, capsys):
+    monkeypatch.setenv("GXMOD_MAX_MORPHISMS", "3")
+    rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4", "--format", "human"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "truncated: the morphism cap of 3 was reached" in out
+    assert out.rstrip().endswith("NOT OK")
+
+
+def test_malformed_max_morphisms_env_exit_2(fixture_dir, monkeypatch, capsys):
+    monkeypatch.setenv("GXMOD_MAX_MORPHISMS", "abc")
+    rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4"])
+    assert rc == 2
+    assert "GXMOD_MAX_MORPHISMS must be an integer" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -26,6 +26,7 @@ from genxmod.search import (
     standard_pool,
     verify_equivalence,
 )
+from genxmod import search
 from genxmod.coverlift import image_lifting, natural_lifting, self_lifting
 from genxmod.fixtures import gx3
 import pytest
@@ -279,3 +280,18 @@ def test_max_morphism_cap_truncates(base_gx1, pool4):
     rep = verify_equivalence(base_gx1, pool4, max_morphisms=5)
     assert rep.truncated
     assert rep.lifting_morphism_count <= 5
+    assert not rep.ok
+
+
+def test_morphism_cap_applies_to_each_category_on_its_own(base_gx1, pool4):
+    rep = verify_equivalence(base_gx1, pool4, max_morphisms=5)
+    assert rep.lifting_morphism_count == rep.covering_morphism_count == 5
+
+
+def test_canonical_construction_errors_propagate(base_gx1, pool4, monkeypatch):
+    def broken(base):
+        raise RuntimeError("defect in the construction")
+
+    monkeypatch.setattr(search, "natural_lifting", broken)
+    with pytest.raises(RuntimeError, match="defect in the construction"):
+        verify_equivalence(base_gx1, pool4)
