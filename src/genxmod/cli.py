@@ -49,6 +49,7 @@ from .search import (
     verify_equivalence,
 )
 from .serialize import (
+    _as_map,
     covering_doc,
     doc_for,
     dumps,
@@ -60,7 +61,7 @@ from .serialize import (
     load_gwa_doc,
     load_gxmod_doc,
 )
-from .validation import PreconditionError, StructuralError
+from .validation import PreconditionError, StructuralError, ValidationReport
 
 EXIT_OK = 0
 EXIT_AXIOM = 1
@@ -92,14 +93,16 @@ def _validate_loaded(kind: str, obj):
     elif kind == "gxmod":
         report = validate_gxmod_full(obj)
     elif kind == "cat1":
-        report = validate_gwa(obj.G, 10).merged(validate_gcat1(obj))
+        report = ValidationReport().merged(validate_group(obj.G.group), "G.group")
+        report = report.merged(validate_gwa(obj.G, 10)).merged(validate_gcat1(obj))
     elif kind == "covering":
         report = validate_gxmod_full(obj.total, 10).merged(
             validate_gxmod_full(obj.base, 10), "base"
         )
         report = report.merged(validate_covering(obj))
     elif kind == "lifting":
-        report = validate_gxmod_full(obj.base, 10).merged(validate_gwa(obj.X), "X")
+        report = validate_gxmod_full(obj.base, 10).merged(validate_group(obj.X.group), "X.group")
+        report = report.merged(validate_gwa(obj.X), "X")
         report = report.merged(validate_lifting(obj))
     else:
         raise StructuralError(f"unknown kind {kind}")
@@ -142,17 +145,20 @@ def cmd_validate(args) -> int:
     return worst
 
 
-def _load_hom_file(path: str, side: str):
+def _load_hom_file(path: str, side: str, fixed: GwaObject) -> tuple[GwaObject, Hom]:
+    """The gwa document under side, and the file's map between fixed and it:
+    from fixed for side "target", into fixed for side "source"."""
     doc = _read_doc(path)
-    if "map" not in doc:
+    if not isinstance(doc, dict) or "map" not in doc:
         raise StructuralError(f"{path}: hom file needs a 'map' key")
     if side not in doc:
         raise StructuralError(f"{path}: hom file needs a '{side}' gwa document")
-    gw, perm = load_gwa_doc(doc[side], side)
-    raw = doc["map"]
-    if not isinstance(raw, list):
-        raise StructuralError(f"{path}: 'map' must be a list")
-    return gw, [int(x) for x in raw], perm
+    gw = load_gwa_doc(doc[side], side)[0]
+    source, target = (fixed, gw) if side == "target" else (gw, fixed)
+    m = _as_map(doc["map"], source.order, f"{path}: map")
+    if any(x < 0 or x >= target.order for x in m):
+        raise StructuralError(f"{path}: map entry out of range")
+    return gw, Hom(source.group, target.group, m)
 
 
 def cmd_construct(args) -> int:
@@ -188,7 +194,10 @@ def cmd_construct(args) -> int:
             _require_kind(kind, "gxmod")
             if not args.ideal:
                 raise StructuralError("quotient-lifting needs --ideal with member indices")
-            members = [int(x) for x in args.ideal.split(",") if x != ""]
+            try:
+                members = [int(x) for x in args.ideal.split(",") if x != ""]
+            except ValueError:
+                raise StructuralError(f"--ideal must be comma-separated indices, got {args.ideal!r}") from None
             result = quotient_lifting(obj, subgroup(obj.A.group, members))
             out_doc, check = lifting_doc(result), validate_lifting(result)
         elif args.construction == "lift-to-cover":
@@ -202,18 +211,14 @@ def cmd_construct(args) -> int:
         elif args.construction == "transport":
             _require_kind(kind, "gxmod")
             if args.codomain_iso and args.domain_iso:
-                b_new, f_map, _ = _load_hom_file(args.codomain_iso, "target")
-                a_new, g_map, _ = _load_hom_file(args.domain_iso, "source")
-                f = Hom(obj.B.group, b_new.group, tuple(f_map))
-                g = Hom(a_new.group, obj.A.group, tuple(g_map))
+                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B)
+                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A)
                 result, _ = transport_both(obj, f, b_new, g, a_new)
             elif args.codomain_iso:
-                b_new, f_map, _ = _load_hom_file(args.codomain_iso, "target")
-                f = Hom(obj.B.group, b_new.group, tuple(f_map))
+                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B)
                 result, _ = transport_codomain(obj, f, b_new)
             elif args.domain_iso:
-                a_new, g_map, _ = _load_hom_file(args.domain_iso, "source")
-                g = Hom(a_new.group, obj.A.group, tuple(g_map))
+                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A)
                 result, _ = transport_domain(obj, g, a_new)
             else:
                 raise StructuralError("transport needs --codomain-iso and/or --domain-iso")

@@ -222,14 +222,6 @@ def identity_covering_morphism(c: Covering) -> CoveringMorphism:
     return CoveringMorphism(c, c, identity_hom(c.total.A.group), identity_hom(c.total.B.group), "id")
 
 
-def compose_covering_morphisms(outer: CoveringMorphism, inner: CoveringMorphism) -> CoveringMorphism:
-    if inner.target != outer.source:
-        raise StructuralError("covering morphism composition mismatch")
-    return CoveringMorphism(
-        inner.source, outer.target, compose_homs(outer.f, inner.f), compose_homs(outer.g, inner.g)
-    )
-
-
 def morphism_between_coverings(m: CoveringMorphism) -> Covering:
     """A morphism of coverings is itself a covering of the target's total.
 
@@ -478,12 +470,6 @@ def triangle_phi_violations(l1: Lifting, l2: Lifting, fm: Map) -> Iterator[RawVi
 
 def identity_lifting_morphism(l: Lifting) -> LiftingMorphism:
     return LiftingMorphism(l, l, identity_hom(l.X.group), "id")
-
-
-def compose_lifting_morphisms(outer: LiftingMorphism, inner: LiftingMorphism) -> LiftingMorphism:
-    if inner.target != outer.source:
-        raise StructuralError("lifting morphism composition mismatch")
-    return LiftingMorphism(inner.source, outer.target, compose_homs(outer.f, inner.f))
 
 
 def lifting_morphism_as_lifting(m: LiftingMorphism) -> Lifting | Inconclusive:

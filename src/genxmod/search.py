@@ -30,8 +30,6 @@ from .coverlift import (
     CoveringMorphism,
     Lifting,
     LiftingMorphism,
-    compose_covering_morphisms,
-    compose_lifting_morphisms,
     covering_morphism_violations,
     covering_to_lifting,
     covering_violations,
@@ -54,6 +52,7 @@ from .coverlift import (
 from .groups import (
     GroupTable,
     Hom,
+    Map,
     all_homs,
     automorphism_group,
     automorphisms,
@@ -302,9 +301,7 @@ def lifting_morphisms_between(l1: Lifting, l2: Lifting) -> tuple[LiftingMorphism
     return tuple(
         LiftingMorphism(l1, l2, f)
         for f in all_homs(l1.X.group, l2.X.group)
-        if holds(triangle_omega_violations(l1, l2, f.map))
-        and holds(triangle_phi_violations(l1, l2, f.map))
-        and holds(lifting_morphism_violations(l1, l2, f.map))
+        if holds(triangle_omega_violations(l1, l2, f.map)) and holds(triangle_phi_violations(l1, l2, f.map))
     )
 
 
@@ -346,8 +343,9 @@ class EquivalenceReport:
     covering_to_lifting_index: tuple[int, ...] = ()
     roundtrip_lifting_exact: bool = True
     roundtrip_covering_witnesses: tuple[CoveringMorphism, ...] = field(repr=False, default=())
-    lifting_morphisms: tuple[LiftingMorphism, ...] = field(repr=False, default=())
-    covering_morphisms: tuple[CoveringMorphism, ...] = field(repr=False, default=())
+    # non-empty hom-sets keyed by the (source, target) positions in liftings / coverings
+    lifting_homs: dict[tuple[int, int], tuple[LiftingMorphism, ...]] = field(repr=False, default_factory=dict)
+    covering_homs: dict[tuple[int, int], tuple[CoveringMorphism, ...]] = field(repr=False, default_factory=dict)
     morphism_checks_passed: int = 0
     morphism_checks_failed: int = 0
     functor_law_checks_passed: int = 0
@@ -367,12 +365,20 @@ class EquivalenceReport:
         return len(self.coverings)
 
     @property
+    def lifting_morphisms(self) -> tuple[LiftingMorphism, ...]:
+        return tuple(m for homs in self.lifting_homs.values() for m in homs)
+
+    @property
+    def covering_morphisms(self) -> tuple[CoveringMorphism, ...]:
+        return tuple(m for homs in self.covering_homs.values() for m in homs)
+
+    @property
     def lifting_morphism_count(self) -> int:
-        return len(self.lifting_morphisms)
+        return sum(map(len, self.lifting_homs.values()))
 
     @property
     def covering_morphism_count(self) -> int:
-        return len(self.covering_morphisms)
+        return sum(map(len, self.covering_homs.values()))
 
     @property
     def ok(self) -> bool:
@@ -415,9 +421,15 @@ def verify_equivalence(
     back to a covering isomorphic to the original, with the witness morphism
     <f, 1> recorded and validated.
 
-    Morphism level: both functors send every enumerated morphism to a valid
-    morphism, preserve identities and composition, and satisfy the naturality
-    square of the covering-side unit.
+    Morphism level: each category is enumerated as hom-sets keyed by the
+    (source, target) positions of the enumerated objects.  Both functors send
+    every enumerated morphism to a valid morphism, preserve identities, and
+    satisfy the naturality square of the covering-side unit.  Composition:
+    for every composable pair m1 in Hom(i, j), m2 in Hom(j, k), the composite
+    m2 o m1 must be an enumerated morphism of Hom(i, k) (the category is
+    closed under composition), and the functor's image of that morphism must
+    equal the composite of the images of m2 and m1.  Both sides come from the
+    functors applied once per enumerated morphism.
     """
     cap = morphism_cap(max_morphisms)
     failures: list[str] = []
@@ -450,10 +462,6 @@ def verify_equivalence(
 
     lifting_index = {l: i for i, l in enumerate(liftings)}
     covering_index = {c: i for i, c in enumerate(coverings)}
-    # id-keyed positions: morphisms reference the enumerated instances, and
-    # structural hashing of nested dataclasses is far too slow for hot loops
-    lifting_pos = {id(l): i for i, l in enumerate(liftings)}
-    covering_pos = {id(c): i for i, c in enumerate(coverings)}
 
     l2c: list[int] = []
     rt_lifting_exact = True
@@ -488,66 +496,53 @@ def verify_equivalence(
         else:
             rt_witnesses.append(witness)
 
-    # morphisms, each category capped on its own
-    lifting_morphisms, lifting_cut = _capped_morphisms(liftings, lifting_morphisms_between, cap)
-    covering_morphisms, covering_cut = _capped_morphisms(coverings, covering_morphisms_between, cap)
+    # morphisms as hom-sets, each category capped on its own
+    lifting_homs, lifting_cut = _capped_morphisms(liftings, lifting_morphisms_between, cap)
+    covering_homs, covering_cut = _capped_morphisms(coverings, covering_morphisms_between, cap)
     truncated = lifting_cut or covering_cut
 
-    # cached functor images of the objects, reused by the morphism-level loops
-    cov_image = {i: lifting_to_covering(l) for i, l in enumerate(liftings)}
-    lift_image = {i: covering_to_lifting(c) for i, c in enumerate(coverings)}
-
-    ident_a = identity_hom(base.A.group)
-
-    def functor_l2c(m: LiftingMorphism) -> CoveringMorphism:
-        return CoveringMorphism(
-            cov_image[lifting_pos[id(m.source)]],
-            cov_image[lifting_pos[id(m.target)]],
-            ident_a,
-            m.f,
-        )
-
-    def functor_c2l(m: CoveringMorphism) -> LiftingMorphism:
-        return LiftingMorphism(
-            lift_image[covering_pos[id(m.source)]],
-            lift_image[covering_pos[id(m.target)]],
-            m.g,
-        )
-
+    # (i, j, *components of a morphism of Hom(i, j)) -> the components of its
+    # functor image, all as raw maps
+    lifting_images: dict[tuple, tuple[Map, ...]] = {}
+    covering_images: dict[tuple, tuple[Map, ...]] = {}
     checks_passed = 0
     checks_failed = 0
     nat_passed = 0
     nat_failed = 0
-    for m in lifting_morphisms:
-        cm = functor_on_lifting_morphism(m)
-        if holds(covering_morphism_violations(cm.source, cm.target, cm.f.map, cm.g.map)):
-            checks_passed += 1
-        else:
-            checks_failed += 1
-            failures.append("lifting morphism: functor image invalid")
-        back = functor_on_covering_morphism(cm)
-        if back.f == m.f and back.source == m.source and back.target == m.target:
-            checks_passed += 1
-        else:
-            checks_failed += 1
-            failures.append("lifting morphism: round trip not exact")
-    for m in covering_morphisms:
-        lm = functor_on_covering_morphism(m)
-        if holds(lifting_morphism_violations(lm.source, lm.target, lm.f.map)):
-            checks_passed += 1
-        else:
-            checks_failed += 1
-            failures.append("covering morphism: functor image invalid")
-        # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
-        lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
-        rhs_f = m.source.f.map
-        lhs_g = m.g.map
-        rhs_g = functor_on_lifting_morphism(lm).g.map
-        if lhs_f == rhs_f and lhs_g == rhs_g:
-            nat_passed += 1
-        else:
-            nat_failed += 1
-            failures.append("covering morphism: naturality square broken")
+    for (i, j), homs in lifting_homs.items():
+        for m in homs:
+            cm = functor_on_lifting_morphism(m)
+            lifting_images[i, j, m.f.map] = (cm.f.map, cm.g.map)
+            if holds(covering_morphism_violations(cm.source, cm.target, cm.f.map, cm.g.map)):
+                checks_passed += 1
+            else:
+                checks_failed += 1
+                failures.append("lifting morphism: functor image invalid")
+            back = functor_on_covering_morphism(cm)
+            if back.f == m.f and back.source == m.source and back.target == m.target:
+                checks_passed += 1
+            else:
+                checks_failed += 1
+                failures.append("lifting morphism: round trip not exact")
+    for (i, j), homs in covering_homs.items():
+        for m in homs:
+            lm = functor_on_covering_morphism(m)
+            covering_images[i, j, m.f.map, m.g.map] = (lm.f.map,)
+            if holds(lifting_morphism_violations(lm.source, lm.target, lm.f.map)):
+                checks_passed += 1
+            else:
+                checks_failed += 1
+                failures.append("covering morphism: functor image invalid")
+            # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
+            lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
+            rhs_f = m.source.f.map
+            lhs_g = m.g.map
+            rhs_g = functor_on_lifting_morphism(lm).g.map
+            if lhs_f == rhs_f and lhs_g == rhs_g:
+                nat_passed += 1
+            else:
+                nat_failed += 1
+                failures.append("covering morphism: naturality square broken")
 
     law_passed = 0
     law_failed = 0
@@ -570,31 +565,13 @@ def verify_equivalence(
             law_failed += 1
             failures.append("functor law: identity covering morphism not preserved")
 
-    # composition law over every composable pair of enumerated morphisms
-    by_source_l: dict[int, list[LiftingMorphism]] = {}
-    for m in lifting_morphisms:
-        by_source_l.setdefault(lifting_pos[id(m.source)], []).append(m)
-    for m1 in lifting_morphisms:
-        for m2 in by_source_l.get(lifting_pos[id(m1.target)], ()):
-            left = functor_l2c(compose_lifting_morphisms(m2, m1))
-            right = compose_covering_morphisms(functor_l2c(m2), functor_l2c(m1))
-            if left.f.map == right.f.map and left.g.map == right.g.map:
-                law_passed += 1
-            else:
-                law_failed += 1
-                failures.append("functor law: composition of lifting morphisms not preserved")
-    by_source_c: dict[int, list[CoveringMorphism]] = {}
-    for m in covering_morphisms:
-        by_source_c.setdefault(covering_pos[id(m.source)], []).append(m)
-    for m1 in covering_morphisms:
-        for m2 in by_source_c.get(covering_pos[id(m1.target)], ()):
-            left = functor_c2l(compose_covering_morphisms(m2, m1))
-            right = compose_lifting_morphisms(functor_c2l(m2), functor_c2l(m1))
-            if left.f.map == right.f.map:
-                law_passed += 1
-            else:
-                law_failed += 1
-                failures.append("functor law: composition of covering morphisms not preserved")
+    for label, images, cut in (
+        ("lifting", lifting_images, lifting_cut),
+        ("covering", covering_images, covering_cut),
+    ):
+        passed, failed = _composition_law(label, images, cut, failures)
+        law_passed += passed
+        law_failed += failed
 
     return EquivalenceReport(
         base_name=base.name or f"({base.A.group.name},{base.B.group.name})",
@@ -606,8 +583,8 @@ def verify_equivalence(
         covering_to_lifting_index=tuple(c2l),
         roundtrip_lifting_exact=rt_lifting_exact,
         roundtrip_covering_witnesses=tuple(rt_witnesses),
-        lifting_morphisms=tuple(lifting_morphisms),
-        covering_morphisms=tuple(covering_morphisms),
+        lifting_homs=lifting_homs,
+        covering_homs=covering_homs,
         morphism_checks_passed=checks_passed,
         morphism_checks_failed=checks_failed,
         functor_law_checks_passed=law_passed,
@@ -620,16 +597,56 @@ def verify_equivalence(
     )
 
 
-def _capped_morphisms(objects, between, cap: int) -> tuple[list, bool]:
-    """between(o1, o2) over every ordered pair, up to cap; the flag says more existed."""
-    found = []
-    for o1 in objects:
-        for o2 in objects:
-            for m in between(o1, o2):
-                if len(found) >= cap:
-                    return found, True
-                found.append(m)
-    return found, False
+def _capped_morphisms(objects, between, cap: int) -> tuple[dict, bool]:
+    """The non-empty hom-sets between(objects[i], objects[j]), keyed by (i, j),
+    holding at most cap morphisms in all; the flag says more existed."""
+    homs = {}
+    room = cap
+    for i, o1 in enumerate(objects):
+        for j, o2 in enumerate(objects):
+            found = between(o1, o2)
+            if found[:room]:
+                homs[(i, j)] = found[:room]
+            if len(found) > room:
+                return homs, True
+            room -= len(found)
+    return homs, False
+
+
+def _compose(outer, inner) -> tuple[Map, ...]:
+    """outer o inner, component by component, for morphisms given as raw maps."""
+    return tuple(tuple(map(o.__getitem__, i)) for o, i in zip(outer, inner))
+
+
+def _composition_law(label: str, images: dict, cut: bool, failures: list[str]) -> tuple[int, int]:
+    """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
+
+    images maps (i, j, *components) of each morphism of Hom(i, j) to the
+    components of its functor image, all as raw maps.  Looking m2 o m1 up in
+    Hom(i, k) also checks that the category is closed under composition; a
+    missing composite is skipped when the cap cut the category short.
+    Failures are appended; returns the passed and failed counts.
+    """
+    by_source: dict[int, tuple[list, list]] = {}
+    for key, img in images.items():
+        keys, imgs = by_source.setdefault(key[0], ([], []))
+        keys.append(key)
+        imgs.append(img)
+    passed = failed = 0
+    for (i, j, *c1), img1 in images.items():
+        for (_, k, *c2), img2 in zip(*by_source.get(j, ((), ()))):
+            img = images.get((i, k, *_compose(c2, c1)))
+            if img is None:
+                if cut:
+                    continue
+                failed += 1
+                failures.append(f"functor law: composite of {label} morphisms not enumerated")
+            elif img == _compose(img2, img1):
+                passed += 1
+            else:
+                failed += 1
+                failures.append(f"functor law: composition of {label} morphisms not preserved")
+    return passed, failed
 
 
 def _try(fn, *args):

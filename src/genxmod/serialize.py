@@ -93,8 +93,6 @@ def lifting_doc(l: Lifting) -> dict:
 
 
 def equivalence_report_doc(rep: EquivalenceReport) -> dict:
-    lifting_pos = {id(l): i for i, l in enumerate(rep.liftings)}
-    covering_pos = {id(c): i for i, c in enumerate(rep.coverings)}
     return {
         "base": rep.base_name,
         "order_bound": rep.order_bound,
@@ -111,21 +109,14 @@ def equivalence_report_doc(rep: EquivalenceReport) -> dict:
             for i, w in enumerate(rep.roundtrip_covering_witnesses)
         ],
         "lifting_morphisms": [
-            {
-                "source": lifting_pos[id(m.source)],
-                "target": lifting_pos[id(m.target)],
-                "f": list(m.f.map),
-            }
-            for m in rep.lifting_morphisms
+            {"source": i, "target": j, "f": list(m.f.map)}
+            for (i, j), homs in rep.lifting_homs.items()
+            for m in homs
         ],
         "covering_morphisms": [
-            {
-                "source": covering_pos[id(m.source)],
-                "target": covering_pos[id(m.target)],
-                "f": list(m.f.map),
-                "g": list(m.g.map),
-            }
-            for m in rep.covering_morphisms
+            {"source": i, "target": j, "f": list(m.f.map), "g": list(m.g.map)}
+            for (i, j), homs in rep.covering_homs.items()
+            for m in homs
         ],
         "lifting_morphism_count": rep.lifting_morphism_count,
         "covering_morphism_count": rep.covering_morphism_count,

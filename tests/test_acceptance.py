@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -364,12 +365,24 @@ def test_acceptance_6_enumeration_counts():
 # 7. determinism of the equivalence command
 
 
+# sha256 of `genxmod equivalence --bound 4` on the seeded fixtures
+EQUIVALENCE_SHA256 = {
+    "gx1": "1a3378e011f28ca6475872191bad45bf0a13387e6487f7847c24722489976309",
+    "gx3": "3b12e88c423b1f2cd2c49a383018abb347a983f552167ec5d743291aeba24dae",
+}
+
+
 def test_acceptance_7_determinism(tmp_path):
     fx = tmp_path / "fx"
     assert main(["--seed-fixtures", "--out", str(fx)]) == 0
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    out1, out2, out_gx1 = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "gx1.json"
     rc1 = main(["equivalence", "--in", str(fx / "gx3.gxmod.json"), "--bound", "4", "--out", str(out1)])
     rc2 = main(["equivalence", "--in", str(fx / "gx3.gxmod.json"), "--bound", "4", "--out", str(out2)])
+    rc3 = main(["equivalence", "--in", str(fx / "gx1.gxmod.json"), "--bound", "4", "--out", str(out_gx1)])
     identical = out1.read_bytes() == out2.read_bytes()
     parsed = json.loads(out1.read_text())
-    report("7 (determinism)", rc1 == rc2 == 0 and identical and parsed["ok"])
+    pinned = {
+        "gx1": hashlib.sha256(out_gx1.read_bytes()).hexdigest(),
+        "gx3": hashlib.sha256(out1.read_bytes()).hexdigest(),
+    } == EQUIVALENCE_SHA256
+    report("7 (determinism)", rc1 == rc2 == rc3 == 0 and identical and pinned and parsed["ok"])

@@ -95,6 +95,54 @@ def test_quotient_lifting_not_in_kernel_exit_1(fixture_dir, capsys):
     assert "contained_in_kernel" in capsys.readouterr().err
 
 
+# an order-5 loop: identity 0, every element its own inverse, not associative
+LOOP5 = {
+    "name": "L5",
+    "order": 5,
+    "op": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+}
+
+
+def test_validate_checks_the_group_axioms_of_a_cat1_group(tmp_path, capsys):
+    ident = [0, 1, 2, 3, 4]
+    path = tmp_path / "loop.cat1.json"
+    path.write_text(dumps({"G": LOOP5, "s": ident, "t": ident}))
+    rc = main(["validate", str(path)])
+    assert rc == 1
+    assert "G.group.associativity at (" in capsys.readouterr().out
+
+
+def test_validate_checks_the_group_axioms_of_a_lifting_x(fixture_dir, tmp_path, capsys):
+    # gx1 is the identity on Z2; lift it through the loop
+    base = json.loads((fixture_dir / "gx1.gxmod.json").read_text())
+    path = tmp_path / "loop.lifting.json"
+    path.write_text(dumps({"base": base, "X": LOOP5, "phi": [0, 1], "omega": [0, 1, 0, 0, 0]}))
+    rc = main(["validate", str(path)])
+    assert rc == 1
+    assert "X.group.associativity at (" in capsys.readouterr().out
+
+
+def test_quotient_lifting_malformed_ideal_exit_2(fixture_dir, capsys):
+    rc = main(["construct", "quotient-lifting", "--in", str(fixture_dir / "gx1.gxmod.json"), "--ideal", "0,a"])
+    assert rc == 2
+    assert "--ideal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [(["a", 1], "non-integer entry"), ([0, 9], "out of range"), ([0, 1, 0], "expected a list of length 2")],
+    ids=["non_integer", "out_of_range", "too_long"],
+)
+def test_transport_malformed_map_exit_2(fixture_dir, tmp_path, capsys, entries, message):
+    # gx1's B is Z2
+    target = json.loads((fixture_dir / "gx1.gxmod.json").read_text())["B"]
+    hom_file = tmp_path / "iso.json"
+    hom_file.write_text(dumps({"map": entries, "target": target}))
+    rc = main(["construct", "transport", "--in", str(fixture_dir / "gx1.gxmod.json"), "--codomain-iso", str(hom_file)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_transport_with_domain_iso(fixture_dir, tmp_path):
     # inversion automorphism of (Z4, inversion action)
     hom_file = tmp_path / "iso.json"

@@ -281,6 +281,8 @@ def test_max_morphism_cap_truncates(base_gx1, pool4):
     assert rep.truncated
     assert rep.lifting_morphism_count <= 5
     assert not rep.ok
+    # pairs whose composite was cut off are skipped, not failed
+    assert not rep.failures
 
 
 def test_morphism_cap_applies_to_each_category_on_its_own(base_gx1, pool4):
@@ -295,3 +297,42 @@ def test_canonical_construction_errors_propagate(base_gx1, pool4, monkeypatch):
     monkeypatch.setattr(search, "natural_lifting", broken)
     with pytest.raises(RuntimeError, match="defect in the construction"):
         verify_equivalence(base_gx1, pool4)
+
+
+def _parallel_covering_morphisms(base, pool):
+    """The first hom-set Hom(c1, c2), c1 != c2, with two morphisms, and its endpoints."""
+    coverings = enumerate_coverings(base, pool)
+    for c1 in coverings:
+        for c2 in coverings:
+            homs = search.covering_morphisms_between(c1, c2)
+            if c1 != c2 and len(homs) == 2:
+                return c1, c2, homs
+    raise AssertionError("no hom-set with two morphisms")
+
+
+def test_composition_law_reads_the_functor_images(base_gx1, pool4, monkeypatch):
+    # G sends two parallel non-identity morphisms to each other's image: every
+    # image stays a valid lifting morphism and identities stay preserved, so
+    # only the composition law can notice
+    _, _, (a, b) = _parallel_covering_morphisms(base_gx1, pool4)
+    functor = search.functor_on_covering_morphism
+    swapped = {a: functor(b), b: functor(a)}
+    monkeypatch.setattr(search, "functor_on_covering_morphism", lambda m: swapped.get(m) or functor(m))
+    rep = verify_equivalence(base_gx1, pool4)
+    assert rep.functor_law_checks_failed > 0
+    assert "functor law: composition of covering morphisms not preserved" in rep.failures
+    assert not rep.ok
+
+
+def test_composition_law_requires_enumerated_composites(base_gx1, pool4, monkeypatch):
+    c1, c2, (_, dropped) = _parallel_covering_morphisms(base_gx1, pool4)
+    between = search.covering_morphisms_between
+
+    def without_dropped(s, t):
+        return tuple(m for m in between(s, t) if m != dropped) if (s, t) == (c1, c2) else between(s, t)
+
+    monkeypatch.setattr(search, "covering_morphisms_between", without_dropped)
+    rep = verify_equivalence(base_gx1, pool4)
+    assert not rep.truncated
+    assert "functor law: composite of covering morphisms not enumerated" in rep.failures
+    assert not rep.ok
