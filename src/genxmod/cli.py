@@ -50,6 +50,7 @@ from .search import (
 )
 from .serialize import (
     _as_map,
+    _load_gxmod,
     covering_doc,
     doc_for,
     dumps,
@@ -145,20 +146,28 @@ def cmd_validate(args) -> int:
     return worst
 
 
-def _load_hom_file(path: str, side: str, fixed: GwaObject) -> tuple[GwaObject, Hom]:
+def _load_hom_file(path: str, side: str, fixed: GwaObject, fixed_perm: tuple[int, ...]) -> tuple[GwaObject, Hom]:
     """The gwa document under side, and the file's map between fixed and it:
-    from fixed for side "target", into fixed for side "source"."""
+    from fixed for side "target", into fixed for side "source".
+
+    The map is written in the numbering of the files: fixed_perm renumbers
+    fixed's file, and load_gwa_doc the hom file's document.
+    """
     doc = _read_doc(path)
     if not isinstance(doc, dict) or "map" not in doc:
         raise StructuralError(f"{path}: hom file needs a 'map' key")
     if side not in doc:
         raise StructuralError(f"{path}: hom file needs a '{side}' gwa document")
-    gw = load_gwa_doc(doc[side], side)[0]
+    gw, perm = load_gwa_doc(doc[side], side)
     source, target = (fixed, gw) if side == "target" else (gw, fixed)
-    m = _as_map(doc["map"], source.order, f"{path}: map")
-    if any(x < 0 or x >= target.order for x in m):
+    source_perm, target_perm = (fixed_perm, perm) if side == "target" else (perm, fixed_perm)
+    raw = _as_map(doc["map"], source.order, f"{path}: map")
+    if any(x < 0 or x >= target.order for x in raw):
         raise StructuralError(f"{path}: map entry out of range")
-    return gw, Hom(source.group, target.group, m)
+    m = [0] * source.order
+    for old, value in enumerate(raw):
+        m[source_perm[old]] = target_perm[value]
+    return gw, Hom(source.group, target.group, tuple(m))
 
 
 def cmd_construct(args) -> int:
@@ -210,15 +219,16 @@ def cmd_construct(args) -> int:
             out_doc, check = lifting_doc(result), validate_lifting(result)
         elif args.construction == "transport":
             _require_kind(kind, "gxmod")
+            _, perm_a, perm_b = _load_gxmod(doc, "gxmod")
             if args.codomain_iso and args.domain_iso:
-                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B)
-                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A)
+                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B, perm_b)
+                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A, perm_a)
                 result, _ = transport_both(obj, f, b_new, g, a_new)
             elif args.codomain_iso:
-                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B)
+                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B, perm_b)
                 result, _ = transport_codomain(obj, f, b_new)
             elif args.domain_iso:
-                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A)
+                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A, perm_a)
                 result, _ = transport_domain(obj, g, a_new)
             else:
                 raise StructuralError("transport needs --codomain-iso and/or --domain-iso")

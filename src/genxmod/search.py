@@ -429,7 +429,10 @@ def verify_equivalence(
     m2 o m1 must be an enumerated morphism of Hom(i, k) (the category is
     closed under composition), and the functor's image of that morphism must
     equal the composite of the images of m2 and m1.  Both sides come from the
-    functors applied once per enumerated morphism.
+    functors applied once per enumerated morphism.  Each category numbers its
+    raw maps once, as the morphism checks store the functor images, so a
+    morphism and its image are tuples of map ids and each distinct pair of
+    them is composed once.
     """
     cap = morphism_cap(max_morphisms)
     failures: list[str] = []
@@ -501,10 +504,12 @@ def verify_equivalence(
     covering_homs, covering_cut = _capped_morphisms(coverings, covering_morphisms_between, cap)
     truncated = lifting_cut or covering_cut
 
-    # (i, j, *components of a morphism of Hom(i, j)) -> the components of its
-    # functor image, all as raw maps
-    lifting_images: dict[tuple, tuple[Map, ...]] = {}
-    covering_images: dict[tuple, tuple[Map, ...]] = {}
+    # one numbering of the raw maps per category; (i, j, component ids of a
+    # morphism of Hom(i, j)) -> the component ids of its functor image
+    lifting_maps = _MapNumbering()
+    covering_maps = _MapNumbering()
+    lifting_images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
+    covering_images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
     checks_passed = 0
     checks_failed = 0
     nat_passed = 0
@@ -512,7 +517,7 @@ def verify_equivalence(
     for (i, j), homs in lifting_homs.items():
         for m in homs:
             cm = functor_on_lifting_morphism(m)
-            lifting_images[i, j, m.f.map] = (cm.f.map, cm.g.map)
+            lifting_images[i, j, lifting_maps.ids(m.f.map)] = covering_maps.ids(cm.f.map, cm.g.map)
             if holds(covering_morphism_violations(cm.source, cm.target, cm.f.map, cm.g.map)):
                 checks_passed += 1
             else:
@@ -527,7 +532,7 @@ def verify_equivalence(
     for (i, j), homs in covering_homs.items():
         for m in homs:
             lm = functor_on_covering_morphism(m)
-            covering_images[i, j, m.f.map, m.g.map] = (lm.f.map,)
+            covering_images[i, j, covering_maps.ids(m.f.map, m.g.map)] = lifting_maps.ids(lm.f.map)
             if holds(lifting_morphism_violations(lm.source, lm.target, lm.f.map)):
                 checks_passed += 1
             else:
@@ -565,11 +570,11 @@ def verify_equivalence(
             law_failed += 1
             failures.append("functor law: identity covering morphism not preserved")
 
-    for label, images, cut in (
-        ("lifting", lifting_images, lifting_cut),
-        ("covering", covering_images, covering_cut),
+    for label, images, maps, image_maps, cut in (
+        ("lifting", lifting_images, lifting_maps, covering_maps, lifting_cut),
+        ("covering", covering_images, covering_maps, lifting_maps, covering_cut),
     ):
-        passed, failed = _composition_law(label, images, cut, failures)
+        passed, failed = _composition_law(label, images, maps, image_maps, cut, failures)
         law_passed += passed
         law_failed += failed
 
@@ -613,19 +618,55 @@ def _capped_morphisms(objects, between, cap: int) -> tuple[dict, bool]:
     return homs, False
 
 
-def _compose(outer, inner) -> tuple[Map, ...]:
-    """outer o inner, component by component, for morphisms given as raw maps."""
-    return tuple(tuple(map(o.__getitem__, i)) for o, i in zip(outer, inner))
+class _MapNumbering(dict):
+    """One numbering of the raw maps of a category.
+
+    A morphism given by its component maps is numbered as the tuple of their
+    ids, one shared tuple per distinct result, so the thousands of morphisms
+    of a category hold a few dozen id tuples between them.  The dict itself
+    is the memo of composites: (outer, inner) -> the ids of outer o inner,
+    component by component, computed on the first lookup.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ids: dict[Map, int] = {}
+        self._maps: list[Map] = []
+        self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _id(self, m: Map) -> int:
+        i = self._ids.get(m)
+        if i is None:
+            i = self._ids[m] = len(self._maps)
+            self._maps.append(m)
+        return i
+
+    def ids(self, *components: Map) -> tuple[int, ...]:
+        """The ids of components; a map not seen before gets a fresh id."""
+        t = tuple(map(self._id, components))
+        return self._shared.setdefault(t, t)
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+        """The ids of outer o inner for key (outer, inner), computed once."""
+        maps = self._maps
+        self[key] = c = self.ids(*(tuple(map(maps[o].__getitem__, maps[i])) for o, i in zip(*key)))
+        return c
 
 
-def _composition_law(label: str, images: dict, cut: bool, failures: list[str]) -> tuple[int, int]:
+def _composition_law(
+    label: str, images: dict, maps: _MapNumbering, image_maps: _MapNumbering, cut: bool, failures: list[str]
+) -> tuple[int, int]:
     """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
 
-    images maps (i, j, *components) of each morphism of Hom(i, j) to the
-    components of its functor image, all as raw maps.  Looking m2 o m1 up in
-    Hom(i, k) also checks that the category is closed under composition; a
-    missing composite is skipped when the cap cut the category short.
-    Failures are appended; returns the passed and failed counts.
+    images maps (i, j, component ids) of each morphism of Hom(i, j) to the
+    component ids of its functor image; maps numbers the components and
+    image_maps the images' components.  Each composite is computed once per
+    distinct pair of id tuples, so a composable pair costs a few lookups.
+    Looking m2 o m1 up in Hom(i, k) also checks that the category is closed
+    under composition: a composite map that no enumerated morphism has gets a
+    fresh id, which no key holds.  A missing composite is skipped when the
+    cap cut the category short.  Failures are appended; returns the passed
+    and failed counts.
     """
     by_source: dict[int, tuple[list, list]] = {}
     for key, img in images.items():
@@ -633,15 +674,15 @@ def _composition_law(label: str, images: dict, cut: bool, failures: list[str]) -
         keys.append(key)
         imgs.append(img)
     passed = failed = 0
-    for (i, j, *c1), img1 in images.items():
-        for (_, k, *c2), img2 in zip(*by_source.get(j, ((), ()))):
-            img = images.get((i, k, *_compose(c2, c1)))
+    for (i, j, c1), img1 in images.items():
+        for (_, k, c2), img2 in zip(*by_source.get(j, ((), ()))):
+            img = images.get((i, k, maps[c2, c1]))
             if img is None:
                 if cut:
                     continue
                 failed += 1
                 failures.append(f"functor law: composite of {label} morphisms not enumerated")
-            elif img == _compose(img2, img1):
+            elif img == image_maps[img2, img1]:
                 passed += 1
             else:
                 failed += 1

@@ -143,6 +143,29 @@ def test_transport_malformed_map_exit_2(fixture_dir, tmp_path, capsys, entries, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "swapped, flag, side",
+    [("hom", "--codomain-iso", "target"), ("hom", "--domain-iso", "source"), ("gxmod", "--codomain-iso", "target")],
+    ids=["target_file", "source_file", "gxmod_file"],
+)
+@pytest.mark.parametrize("entries, want", [([1, 0], 0), ([0, 1], 1)], ids=["iso", "not_hom"])
+def test_transport_reads_maps_in_the_files_numbering(fixture_dir, tmp_path, swapped, flag, side, entries, want):
+    # one of the two files writes Z2 with its identity at 1, so the map
+    # swapping 0 and 1 is the isomorphism and the identity map is not a hom
+    gx = json.loads((fixture_dir / "gx1.gxmod.json").read_text())
+    z2 = gx["B"]
+    swapped_z2 = {**z2, "op": [[1, 0], [0, 1]]}
+    if swapped == "gxmod":
+        gx["A"], gx["B"] = swapped_z2, swapped_z2
+    else:
+        z2 = swapped_z2
+    gx_file, hom_file = tmp_path / "gx.json", tmp_path / "iso.json"
+    gx_file.write_text(dumps(gx))
+    hom_file.write_text(dumps({"map": entries, side: z2}))
+    rc = main(["construct", "transport", "--in", str(gx_file), flag, str(hom_file), "--out", str(tmp_path / "out.json")])
+    assert rc == want
+
+
 def test_transport_with_domain_iso(fixture_dir, tmp_path):
     # inversion automorphism of (Z4, inversion action)
     hom_file = tmp_path / "iso.json"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 from genxmod.crossed import (
     check_alpha_gwa_morphism,
     check_kernel_acts_trivially,
@@ -299,33 +301,56 @@ def test_canonical_construction_errors_propagate(base_gx1, pool4, monkeypatch):
         verify_equivalence(base_gx1, pool4)
 
 
-def _parallel_covering_morphisms(base, pool):
-    """The first hom-set Hom(c1, c2), c1 != c2, with two morphisms, and its endpoints."""
-    coverings = enumerate_coverings(base, pool)
-    for c1 in coverings:
-        for c2 in coverings:
-            homs = search.covering_morphisms_between(c1, c2)
-            if c1 != c2 and len(homs) == 2:
-                return c1, c2, homs
+@pytest.mark.parametrize("base", ["base_gx1", "base_gx3"])
+def test_functor_laws_visit_every_composable_pair(base, pool4, request):
+    # one identity check per object, and one composition check per pair
+    # m1 in Hom(-, j), m2 in Hom(j, -) of each category
+    rep = verify_equivalence(request.getfixturevalue(base), pool4)
+    pairs = 0
+    for homs in (rep.lifting_homs, rep.covering_homs):
+        into, out_of = Counter(), Counter()
+        for (i, j), ms in homs.items():
+            out_of[i] += len(ms)
+            into[j] += len(ms)
+        pairs += sum(into[j] * out_of[j] for j in into)
+    assert rep.functor_law_checks_failed == 0
+    assert rep.functor_law_checks_passed == rep.lifting_count + rep.covering_count + pairs
+
+
+def _parallel_morphisms(base, pool, side):
+    """The first hom-set Hom(o1, o2), o1 != o2, of side's category with two
+    morphisms, and its endpoints."""
+    enumerate_objects, between = {
+        "covering": (enumerate_coverings, search.covering_morphisms_between),
+        "lifting": (enumerate_liftings, search.lifting_morphisms_between),
+    }[side]
+    objects = enumerate_objects(base, pool)
+    for o1 in objects:
+        for o2 in objects:
+            homs = between(o1, o2)
+            if o1 != o2 and len(homs) == 2:
+                return o1, o2, homs
     raise AssertionError("no hom-set with two morphisms")
 
 
-def test_composition_law_reads_the_functor_images(base_gx1, pool4, monkeypatch):
-    # G sends two parallel non-identity morphisms to each other's image: every
-    # image stays a valid lifting morphism and identities stay preserved, so
-    # only the composition law can notice
-    _, _, (a, b) = _parallel_covering_morphisms(base_gx1, pool4)
-    functor = search.functor_on_covering_morphism
+@pytest.mark.parametrize("side", ["covering", "lifting"])
+def test_composition_law_reads_the_functor_images(base_gx1, pool4, monkeypatch, side):
+    # the functor out of side's category sends two parallel non-identity
+    # morphisms to each other's image: every image stays a valid morphism and
+    # identities stay preserved, so the composition law must notice
+    _, _, (a, b) = _parallel_morphisms(base_gx1, pool4, side)
+    name = f"functor_on_{side}_morphism"
+    functor = getattr(search, name)
     swapped = {a: functor(b), b: functor(a)}
-    monkeypatch.setattr(search, "functor_on_covering_morphism", lambda m: swapped.get(m) or functor(m))
+    monkeypatch.setattr(search, name, lambda m: swapped.get(m) or functor(m))
     rep = verify_equivalence(base_gx1, pool4)
     assert rep.functor_law_checks_failed > 0
-    assert "functor law: composition of covering morphisms not preserved" in rep.failures
+    assert f"functor law: composition of {side} morphisms not preserved" in rep.failures
     assert not rep.ok
 
 
 def test_composition_law_requires_enumerated_composites(base_gx1, pool4, monkeypatch):
-    c1, c2, (_, dropped) = _parallel_covering_morphisms(base_gx1, pool4)
+    c1, c2, (_, dropped) = _parallel_morphisms(base_gx1, pool4, "covering")
     between = search.covering_morphisms_between
 
     def without_dropped(s, t):

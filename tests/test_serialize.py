@@ -1,7 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from genxmod.cat1 import GCat1
+from genxmod.coverlift import Covering, Lifting
+from genxmod.crossed import GXMod
 from genxmod.fixtures import (
     a3_s3,
     fixture_covering,
@@ -16,6 +20,7 @@ from genxmod.serialize import (
     cat1_doc,
     covering_doc,
     detect_kind,
+    doc_for,
     dumps,
     gwa_doc,
     gxmod_doc,
@@ -25,6 +30,14 @@ from genxmod.serialize import (
     load_gwa_doc,
     load_gxmod_doc,
     load_lifting_doc,
+)
+from genxmod.search import (
+    enumerate_coverings,
+    enumerate_gcat1s,
+    enumerate_gxmods,
+    enumerate_liftings,
+    gwa_objects,
+    standard_pool,
 )
 from genxmod.validation import StructuralError
 
@@ -131,3 +144,26 @@ def test_malformed_docs_raise_structural():
         load_gxmod_doc({"A": gwa_doc(z4_inversion_gwa())})  # missing keys
     with pytest.raises(StructuralError):
         load_gwa_doc({"order": 2, "op": [[0, 0], [0, 0]]})  # no identity
+
+
+LOADERS = {Lifting: load_lifting_doc, Covering: load_covering_doc, GXMod: load_gxmod_doc, GCat1: load_cat1_doc}
+
+
+def _objects_of_each_kind():
+    """Objects of each kind, drawn evenly across kinds: enumerated liftings
+    and coverings of gx1/4 and gx3/4, gxmods over the gwa pairs of order
+    <= 4, and cat1-groups of order <= 4."""
+    pool = standard_pool(4)
+    gwas = gwa_objects(pool)
+    bases = (gx1(), gx3())
+    return st.one_of(
+        st.sampled_from([x for base in bases for x in enumerate_liftings(base, pool)]),
+        st.sampled_from([x for base in bases for x in enumerate_coverings(base, pool)]),
+        st.sampled_from([x for a in gwas for b in gwas for x in enumerate_gxmods(a, b)]),
+        st.sampled_from([c for g in pool.groups for c in enumerate_gcat1s(g)]),
+    )
+
+
+@given(_objects_of_each_kind())
+def test_json_round_trip_returns_the_same_object(x):
+    assert LOADERS[type(x)](json.loads(dumps(doc_for(x)))) == x
