@@ -9,8 +9,10 @@ commutation of ker s and ker t.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .crossed import ExtAction, GXMod, GXModMorphism
 from .groups import Hom, Map, check_hom_shape, compose_homs, hom_violations, image, kernel
@@ -104,17 +106,51 @@ def check_ordinary_cat1(c: GCat1) -> bool:
     return True
 
 
-def cat1_to_gxmod(c: GCat1) -> GXMod:
-    """The crossed module (ker s, im s, t restricted), with im s acting via the self-action.
+# the most recently used images that cat1_to_gxmod keeps: the 37 cat1-groups
+# of order <= 4, whose morphisms the composition-law sweeps visit, fit; the
+# 3471 of order <= 8 do not, and are visited one at a time
+IMAGE_MEMO_SIZE = 64
 
-    t maps ker s into im s (a consequence of s o t = t); this inclusion and
-    the invariance of ker s under the action of im s are asserted during
-    construction.
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _memo_by_identity(build):
+    """build(c) memoized by the identity of c, keeping the IMAGE_MEMO_SIZE most recently used results.
+
+    An entry holds c itself, so id(c) cannot pass to another object while the
+    entry lives.  The wrapper has cache_clear() and cache_info(), as a
+    functools.lru_cache wrapper does.
     """
-    ker_members = kernel(c.s).members
-    im_members = image(c.s).members
-    k_gwa, k_emb = sub_gwa(c.G, ker_members)
-    i_gwa, i_emb = sub_gwa(c.G, im_members)
+    memo: dict[int, tuple] = {}
+    counts = [0, 0]  # hits, misses
+
+    @wraps(build)
+    def memoized(c):
+        entry = memo.pop(id(c), None)
+        if entry is not None and entry[0] is c:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            entry = (c, build(c))
+            if len(memo) >= IMAGE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[id(c)] = entry
+        return entry[1]
+
+    def cache_clear() -> None:
+        memo.clear()
+        counts[:] = [0, 0]
+
+    memoized.cache_clear = cache_clear
+    memoized.cache_info = lambda: CacheInfo(counts[0], counts[1], IMAGE_MEMO_SIZE, len(memo))
+    return memoized
+
+
+@_memo_by_identity
+def _cat1_image(c: GCat1) -> tuple[GXMod, dict[int, int], dict[int, int]]:
+    """The crossed module of c, and the positions in it of the members of ker s and of im s."""
+    k_gwa, k_emb = sub_gwa(c.G, kernel(c.s).members)
+    i_gwa, i_emb = sub_gwa(c.G, image(c.s).members)
     im_pos = {m: i for i, m in enumerate(i_emb.map)}
     ker_pos = {m: i for i, m in enumerate(k_emb.map)}
     tbar = []
@@ -133,13 +169,35 @@ def cat1_to_gxmod(c: GCat1) -> GXMod:
                 raise StructuralError(f"ker s not invariant under im s at (^{x} {m}) = {y}")
             row.append(ker_pos[y])
         rows.append(tuple(row))
-    return GXMod(
+    x = GXMod(
         k_gwa,
         i_gwa,
         Hom(k_gwa.group, i_gwa.group, tuple(tbar), "t|ker s"),
         ExtAction(i_gwa, k_gwa, tuple(rows)),
         f"from_cat1({c.name or c.G.group.name})",
     )
+    return x, ker_pos, im_pos
+
+
+def cat1_to_gxmod(c: GCat1) -> GXMod:
+    """The crossed module (ker s, im s, t restricted), with im s acting via the self-action.
+
+    t maps ker s into im s (a consequence of s o t = t); this inclusion and
+    the invariance of ker s under the action of im s are asserted during
+    construction.
+
+    Images are memoized by the identity of c, not by equality: a structurally
+    equal cat1-group with another name gets its own image, named after it.
+    The memo keeps the IMAGE_MEMO_SIZE most recently used images, so a sweep
+    over every cat1-group holds a few dozen of them at a time;
+    cat1_to_gxmod.cache_clear() empties it and cache_info() reports its hits,
+    misses, bound and size.
+    """
+    return _cat1_image(c)[0]
+
+
+cat1_to_gxmod.cache_clear = _cat1_image.cache_clear
+cat1_to_gxmod.cache_info = _cat1_image.cache_info
 
 
 @dataclass(frozen=True)
@@ -194,25 +252,21 @@ def cat1_functor_on_morphism(m: GCat1Morphism) -> GXModMorphism:
     f(ker s) lies in ker s' and f(im s) in im s' whenever m is a valid
     morphism; both containments are asserted.
     """
-    src = cat1_to_gxmod(m.source)
-    tgt = cat1_to_gxmod(m.target)
+    src, src_ker, src_im = _cat1_image(m.source)
+    tgt, tgt_ker, tgt_im = _cat1_image(m.target)
     fm = m.f.map
-    src_ker_members = kernel(m.source.s).members
-    src_im_members = image(m.source.s).members
-    tgt_ker_pos = {v: i for i, v in enumerate(kernel(m.target.s).members)}
-    tgt_im_pos = {v: i for i, v in enumerate(image(m.target.s).members)}
     f_ker = []
-    for v in src_ker_members:
+    for v in src_ker:
         y = fm[v]
-        if y not in tgt_ker_pos:
+        if y not in tgt_ker:
             raise StructuralError(f"f(ker s) escapes ker s' at {v}")
-        f_ker.append(tgt_ker_pos[y])
+        f_ker.append(tgt_ker[y])
     f_im = []
-    for v in src_im_members:
+    for v in src_im:
         y = fm[v]
-        if y not in tgt_im_pos:
+        if y not in tgt_im:
             raise StructuralError(f"f(im s) escapes im s' at {v}")
-        f_im.append(tgt_im_pos[y])
+        f_im.append(tgt_im[y])
     return GXModMorphism(
         src,
         tgt,

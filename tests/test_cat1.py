@@ -1,4 +1,5 @@
 from genxmod.cat1 import (
+    IMAGE_MEMO_SIZE,
     GCat1,
     GCat1Morphism,
     cat1_functor_on_morphism,
@@ -6,6 +7,7 @@ from genxmod.cat1 import (
     check_ordinary_cat1,
     compose_gcat1_morphisms,
     identity_gcat1_morphism,
+    interchange_violations,
     validate_gcat1,
     validate_gcat1_morphism,
 )
@@ -16,9 +18,10 @@ from genxmod.fixtures import (
     v4_projection_cat1,
     z2_identity_cat1,
 )
-from genxmod.groups import Hom, cyclic_group, identity_hom, kernel, zero_hom
+from genxmod.groups import Hom, all_homs, cyclic_group, identity_hom, kernel, zero_hom
 from genxmod.gwa import conjugation_self_action, gwa
 from genxmod.oracles import replay_violation
+from genxmod.validation import holds
 from genxmod.search import _structure_map_pairs, enumerate_gcat1s, gcat1_morphisms_between, group_catalog
 
 
@@ -186,3 +189,59 @@ def test_conjugation_acceptance_matches_kernel_commutation():
                 g.op[x][y] == g.op[y][x] for x in ker_s for y in ker_t
             )
             assert accepted == commute, (g.name, s.map, t.map)
+
+
+def test_structure_map_pairs_match_the_brute_force_filter():
+    # grouping idempotents by image keeps exactly the pairs, and the order,
+    # of the interchange law over every ordered pair of endomorphisms
+    for g in group_catalog():
+        endos = all_homs(g, g)
+        brute = tuple((s, t) for s in endos for t in endos if holds(interchange_violations(s.map, t.map)))
+        assert _structure_map_pairs(g) == brute, g.name
+
+
+def _all_cat1s():
+    return [c for g in group_catalog() for c in enumerate_gcat1s(g)]
+
+
+def test_cat1_image_memo_stays_bounded_over_the_catalog():
+    cat1_to_gxmod.cache_clear()
+    cats = _all_cat1s()
+    assert len(cats) > IMAGE_MEMO_SIZE
+    for c in cats:
+        cat1_functor_on_morphism(identity_gcat1_morphism(c))
+    info = cat1_to_gxmod.cache_info()
+    assert info.currsize == info.maxsize == IMAGE_MEMO_SIZE
+    assert info.misses == len(cats)
+
+
+def test_cat1_image_memo_evicts_the_least_recently_used():
+    cat1_to_gxmod.cache_clear()
+    first, second, *rest = _all_cat1s()[: IMAGE_MEMO_SIZE + 1]
+    for c in (first, second, *rest[:-1]):
+        cat1_to_gxmod(c)
+    cat1_to_gxmod(first)  # a hit, which makes second the oldest entry
+    cat1_to_gxmod(rest[-1])  # a miss past the bound: evicts second
+    cat1_to_gxmod(first)
+    assert cat1_to_gxmod.cache_info()[:2] == (2, IMAGE_MEMO_SIZE + 1)
+    cat1_to_gxmod(second)
+    assert cat1_to_gxmod.cache_info()[:2] == (2, IMAGE_MEMO_SIZE + 2)
+
+
+def test_cat1_image_is_keyed_by_identity_not_equality():
+    c = v4_projection_cat1()
+    twin = GCat1(c.G, c.s, c.t, "twin")
+    assert twin == c and twin.name != c.name
+    assert cat1_to_gxmod(c).name == f"from_cat1({c.name})"
+    assert cat1_to_gxmod(twin).name == "from_cat1(twin)"
+
+
+def test_cat1_image_memo_cache_clear_rebuilds_an_equal_image():
+    c = v4_projection_cat1()
+    before = cat1_to_gxmod(c)
+    assert cat1_to_gxmod(c) is before
+    cat1_to_gxmod.cache_clear()
+    assert cat1_to_gxmod.cache_info() == (0, 0, IMAGE_MEMO_SIZE, 0)
+    after = cat1_to_gxmod(c)
+    assert after is not before and after == before and after.name == before.name
+    assert cat1_to_gxmod.cache_info() == (0, 1, IMAGE_MEMO_SIZE, 1)

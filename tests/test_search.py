@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from functools import lru_cache
 
 from genxmod.crossed import (
     check_alpha_gwa_morphism,
@@ -28,9 +30,9 @@ from genxmod.search import (
     standard_pool,
     verify_equivalence,
 )
-from genxmod import search
+from genxmod import search, serialize
 from genxmod.coverlift import image_lifting, natural_lifting, self_lifting
-from genxmod.fixtures import gx3
+from genxmod.fixtures import a3_s3, gx1, gx3
 import pytest
 
 from genxmod.validation import StructuralError
@@ -361,3 +363,66 @@ def test_composition_law_requires_enumerated_composites(base_gx1, pool4, monkeyp
     assert not rep.truncated
     assert "functor law: composite of covering morphisms not enumerated" in rep.failures
     assert not rep.ok
+
+
+def _relabel_table(table, p_row, p_col, p_val):
+    out = [[0] * len(table[0]) for _ in table]
+    for r, row in enumerate(table):
+        for c, v in enumerate(row):
+            out[p_row[r]][p_col[c]] = p_val[v]
+    return out
+
+
+def _relabel_gwa_doc(doc, p):
+    out = {**doc, "op": _relabel_table(doc["op"], p, p, p)}
+    if "self_action" in doc:  # absent when the self-action is trivial
+        out["self_action"] = _relabel_table(doc["self_action"], p, p, p)
+    return out
+
+
+def _relabelled_gxmod(x, rng):
+    """x read back from its document with the elements of A renamed by a random
+    permutation and those of B by one that changes B's tables."""
+    doc = serialize.doc_for(x)
+    pa = rng.sample(range(x.A.order), x.A.order)
+    while True:
+        pb = rng.sample(range(x.B.order), x.B.order)
+        b_doc = _relabel_gwa_doc(doc["B"], pb)
+        if b_doc != doc["B"]:
+            break
+    alpha = [0] * x.A.order
+    for a, b in enumerate(doc["alpha"]):
+        alpha[pa[a]] = pb[b]
+    moved = {
+        **doc,
+        "A": _relabel_gwa_doc(doc["A"], pa),
+        "B": b_doc,
+        "alpha": alpha,
+        "action": _relabel_table(doc["action"], pb, pa, pa),
+    }
+    return serialize.load_gxmod_doc(moved)
+
+
+def _report_counts(x, bound):
+    """Every scalar of x's equivalence report, and the length of every list in it."""
+    doc = serialize.equivalence_report_doc(verify_equivalence(x, standard_pool(bound)))
+    return {key: len(value) if isinstance(value, list) else value for key, value in doc.items()}
+
+
+@lru_cache(maxsize=None)
+def _shipped_report_counts(fixture, bound):
+    return _report_counts(fixture(), bound)
+
+
+@pytest.mark.parametrize(
+    "fixture, bound, seed", [(gx1, 4, 1), (gx1, 4, 2), (gx3, 4, 1), (gx3, 4, 2), (a3_s3, 6, 1)]
+)
+def test_equivalence_report_counts_survive_relabelling(fixture, bound, seed):
+    base = fixture()
+    moved = _relabelled_gxmod(base, random.Random(seed))
+    # Z2 has one table with identity 0; S3's relabelled table is not the pool's,
+    # so its canonical liftings and identity covering are found up to isomorphism
+    assert (moved.B.group.op != base.B.group.op) == (base.B.order > 2)
+    counts = _report_counts(moved, bound)
+    assert counts == _shipped_report_counts(fixture, bound)
+    assert counts["ok"] is True and counts["truncated"] is False
