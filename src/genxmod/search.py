@@ -14,6 +14,7 @@ the JSON reports built from them) are deterministic.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,6 +54,7 @@ from .groups import (
     GroupTable,
     Hom,
     Map,
+    Table,
     all_homs,
     automorphism_group,
     automorphisms,
@@ -117,19 +119,21 @@ def standard_pool(order_bound: int = 8) -> SearchPool:
 
 
 @lru_cache(maxsize=None)
+def _action_tables(actor: GroupTable, space: GroupTable) -> tuple[Table, ...]:
+    """The tables act[x][y] = rho(x)(y) of the homomorphisms rho: actor -> Aut(space), sorted."""
+    aut_table, auts = automorphism_group(space)
+    tables = (tuple(auts[rho.map[x]].map for x in range(actor.order)) for rho in all_homs(actor, aut_table))
+    return tuple(sorted(tables))
+
+
+@lru_cache(maxsize=None)
 def enumerate_self_actions(g: GroupTable) -> tuple[SelfAction, ...]:
     """All self-action tables on g, via homomorphisms into Aut(g).
 
     The identity law, compatibility law and automorphism law pin these down
     exactly; tests cross-check the count against a raw table search.
     """
-    aut_table, auts = automorphism_group(g)
-    actions = []
-    for rho in all_homs(g, aut_table):
-        act = tuple(auts[rho.map[x]].map for x in range(g.order))
-        actions.append(SelfAction(g, act))
-    actions.sort(key=lambda s: s.act)
-    return tuple(actions)
+    return tuple(SelfAction(g, act) for act in _action_tables(g, g))
 
 
 @lru_cache(maxsize=None)
@@ -155,13 +159,7 @@ def enumerate_ext_actions(b: GwaObject, a: GwaObject) -> tuple[ExtAction, ...]:
     These depend only on the underlying groups; the self-actions of a and b
     matter later, in the crossed module conditions.
     """
-    aut_table, auts = automorphism_group(a.group)
-    out = []
-    for rho in all_homs(b.group, aut_table):
-        act = tuple(auts[rho.map[x]].map for x in range(b.order))
-        out.append(ExtAction(b, a, act))
-    out.sort(key=lambda e: e.act)
-    return tuple(out)
+    return tuple(ExtAction(b, a, act) for act in _action_tables(b.group, a.group))
 
 
 @lru_cache(maxsize=None)
@@ -378,14 +376,6 @@ class EquivalenceReport:
         return len(self.coverings)
 
     @property
-    def lifting_morphisms(self) -> tuple[LiftingMorphism, ...]:
-        return tuple(m for homs in self.lifting_homs.values() for m in homs)
-
-    @property
-    def covering_morphisms(self) -> tuple[CoveringMorphism, ...]:
-        return tuple(m for homs in self.covering_homs.values() for m in homs)
-
-    @property
     def lifting_morphism_count(self) -> int:
         return sum(map(len, self.lifting_homs.values()))
 
@@ -429,30 +419,42 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Enumerate both categories over the pool and check the equivalence explicitly.
 
-    Object level: every lifting maps to an enumerated covering and back to
-    itself table-for-table; every covering maps to an enumerated lifting and
-    back to a covering isomorphic to the original, with the witness morphism
-    <f, 1> recorded and validated.
+    Each side is a _Category record: its objects, its hom-sets keyed by the
+    positions of source and target and capped on their own, one numbering of
+    its raw maps, and the functor out of it.  One check path runs from
+    liftings to coverings and from coverings to liftings: object images,
+    morphism images, the identity and composition laws, and the search for
+    the canonical liftings (natural, image, self) and the identity covering,
+    each up to isomorphism.  The composition law reads the numbered images
+    the morphism check stored, so each distinct pair of maps is composed once.
 
-    Morphism level: each category is enumerated as hom-sets keyed by the
-    (source, target) positions of the enumerated objects.  Both functors send
-    every enumerated morphism to a valid morphism, preserve identities, and
-    satisfy the naturality square of the covering-side unit.  Composition:
-    for every composable pair m1 in Hom(i, j), m2 in Hom(j, k), the composite
-    m2 o m1 must be an enumerated morphism of Hom(i, k) (the category is
-    closed under composition), and the functor's image of that morphism must
-    equal the composite of the images of m2 and m1.  Both sides come from the
-    functors applied once per enumerated morphism.  Each category numbers its
-    raw maps once, as the morphism checks store the functor images, so a
-    morphism and its image are tuples of map ids and each distinct pair of
-    them is composed once.
+    The unit of the equivalence differs between the sides, so two checks stay
+    per side and report apart.  Object round trip: a lifting comes back
+    table-for-table (roundtrip_lifting_exact); a covering comes back through
+    the isomorphism <f, 1>, validated and recorded
+    (roundtrip_covering_witnesses).  Unit square: a lifting morphism comes
+    back exactly, endpoints included (morphism_checks); a covering morphism
+    passes the naturality square of <f, 1> (naturality_checks).
     """
     cap = morphism_cap(max_morphisms)
-    failures: list[str] = []
+    tally = _Tally()
     incomplete: list[str] = []
-
-    liftings = enumerate_liftings(base, pool)
-    coverings = enumerate_coverings(base, pool)
+    liftings = _Category(
+        "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, cap,
+        components=lambda m: (m.f,),
+        identity=identity_lifting_morphism,
+        law=lifting_morphism_violations,
+        functor=lifting_to_covering,
+        functor_on_morphism=functor_on_lifting_morphism,
+    )
+    coverings = _Category(
+        "covering", enumerate_coverings(base, pool), covering_morphisms_between, cap,
+        components=lambda m: (m.f, m.g),
+        identity=identity_covering_morphism,
+        law=covering_morphism_violations,
+        functor=covering_to_lifting,
+        functor_on_morphism=functor_on_covering_morphism,
+    )
 
     # canonical members the pool must support
     for label, wanted in (
@@ -466,173 +468,169 @@ def verify_equivalence(
             incomplete.append(
                 f"{label}: requires a group of order {wanted.X.order} beyond bound {pool.order_bound}"
             )
-        elif not _found_up_to_iso(wanted, liftings, lifting_morphisms_between, _is_lifting_iso):
+        elif not liftings.has_up_to_iso(wanted):
             incomplete.append(f"{label}: not found in the enumerated pool")
     if base.B.order <= pool.order_bound:
-        if not _found_up_to_iso(identity_covering(base), coverings, covering_morphisms_between, _is_covering_iso):
+        if not coverings.has_up_to_iso(identity_covering(base)):
             incomplete.append("identity covering: not found in the enumerated pool")
     else:
         incomplete.append(
             f"identity covering: requires a group of order {base.B.order} beyond bound {pool.order_bound}"
         )
 
-    lifting_index = {l: i for i, l in enumerate(liftings)}
-    covering_index = {c: i for i, c in enumerate(coverings)}
+    inexact: list[int] = []
+    witnesses: list[CoveringMorphism] = []
 
-    l2c: list[int] = []
-    rt_lifting_exact = True
-    for i, lift in enumerate(liftings):
-        cov = lifting_to_covering(lift)
-        j = covering_index.get(cov)
-        if j is None:
-            failures.append(f"lifting {i}: functor image not among enumerated coverings")
-            l2c.append(-1)
-        else:
-            l2c.append(j)
-        back = covering_to_lifting(cov)
-        if back != lift:
-            rt_lifting_exact = False
-            failures.append(f"lifting {i}: round trip is not table-identical")
+    def lifting_round_trip(i: int, lift: Lifting, cov: Covering) -> None:
+        if covering_to_lifting(cov) != lift:
+            inexact.append(i)
+            tally.failures.append(f"lifting {i}: round trip is not table-identical")
 
-    c2l: list[int] = []
-    rt_witnesses: list[CoveringMorphism] = []
-    for i, cov in enumerate(coverings):
-        lift = covering_to_lifting(cov)
-        j = lifting_index.get(lift)
-        if j is None:
-            failures.append(f"covering {i}: functor image not among enumerated liftings")
-            c2l.append(-1)
-        else:
-            c2l.append(j)
+    def covering_round_trip(i: int, cov: Covering, lift: Lifting) -> None:
         back = lifting_to_covering(lift)
         witness = CoveringMorphism(cov, back, cov.f, identity_hom(cov.total.B.group))
-        valid = holds(covering_morphism_violations(cov, back, witness.f.map, witness.g.map))
-        if not valid or not witness.f.is_bijective() or not witness.g.is_bijective():
-            failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
+        if coverings.is_valid(witness) and coverings.is_iso(witness):
+            witnesses.append(witness)
         else:
-            rt_witnesses.append(witness)
+            tally.failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
 
-    # morphisms as hom-sets, each category capped on its own
-    lifting_homs, lifting_cut = _capped_morphisms(liftings, lifting_morphisms_between, cap)
-    covering_homs, covering_cut = _capped_morphisms(coverings, covering_morphisms_between, cap)
-    truncated = lifting_cut or covering_cut
+    def lifting_unit_square(m: LiftingMorphism, cm: CoveringMorphism) -> None:
+        back = functor_on_covering_morphism(cm)
+        exact = back.f == m.f and back.source == m.source and back.target == m.target
+        tally.check("morphism", exact, "lifting morphism: round trip not exact")
 
-    # one numbering of the raw maps per category; (i, j, component ids of a
-    # morphism of Hom(i, j)) -> the component ids of its functor image
-    lifting_maps = _MapNumbering()
-    covering_maps = _MapNumbering()
-    lifting_images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
-    covering_images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
-    checks_passed = 0
-    checks_failed = 0
-    nat_passed = 0
-    nat_failed = 0
-    for (i, j), homs in lifting_homs.items():
-        for m in homs:
-            cm = functor_on_lifting_morphism(m)
-            lifting_images[i, j, lifting_maps.ids(m.f.map)] = covering_maps.ids(cm.f.map, cm.g.map)
-            if holds(covering_morphism_violations(cm.source, cm.target, cm.f.map, cm.g.map)):
-                checks_passed += 1
-            else:
-                checks_failed += 1
-                failures.append("lifting morphism: functor image invalid")
-            back = functor_on_covering_morphism(cm)
-            if back.f == m.f and back.source == m.source and back.target == m.target:
-                checks_passed += 1
-            else:
-                checks_failed += 1
-                failures.append("lifting morphism: round trip not exact")
-    for (i, j), homs in covering_homs.items():
-        for m in homs:
-            lm = functor_on_covering_morphism(m)
-            covering_images[i, j, covering_maps.ids(m.f.map, m.g.map)] = lifting_maps.ids(lm.f.map)
-            if holds(lifting_morphism_violations(lm.source, lm.target, lm.f.map)):
-                checks_passed += 1
-            else:
-                checks_failed += 1
-                failures.append("covering morphism: functor image invalid")
-            # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
-            lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
-            rhs_f = m.source.f.map
-            lhs_g = m.g.map
-            rhs_g = functor_on_lifting_morphism(lm).g.map
-            if lhs_f == rhs_f and lhs_g == rhs_g:
-                nat_passed += 1
-            else:
-                nat_failed += 1
-                failures.append("covering morphism: naturality square broken")
+    def covering_unit_square(m: CoveringMorphism, lm: LiftingMorphism) -> None:
+        # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
+        lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
+        natural = lhs_f == m.source.f.map and m.g.map == functor_on_lifting_morphism(lm).g.map
+        tally.check("naturality", natural, "covering morphism: naturality square broken")
 
-    law_passed = 0
-    law_failed = 0
-    for lift in liftings:
-        ident = identity_lifting_morphism(lift)
-        fid = functor_on_lifting_morphism(ident)
-        expect = identity_covering_morphism(lifting_to_covering(lift))
-        if fid.f == expect.f and fid.g == expect.g:
-            law_passed += 1
-        else:
-            law_failed += 1
-            failures.append("functor law: identity lifting morphism not preserved")
-    for cov in coverings:
-        ident = identity_covering_morphism(cov)
-        gid = functor_on_covering_morphism(ident)
-        expect = identity_lifting_morphism(covering_to_lifting(cov))
-        if gid.f == expect.f:
-            law_passed += 1
-        else:
-            law_failed += 1
-            failures.append("functor law: identity covering morphism not preserved")
-
-    for label, images, maps, image_maps, cut in (
-        ("lifting", lifting_images, lifting_maps, covering_maps, lifting_cut),
-        ("covering", covering_images, covering_maps, lifting_maps, covering_cut),
-    ):
-        passed, failed = _composition_law(label, images, maps, image_maps, cut, failures)
-        law_passed += passed
-        law_failed += failed
+    l2c = _object_images(liftings, coverings, lifting_round_trip, tally)
+    c2l = _object_images(coverings, liftings, covering_round_trip, tally)
+    _morphism_images(liftings, coverings, lifting_unit_square, tally)
+    _morphism_images(coverings, liftings, covering_unit_square, tally)
+    for law in (_identity_law, _composition_law):
+        for source, target in ((liftings, coverings), (coverings, liftings)):
+            law(source, target, tally)
 
     return EquivalenceReport(
         base_name=base.name or f"({base.A.group.name},{base.B.group.name})",
         order_bound=pool.order_bound,
         pool_groups=tuple(g.name for g in pool.groups),
-        liftings=liftings,
-        coverings=coverings,
-        lifting_to_covering_index=tuple(l2c),
-        covering_to_lifting_index=tuple(c2l),
-        roundtrip_lifting_exact=rt_lifting_exact,
-        roundtrip_covering_witnesses=tuple(rt_witnesses),
-        lifting_homs=lifting_homs,
-        covering_homs=covering_homs,
-        morphism_checks_passed=checks_passed,
-        morphism_checks_failed=checks_failed,
-        functor_law_checks_passed=law_passed,
-        functor_law_checks_failed=law_failed,
-        naturality_checks_passed=nat_passed,
-        naturality_checks_failed=nat_failed,
-        truncated=truncated,
+        liftings=liftings.objects,
+        coverings=coverings.objects,
+        lifting_to_covering_index=l2c,
+        covering_to_lifting_index=c2l,
+        roundtrip_lifting_exact=not inexact,
+        roundtrip_covering_witnesses=tuple(witnesses),
+        lifting_homs=liftings.homs,
+        covering_homs=coverings.homs,
+        morphism_checks_passed=tally["morphism", True],
+        morphism_checks_failed=tally["morphism", False],
+        functor_law_checks_passed=tally["functor_law", True],
+        functor_law_checks_failed=tally["functor_law", False],
+        naturality_checks_passed=tally["naturality", True],
+        naturality_checks_failed=tally["naturality", False],
+        truncated=liftings.cut or coverings.cut,
         incomplete=tuple(incomplete),
-        failures=tuple(failures),
+        failures=tuple(tally.failures),
     )
 
 
-def _found_up_to_iso(wanted, objects, between, is_iso) -> bool:
-    """wanted is one of objects, or some object has an isomorphism from wanted.
+class _Tally(Counter):
+    """Counts of passed and failed checks, keyed by (kind, passed), and the
+    failure messages in the order the checks ran."""
 
-    The pool holds one group table per isomorphism class, so a canonical
-    object built on a relabelled base (an S3 whose elements are numbered
-    differently from the pool's S3) is in the pool only up to isomorphism.
+    def __init__(self) -> None:
+        super().__init__()
+        self.failures: list[str] = []
+
+    def check(self, kind: str, passed: bool, message: str) -> None:
+        self[kind, passed] += 1
+        if not passed:
+            self.failures.append(message)
+
+
+class _Category:
+    """One side of the equivalence over a given list of objects, with the functor out of it.
+
+    between enumerates Hom(o1, o2), components gives a morphism's maps, (f)
+    or (f, g), law their violations, and identity an object's identity
+    morphism.  images maps (i, j, component ids) of each morphism of
+    Hom(i, j) to the component ids of its image in the other side's numbering.
     """
-    if wanted in objects:
-        return True
-    return any(is_iso(m) for o in objects for m in between(wanted, o))
+
+    def __init__(
+        self, label: str, objects: tuple, between, cap: int, *,
+        components, identity, law, functor, functor_on_morphism,
+    ) -> None:
+        self.label = label
+        self.objects = objects
+        self.index = {o: i for i, o in enumerate(objects)}
+        self.between = between
+        self.components = components
+        self.identity = identity
+        self.law = law
+        self.functor = functor
+        self.functor_on_morphism = functor_on_morphism
+        self.homs, self.cut = _capped_morphisms(objects, between, cap)
+        self.maps = _MapNumbering()
+        self.images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
+
+    def ids(self, m) -> tuple[int, ...]:
+        return self.maps.ids(*[h.map for h in self.components(m)])
+
+    def is_valid(self, m) -> bool:
+        return holds(self.law(m.source, m.target, *[h.map for h in self.components(m)]))
+
+    def is_iso(self, m) -> bool:
+        return all(h.is_bijective() for h in self.components(m))
+
+    def has_up_to_iso(self, wanted) -> bool:
+        """wanted is an object, or some object has an isomorphism from wanted.
+
+        The pool holds one group table per isomorphism class, so a canonical
+        object built on a relabelled base (an S3 whose elements are numbered
+        differently from the pool's S3) is in the pool only up to isomorphism.
+        """
+        if wanted in self.index:
+            return True
+        return any(self.is_iso(m) for o in self.objects for m in self.between(wanted, o))
 
 
-def _is_lifting_iso(m: LiftingMorphism) -> bool:
-    return m.f.is_bijective()
+def _object_images(source: _Category, target: _Category, round_trip, tally: _Tally) -> tuple[int, ...]:
+    """The position in target of each source object's image, -1 when it is
+    not enumerated; round_trip(i, object, image) checks the way back."""
+    positions = []
+    for i, o in enumerate(source.objects):
+        image = source.functor(o)
+        j = target.index.get(image, -1)
+        if j < 0:
+            tally.failures.append(f"{source.label} {i}: functor image not among enumerated {target.label}s")
+        positions.append(j)
+        round_trip(i, o, image)
+    return tuple(positions)
 
 
-def _is_covering_iso(m: CoveringMorphism) -> bool:
-    return m.f.is_bijective() and m.g.is_bijective()
+def _morphism_images(source: _Category, target: _Category, unit_square, tally: _Tally) -> None:
+    """Each morphism's image is a valid morphism of target; the numbered
+    images are stored, and unit_square(m, image) checks the way back."""
+    invalid = f"{source.label} morphism: functor image invalid"
+    for (i, j), homs in source.homs.items():
+        for m in homs:
+            image = source.functor_on_morphism(m)
+            source.images[i, j, source.ids(m)] = target.ids(image)
+            tally.check("morphism", target.is_valid(image), invalid)
+            unit_square(m, image)
+
+
+def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
+    """The image of the identity of each object is the identity of its image."""
+    for o in source.objects:
+        image = source.functor_on_morphism(source.identity(o))
+        expected = target.identity(source.functor(o))
+        preserved = target.components(image) == target.components(expected)
+        tally.check("functor_law", preserved, f"functor law: identity {source.label} morphism not preserved")
 
 
 def _capped_morphisms(objects, between, cap: int) -> tuple[dict, bool]:
@@ -686,41 +684,37 @@ class _MapNumbering(dict):
         return c
 
 
-def _composition_law(
-    label: str, images: dict, maps: _MapNumbering, image_maps: _MapNumbering, cut: bool, failures: list[str]
-) -> tuple[int, int]:
+def _composition_law(source: _Category, target: _Category, tally: _Tally) -> None:
     """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
 
-    images maps (i, j, component ids) of each morphism of Hom(i, j) to the
-    component ids of its functor image; maps numbers the components and
-    image_maps the images' components.  Each composite is computed once per
-    distinct pair of id tuples, so a composable pair costs a few lookups.
-    Looking m2 o m1 up in Hom(i, k) also checks that the category is closed
-    under composition: a composite map that no enumerated morphism has gets a
-    fresh id, which no key holds.  A missing composite is skipped when the
-    cap cut the category short.  Failures are appended; returns the passed
-    and failed counts.
+    Reads the images that _morphism_images stored: source's maps number the
+    components and target's maps the images' components.  Each composite is
+    computed once per distinct pair of id tuples, so a composable pair costs
+    a few lookups.  Looking m2 o m1 up in Hom(i, k) also checks that the
+    category is closed under composition: a composite map that no enumerated
+    morphism has gets a fresh id, which no key holds.  A missing composite
+    is skipped when the cap cut the category short.
     """
+    images, maps, image_maps = source.images, source.maps, target.maps
     by_source: dict[int, tuple[list, list]] = {}
     for key, img in images.items():
         keys, imgs = by_source.setdefault(key[0], ([], []))
         keys.append(key)
         imgs.append(img)
-    passed = failed = 0
+    missing = f"functor law: composite of {source.label} morphisms not enumerated"
+    broken = f"functor law: composition of {source.label} morphisms not preserved"
+    passed = 0
     for (i, j, c1), img1 in images.items():
         for (_, k, c2), img2 in zip(*by_source.get(j, ((), ()))):
             img = images.get((i, k, maps[c2, c1]))
             if img is None:
-                if cut:
-                    continue
-                failed += 1
-                failures.append(f"functor law: composite of {label} morphisms not enumerated")
+                if not source.cut:
+                    tally.check("functor_law", False, missing)
             elif img == image_maps[img2, img1]:
                 passed += 1
             else:
-                failed += 1
-                failures.append(f"functor law: composition of {label} morphisms not preserved")
-    return passed, failed
+                tally.check("functor_law", False, broken)
+    tally["functor_law", True] += passed
 
 
 def _try(fn, *args):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -208,6 +209,40 @@ def test_equivalence_exit_codes_and_determinism(fixture_dir, tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["ok"] is True
     assert payload["lifting_count"] == payload["covering_count"] == 25
+
+
+# sha256 of `genxmod equivalence --format json` and the exit code, with the
+# GXMOD_MAX_MORPHISMS cap (None: unset); gx1/4 and gx3/4 without a cap are
+# pinned by test_acceptance_7_determinism
+PINNED_EQUIVALENCE = [
+    ("a3_s3", 6, None, 0, "c73efdae839a39c68a563af32a84fc4b266f7420bca6c16c546d4b8453cae54a"),
+    ("gx1", 4, 5, 3, "61698e643535713b524f734bd91dacd287c7db277fea1cc095285c3120ad8dfc"),
+    ("gx1", 4, 100, 3, "9d4440488a027d4c61011b01a4dcaa562fdc7695c88b62dc6d4af1ec52718ffa"),
+    ("gx1", 4, 1000, 3, "98c6a1c181dcea3d43a50e17b0736c69c894c557e6479d5d3d5f1d36f9191f18"),
+    # 3000 exceeds both of gx1's 1201-morphism categories: the untruncated report
+    ("gx1", 4, 3000, 0, "1a3378e011f28ca6475872191bad45bf0a13387e6487f7847c24722489976309"),
+    ("gx3", 4, 5, 3, "64d6b1a227eb4fe1325662c35377dbee78b5bce65b9fc612fadbbb46b5991c83"),
+    ("gx3", 4, 100, 3, "d9e7948e3e74d1e57c325d8a1fae0c716bbe8a98ce18de736e96c7ba5d48738f"),
+    ("gx3", 4, 1000, 3, "dd0b4dc9b675f889826fb3922d2fa6622371f01dceea70a508a8b415bc0fbf09"),
+    ("gx3", 4, 3000, 3, "7920cb3c0f31a0ea1ad550b27b73a6354cd67bcd1285fb10f809a988433cc308"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, bound, cap, exit_code, sha256",
+    PINNED_EQUIVALENCE,
+    ids=[f"{fixture}-{bound}-cap{cap}" for fixture, bound, cap, _, _ in PINNED_EQUIVALENCE],
+)
+def test_equivalence_json_is_pinned(fixture_dir, tmp_path, monkeypatch, fixture, bound, cap, exit_code, sha256):
+    if cap is None:
+        monkeypatch.delenv("GXMOD_MAX_MORPHISMS", raising=False)
+    else:
+        monkeypatch.setenv("GXMOD_MAX_MORPHISMS", str(cap))
+    out = tmp_path / "eq.json"
+    args = ["equivalence", "--in", str(fixture_dir / f"{fixture}.gxmod.json"), "--bound", str(bound)]
+    rc = main([*args, "--format", "json", "--out", str(out)])
+    assert rc == exit_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_equivalence_pool_too_small_exit_3(fixture_dir, tmp_path):

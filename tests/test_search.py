@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 from genxmod.crossed import (
@@ -11,7 +12,15 @@ from genxmod.crossed import (
     transport_both,
     validate_gxmod,
 )
-from genxmod.groups import all_homs, automorphisms, cyclic_group, klein_four_group, symmetric_group, trivial_group
+from genxmod.groups import (
+    Hom,
+    all_homs,
+    automorphisms,
+    cyclic_group,
+    klein_four_group,
+    symmetric_group,
+    trivial_group,
+)
 from genxmod.gwa import gwa, is_gwa_morphism
 from genxmod.oracles import (
     raw_hom_maps,
@@ -351,17 +360,93 @@ def test_composition_law_reads_the_functor_images(base_gx1, pool4, monkeypatch, 
     assert not rep.ok
 
 
+def _without_a_parallel_morphism(side):
+    """A fault for side's *_morphisms_between: the hom-set of _parallel_morphisms
+    loses the second of its two morphisms."""
+
+    def make_fault(between):
+        o1, o2, (_, dropped) = _parallel_morphisms(gx1(), standard_pool(4), side)
+        return lambda s, t: tuple(m for m in between(s, t) if m != dropped) if (s, t) == (o1, o2) else between(s, t)
+
+    return make_fault
+
+
 def test_composition_law_requires_enumerated_composites(base_gx1, pool4, monkeypatch):
-    c1, c2, (_, dropped) = _parallel_morphisms(base_gx1, pool4, "covering")
-    between = search.covering_morphisms_between
-
-    def without_dropped(s, t):
-        return tuple(m for m in between(s, t) if m != dropped) if (s, t) == (c1, c2) else between(s, t)
-
-    monkeypatch.setattr(search, "covering_morphisms_between", without_dropped)
+    fault = _without_a_parallel_morphism("covering")
+    monkeypatch.setattr(search, "covering_morphisms_between", fault(search.covering_morphisms_between))
     rep = verify_equivalence(base_gx1, pool4)
     assert not rep.truncated
     assert "functor law: composite of covering morphisms not enumerated" in rep.failures
+    assert not rep.ok
+
+
+# a group with self-action that no object enumerated at bound 4 is built on
+_Z5 = gwa(cyclic_group(5))
+
+
+def _lifting_over_z5(lifting):
+    return replace(lifting, X=_Z5)
+
+
+def _covering_over_z5(covering):
+    return replace(covering, total=replace(covering.total, B=_Z5))
+
+
+def _zero(h):
+    return Hom(h.source, h.target, (h.target.identity,) * h.source.order)
+
+
+def _zero_g(m):
+    return replace(m, g=_zero(m.g))
+
+
+def _zero_f(m):
+    return replace(m, f=_zero(m.f))
+
+
+def _faulty(fault):
+    """Replace a function by one that applies fault to each of its results."""
+    return lambda fn: lambda *args: fault(fn(*args))
+
+
+# (function of search, fault built from it, the failure it must cause, the
+# counter that must record a failed check).  An object functor that lands on
+# the wrong group also breaks the identity law at the image, so the object
+# checks, which have no counter of their own, show in the functor-law count.
+_FAULTS = [
+    ("lifting_to_covering", _faulty(_covering_over_z5),
+     "lifting 0: functor image not among enumerated coverings", "functor_law"),
+    ("covering_to_lifting", _faulty(_lifting_over_z5),
+     "covering 0: functor image not among enumerated liftings", "functor_law"),
+    ("covering_to_lifting", _faulty(_lifting_over_z5),
+     "lifting 0: round trip is not table-identical", "functor_law"),
+    ("lifting_to_covering", _faulty(_covering_over_z5),
+     "covering 0: round-trip witness <f, 1> is not an isomorphism", "functor_law"),
+    ("functor_on_lifting_morphism", _faulty(_zero_g),
+     "lifting morphism: functor image invalid", "morphism"),
+    ("functor_on_covering_morphism", _faulty(_zero_f),
+     "covering morphism: functor image invalid", "morphism"),
+    ("functor_on_covering_morphism", _faulty(_zero_f),
+     "lifting morphism: round trip not exact", "morphism"),
+    ("functor_on_lifting_morphism", _faulty(_zero_g),
+     "covering morphism: naturality square broken", "naturality"),
+    ("functor_on_lifting_morphism", _faulty(_zero_g),
+     "functor law: identity lifting morphism not preserved", "functor_law"),
+    ("functor_on_covering_morphism", _faulty(_zero_f),
+     "functor law: identity covering morphism not preserved", "functor_law"),
+    ("lifting_morphisms_between", _without_a_parallel_morphism("lifting"),
+     "functor law: composite of lifting morphisms not enumerated", "functor_law"),
+]
+
+
+@pytest.mark.parametrize("name, make_fault, message, counter", _FAULTS, ids=[f[2] for f in _FAULTS])
+def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch, name, make_fault, message, counter):
+    # one faulty function that verify_equivalence looks up through search; the
+    # check it feeds must name the fault and count it as failed
+    monkeypatch.setattr(search, name, make_fault(getattr(search, name)))
+    rep = verify_equivalence(base_gx1, pool4)
+    assert message in rep.failures
+    assert getattr(rep, f"{counter}_checks_failed") > 0
     assert not rep.ok
 
 
