@@ -28,6 +28,7 @@ from .crossed import (
     GXModMorphism,
     check_gxmod_morphism_shape,
     equivariance_violations,
+    gxmod_morphism_parts_violations,
     gxmod_morphism_violations,
     gxmod_violations,
     is_simply_connected,
@@ -35,6 +36,7 @@ from .crossed import (
     validate_gxmod_morphism,
 )
 from .groups import (
+    GroupTable,
     Hom,
     Map,
     Subgroup,
@@ -153,7 +155,16 @@ def validate_covering(c: Covering, max_violations: int = DEFAULT_MAX_VIOLATIONS)
 
 def covering_violations(total: GXMod, base: GXMod, fm: Map, gm: Map) -> Iterator[RawViolation]:
     """The laws of the covering <f, g>: total -> base for the maps fm and gm."""
-    yield from gxmod_morphism_violations(total, base, fm, gm)
+    return covering_parts_violations(total.A, total.B.group, total.alpha.map, total.action.act, base, fm, gm)
+
+
+def covering_parts_violations(
+    a: GwaObject, b: GroupTable, alpha: Map, act: Table, base: GXMod, fm: Map, gm: Map
+) -> Iterator[RawViolation]:
+    """The laws of the covering <f, g> of base by the total with parts a, b,
+    alpha and act; as for any crossed module morphism, none reads the
+    self-action of the total's B, which is given as a bare group."""
+    yield from gxmod_morphism_parts_violations(a, b, alpha, act, base, fm, gm)
     if not len(fm) == len(set(fm)) == base.A.order:
         yield "component_iso", (), "f is not a bijection", ()
 
@@ -209,8 +220,13 @@ def validate_covering_morphism(
 def covering_morphism_violations(c1: Covering, c2: Covering, um: Map, vm: Map) -> Iterator[RawViolation]:
     """The laws of <u, v>: c1 -> c2 for the maps um and vm."""
     yield from gxmod_morphism_violations(c1.total, c2.total, um, vm)
-    yield from triangle_violations("triangle_f", "f'(f({0})) = {1} != f~({0}) = {2}", c2.f.map, um, c1.f.map)
+    yield from triangle_f_violations(c1, c2, um)
     yield from triangle_g_violations(c1, c2, vm)
+
+
+def triangle_f_violations(c1: Covering, c2: Covering, um: Map) -> Iterator[RawViolation]:
+    """f' o u = f~ for the A-component um of a covering morphism, witnessed by a."""
+    return triangle_violations("triangle_f", "f'(f({0})) = {1} != f~({0}) = {2}", c2.f.map, um, c1.f.map)
 
 
 def triangle_g_violations(c1: Covering, c2: Covering, vm: Map) -> Iterator[RawViolation]:

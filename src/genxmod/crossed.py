@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .groups import (
+    GroupTable,
     Hom,
     Map,
     Subgroup,
@@ -126,10 +127,14 @@ def validate_gxmod(x: GXMod, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Va
 def gxmod_violations(alpha: Map, act: Table, sa: Table, sb: Table) -> Iterator[RawViolation]:
     """Both defining conditions of alpha: A -> B with B acting on A by act.
 
-    sa and sb are the self-actions of A and B.  Peiffer witnesses are (a, a1):
-    alpha(a) . a1 = ^a a1.
+    sa and sb are the self-actions of A and B.  Only equivariance reads sb.
     """
     yield from equivariance_violations(alpha, act, sb)
+    yield from peiffer_violations(alpha, act, sa)
+
+
+def peiffer_violations(alpha: Map, act: Table, sa: Table) -> Iterator[RawViolation]:
+    """alpha(a) . a1 = ^a a1, witnessed by (a, a1)."""
     for a, sa_row in enumerate(sa):
         row = act[alpha[a]]
         for a1, y in enumerate(sa_row):
@@ -138,7 +143,8 @@ def gxmod_violations(alpha: Map, act: Table, sa: Table, sb: Table) -> Iterator[R
 
 
 def equivariance_violations(alpha: Map, act: Table, sb: Table) -> Iterator[RawViolation]:
-    """alpha(b . a) = ^b alpha(a), witnessed by (b, a)."""
+    """alpha(b . a) = ^b alpha(a), witnessed by (b, a); of the two conditions,
+    the only one that reads sb, the self-action of B."""
     for b, row in enumerate(act):
         sb_row = sb[b]
         for a, ba in enumerate(row):
@@ -196,12 +202,24 @@ def check_gxmod_morphism_shape(m: GXModMorphism) -> None:
 
 def gxmod_morphism_violations(src: GXMod, tgt: GXMod, fm: Map, gm: Map) -> Iterator[RawViolation]:
     """The laws of <f, g>: src -> tgt for the maps fm: A -> A' and gm: B -> B'."""
-    yield from prefixed("f", hom_violations(src.A.group, tgt.A.group, fm))
-    yield from prefixed("g", hom_violations(src.B.group, tgt.B.group, gm))
-    yield from square_violations(src.alpha.map, tgt.alpha.map, fm, gm)
+    return gxmod_morphism_parts_violations(src.A, src.B.group, src.alpha.map, src.action.act, tgt, fm, gm)
+
+
+def gxmod_morphism_parts_violations(
+    a: GwaObject, b: GroupTable, alpha: Map, act: Table, tgt: GXMod, fm: Map, gm: Map
+) -> Iterator[RawViolation]:
+    """The laws of <f, g> into tgt from the source with parts a, b, alpha and act.
+
+    No law of a morphism reads the self-action of the source's B, so the
+    source is given by its parts, with B as a bare group: an enumerator
+    checks a candidate source once for every self-action of b.
+    """
+    yield from prefixed("f", hom_violations(a.group, tgt.A.group, fm))
+    yield from prefixed("g", hom_violations(b, tgt.B.group, gm))
+    yield from square_violations(alpha, tgt.alpha.map, fm, gm)
     template = "f({0}.{1}) = {2} != g({0}).f({1}) = {3}"
-    yield from intertwining_violations("equivariance", template, src.action.act, tgt.action.act, gm, fm)
-    yield from action_preserved_violations(src.A, tgt.A, fm, "domain_action_preserved")
+    yield from intertwining_violations("equivariance", template, act, tgt.action.act, gm, fm)
+    yield from action_preserved_violations(a, tgt.A, fm, "domain_action_preserved")
 
 
 def square_violations(src_alpha: Map, tgt_alpha: Map, fm: Map, gm: Map) -> Iterator[RawViolation]:

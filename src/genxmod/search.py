@@ -25,15 +25,23 @@ from .cat1 import (
     interchange_violations,
     kernel_action_violations,
 )
-from .crossed import ExtAction, GXMod, gxmod_violations, square_violations
+from .crossed import (
+    ExtAction,
+    GXMod,
+    equivariance_violations,
+    gxmod_morphism_violations,
+    gxmod_violations,
+    peiffer_violations,
+    square_violations,
+)
 from .coverlift import (
     Covering,
     CoveringMorphism,
     Lifting,
     LiftingMorphism,
     covering_morphism_violations,
+    covering_parts_violations,
     covering_to_lifting,
-    covering_violations,
     factorization_violations,
     functor_on_covering_morphism,
     functor_on_lifting_morphism,
@@ -41,11 +49,12 @@ from .coverlift import (
     identity_covering_morphism,
     identity_lifting_morphism,
     image_lifting,
+    induced_action,
     lifting_morphism_violations,
     lifting_to_covering,
-    lifting_violations,
     natural_lifting,
     self_lifting,
+    triangle_f_violations,
     triangle_g_violations,
     triangle_omega_violations,
     triangle_phi_violations,
@@ -61,6 +70,7 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    hom_violations,
     identity_hom,
     klein_four_group,
     quaternion_group,
@@ -175,17 +185,41 @@ def enumerate_gxmods(a: GwaObject, b: GwaObject) -> tuple[GXMod, ...]:
 
 
 def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
-    """All liftings of base whose middle object is drawn from the pool."""
+    """All liftings of base whose middle object is drawn from the pool.
+
+    Of the laws of a lifting (A, X, phi) over omega, only the equivariance of
+    phi, phi(x . a) = ^x phi(a), reads the self-action of X: the
+    factorization omega o phi = alpha, the homomorphism laws of phi and omega
+    and the Peiffer condition alpha(a) . a1 = ^a a1 (with x acting through
+    omega) read only the group of X.  So each group of the pool collects once
+    the pairs (omega, phi) passing those laws, and each of its self-actions
+    keeps the pairs whose phi is equivariant for it.  The liftings come out
+    by group, then self-action, then omega, then phi.
+    """
+    a_group, b_group = base.A.group, base.B.group
+    sa = base.A.self_action.act
     out: list[Lifting] = []
-    for x_gwa in gwa_objects(pool):
-        for omega in all_homs(x_gwa.group, base.B.group):
+    for x_group in pool.groups:
+        candidates = []
+        for omega in all_homs(x_group, b_group):
             om = omega.map
-            for phi in all_homs(base.A.group, x_gwa.group):
+            act = induced_action(base, om)
+            for phi in all_homs(a_group, x_group):
                 pm = phi.map
-                if holds(factorization_violations(base, pm, om)) and holds(
-                    lifting_violations(base, x_gwa, pm, om)
+                if (
+                    holds(factorization_violations(base, pm, om))
+                    and holds(hom_violations(a_group, x_group, pm))
+                    and holds(hom_violations(x_group, b_group, om))
+                    and holds(peiffer_violations(pm, act, sa))
                 ):
-                    out.append(Lifting(base, x_gwa, phi, omega))
+                    candidates.append((phi, omega, act))
+        for x_gwa in gwa_objects_for(x_group):
+            sx = x_gwa.self_action.act
+            out.extend(
+                Lifting(base, x_gwa, phi, omega)
+                for phi, omega, act in candidates
+                if holds(equivariance_violations(phi.map, act, sx))
+            )
     return tuple(out)
 
 
@@ -205,6 +239,17 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
     ranging over its automorphisms; the self-action upstairs and the action
     of the top-right group are both forced by the morphism conditions, so
     only the structure map upstairs is searched.
+
+    Of the laws of a covering <f, g> by (A~, B~, alpha~), only the
+    equivariance of alpha~, alpha~(b . a) = ^b alpha~(a), reads the
+    self-action of B~: the square g o alpha~ = alpha o f, the laws of the
+    morphism <f, g> (covering_parts_violations) and the Peiffer condition
+    read only the group of B~.  So for each f and each group of the pool the
+    pairs (g, alpha~) passing those laws are collected once, the forced
+    action built only for a g with some alpha~ past the square, and each
+    self-action of the group keeps the pairs whose alpha~ is equivariant for
+    it.  The coverings come out by f, then group, then self-action, then g,
+    then alpha~.
     """
     a_group = base.A.group
     na = a_group.order
@@ -214,24 +259,31 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
         f_map = f0.map
         f_inv = tuple(f_map.index(i) for i in range(na))
         a_tilde = GwaObject(a_group, _pullback_self_action(base.A, f_map, f_inv))
+        sa_tilde = a_tilde.self_action.act
         f = Hom(a_group, a_group, f_map)
-        for b_gwa in gwa_objects(pool):
-            nb = b_gwa.order
-            for g in all_homs(b_gwa.group, base.B.group):
+        for b_group in pool.groups:
+            candidates = []
+            for g in all_homs(b_group, base.B.group):
                 gm = g.map
-                forced = tuple(
-                    tuple(f_inv[base_act[gm[bt]][f_map[at]]] for at in range(na))
-                    for bt in range(nb)
-                )
-                action = ExtAction(b_gwa, a_tilde, forced)
-                for alpha_t in all_homs(a_group, b_gwa.group):
+                forced = None
+                for alpha_t in all_homs(a_group, b_group):
                     atm = alpha_t.map
                     if not holds(square_violations(atm, base.alpha.map, f_map, gm)):
                         continue
-                    if not holds(gxmod_violations(atm, forced, a_tilde.self_action.act, b_gwa.self_action.act)):
-                        continue
-                    total = GXMod(a_tilde, b_gwa, alpha_t, action)
-                    if holds(covering_violations(total, base, f_map, gm)):
+                    if forced is None:
+                        forced = tuple(
+                            tuple(f_inv[base_act[gm[bt]][f_map[at]]] for at in range(na))
+                            for bt in range(b_group.order)
+                        )
+                    if holds(covering_parts_violations(a_tilde, b_group, atm, forced, base, f_map, gm)) and holds(
+                        peiffer_violations(atm, forced, sa_tilde)
+                    ):
+                        candidates.append((g, alpha_t, forced))
+            for b_gwa in gwa_objects_for(b_group):
+                sb = b_gwa.self_action.act
+                for g, alpha_t, forced in candidates:
+                    if holds(equivariance_violations(alpha_t.map, forced, sb)):
+                        total = GXMod(a_tilde, b_gwa, alpha_t, ExtAction(b_gwa, a_tilde, forced))
                         out.append(Covering(total, base, f, g))
     return tuple(out)
 
@@ -328,7 +380,8 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
         CoveringMorphism(c1, c2, u, v)
         for v in all_homs(c1.total.B.group, c2.total.B.group)
         if holds(triangle_g_violations(c1, c2, v.map))
-        and holds(covering_morphism_violations(c1, c2, u_map, v.map))
+        and holds(gxmod_morphism_violations(c1.total, c2.total, u_map, v.map))
+        and holds(triangle_f_violations(c1, c2, u_map))
     )
 
 
@@ -442,6 +495,7 @@ def verify_equivalence(
     liftings = _Category(
         "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, cap,
         components=lambda m: (m.f,),
+        groups=lambda o: (o.X.group,),
         identity=identity_lifting_morphism,
         law=lifting_morphism_violations,
         functor=lifting_to_covering,
@@ -450,6 +504,7 @@ def verify_equivalence(
     coverings = _Category(
         "covering", enumerate_coverings(base, pool), covering_morphisms_between, cap,
         components=lambda m: (m.f, m.g),
+        groups=lambda o: (o.total.A.group, o.total.B.group),
         identity=identity_covering_morphism,
         law=covering_morphism_violations,
         functor=covering_to_lifting,
@@ -555,20 +610,22 @@ class _Category:
     """One side of the equivalence over a given list of objects, with the functor out of it.
 
     between enumerates Hom(o1, o2), components gives a morphism's maps, (f)
-    or (f, g), law their violations, and identity an object's identity
-    morphism.  images maps (i, j, component ids) of each morphism of
-    Hom(i, j) to the component ids of its image in the other side's numbering.
+    or (f, g), groups an object's groups those maps run between, law their
+    violations, and identity an object's identity morphism.  images maps
+    (i, j, component ids) of each morphism of Hom(i, j) to the component ids
+    of its image in the other side's numbering.
     """
 
     def __init__(
         self, label: str, objects: tuple, between, cap: int, *,
-        components, identity, law, functor, functor_on_morphism,
+        components, groups, identity, law, functor, functor_on_morphism,
     ) -> None:
         self.label = label
         self.objects = objects
         self.index = {o: i for i, o in enumerate(objects)}
         self.between = between
         self.components = components
+        self.groups = groups
         self.identity = identity
         self.law = law
         self.functor = functor
@@ -581,7 +638,16 @@ class _Category:
         return self.maps.ids(*[h.map for h in self.components(m)])
 
     def is_valid(self, m) -> bool:
-        return holds(self.law(m.source, m.target, *[h.map for h in self.components(m)]))
+        """m's maps fit the groups of its endpoints, and its laws hold.
+
+        The laws index the groups' tables with the maps' entries, so a map
+        of the wrong shape is rejected before they run.
+        """
+        maps = [h.map for h in self.components(m)]
+        for fm, src, tgt in zip(maps, self.groups(m.source), self.groups(m.target)):
+            if len(fm) != src.order or min(fm) < 0 or max(fm) >= tgt.order:
+                return False
+        return holds(self.law(m.source, m.target, *maps))
 
     def is_iso(self, m) -> bool:
         return all(h.is_bijective() for h in self.components(m))

@@ -245,6 +245,29 @@ def test_equivalence_json_is_pinned(fixture_dir, tmp_path, monkeypatch, fixture,
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+# sha256 of `genxmod enumerate liftings|coverings --bound 8` and the line count
+PINNED_ENUMERATION = [
+    ("gx1", "liftings", 6625, "9cbb5646b021d2da17f8e399b3bd6b4f33a211d5cf22ef58a297ca211d5b61ea"),
+    ("gx1", "coverings", 6625, "4e386adff01898db16b0fcda820569ed77161e3de611f7c70366df1ae6fc1c2b"),
+    ("gx3", "liftings", 6787, "43eeba57573754f5315de7295924657709f57984489964c2c4fd7e367a6999b0"),
+    ("gx3", "coverings", 13574, "87adf0e092c68924edbe20f8fa5cd6778037722b0f49ab3ab1e1fda7e4ffe5fa"),
+    ("a3_s3", "liftings", 58, "2acb0b1eec5b23895bda7421c4dc2a326c74c7764ef70ebbd1d9f982267c289f"),
+    ("a3_s3", "coverings", 116, "3ca3c518d713c18a9403e2c708520695966af31f4398cdc8f1bd16c012b923ba"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, what, count, sha256", PINNED_ENUMERATION, ids=[f"{fixture}-{what}" for fixture, what, _, _ in PINNED_ENUMERATION]
+)
+def test_bound8_enumeration_is_pinned(fixture_dir, tmp_path, fixture, what, count, sha256):
+    out = tmp_path / f"{what}.jsonl"
+    rc = main(["enumerate", what, "--in", str(fixture_dir / f"{fixture}.gxmod.json"), "--bound", "8", "--out", str(out)])
+    assert rc == 0
+    data = out.read_bytes()
+    assert len(data.splitlines()) == count
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
 def test_equivalence_pool_too_small_exit_3(fixture_dir, tmp_path):
     rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "1", "--out", str(tmp_path / "eq.json")])
     assert rc == 3

@@ -4,11 +4,15 @@ from dataclasses import replace
 from functools import lru_cache
 
 from genxmod.crossed import (
+    ExtAction,
+    GXMod,
     check_alpha_gwa_morphism,
     check_kernel_acts_trivially,
+    gxmod_violations,
     image_gxmod,
     is_aspherical,
     kernel_gxmod,
+    square_violations,
     transport_both,
     validate_gxmod,
 )
@@ -17,11 +21,12 @@ from genxmod.groups import (
     all_homs,
     automorphisms,
     cyclic_group,
+    inverse_hom,
     klein_four_group,
     symmetric_group,
     trivial_group,
 )
-from genxmod.gwa import gwa, is_gwa_morphism
+from genxmod.gwa import GwaObject, gwa, is_gwa_morphism
 from genxmod.oracles import (
     raw_hom_maps,
     raw_is_gxmod,
@@ -40,11 +45,20 @@ from genxmod.search import (
     verify_equivalence,
 )
 from genxmod import search, serialize
-from genxmod.coverlift import image_lifting, natural_lifting, self_lifting
-from genxmod.fixtures import a3_s3, gx1, gx3
+from genxmod.coverlift import (
+    Covering,
+    Lifting,
+    covering_violations,
+    factorization_violations,
+    image_lifting,
+    lifting_violations,
+    natural_lifting,
+    self_lifting,
+)
+from genxmod.fixtures import a3_s3, gx1, gx2, gx3
 import pytest
 
-from genxmod.validation import StructuralError
+from genxmod.validation import StructuralError, holds
 
 
 def test_self_action_counts_against_raw_row_oracle():
@@ -211,6 +225,81 @@ def test_enumerate_coverings_contains_identity(base_gx1, pool4):
     from genxmod.coverlift import identity_covering
 
     assert identity_covering(base_gx1) in enumerate_coverings(base_gx1, pool4)
+
+
+def _single_loop_liftings(base, pool):
+    """The liftings as one filter over every (X, omega, phi), X a group with
+    one of its self-actions: the factorization, then every law of a lifting."""
+    return tuple(
+        Lifting(base, x, phi, omega)
+        for x in gwa_objects(pool)
+        for omega in all_homs(x.group, base.B.group)
+        for phi in all_homs(base.A.group, x.group)
+        if holds(factorization_violations(base, phi.map, omega.map))
+        and holds(lifting_violations(base, x, phi.map, omega.map))
+    )
+
+
+def _single_loop_coverings(base, pool):
+    """The coverings as one filter over every (f, B~, g, alpha~), B~ a group
+    with one of its self-actions: the square, then the crossed module laws and
+    every law of a covering on the built total."""
+    a_group, n = base.A.group, base.A.order
+    out = []
+    for f in automorphisms(a_group):
+        f_inv = inverse_hom(f).map
+        a_tilde = GwaObject(a_group, search._pullback_self_action(base.A, f.map, f_inv))
+        for b in gwa_objects(pool):
+            for g in all_homs(b.group, base.B.group):
+                forced = tuple(
+                    tuple(f_inv[base.action.act[g.map[bt]][f.map[at]]] for at in range(n)) for bt in range(b.order)
+                )
+                for alpha_t in all_homs(a_group, b.group):
+                    total = GXMod(a_tilde, b, alpha_t, ExtAction(b, a_tilde, forced))
+                    if (
+                        holds(square_violations(alpha_t.map, base.alpha.map, f.map, g.map))
+                        and holds(gxmod_violations(alpha_t.map, forced, a_tilde.self_action.act, b.self_action.act))
+                        and holds(covering_violations(total, base, f.map, g.map))
+                    ):
+                        out.append(Covering(total, base, f, g))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+@pytest.mark.parametrize(
+    "make_base",
+    [gx1, gx2, gx3, a3_s3, lambda: _relabelled_gxmod(a3_s3(), random.Random(1))],
+    ids=["gx1", "gx2", "gx3", "a3s3", "a3s3-relabelled"],
+)
+def test_enumerators_match_the_single_loop_filter(make_base, bound):
+    # each law that ignores the self-action runs once per group, equivariance
+    # once per self-action: the same objects as every law per self-action,
+    # in the same order
+    base, pool = make_base(), standard_pool(bound)
+    assert enumerate_liftings(base, pool) == _single_loop_liftings(base, pool)
+    assert enumerate_coverings(base, pool) == _single_loop_coverings(base, pool)
+
+
+# the laws each enumerator runs, as search looks them up
+_ENUMERATOR_LAWS = [
+    (enumerate_liftings, law)
+    for law in ("factorization_violations", "hom_violations", "peiffer_violations", "equivariance_violations")
+] + [
+    (enumerate_coverings, law)
+    for law in ("square_violations", "covering_parts_violations", "peiffer_violations", "equivariance_violations")
+]
+
+
+@pytest.mark.parametrize(
+    "enumerate_objects, law", _ENUMERATOR_LAWS, ids=[f"{e.__name__}-{law}" for e, law in _ENUMERATOR_LAWS]
+)
+def test_every_enumerator_law_runs_on_every_candidate(base_gx3, pool4, monkeypatch, enumerate_objects, law):
+    # a law that rejects everything leaves nothing, so no candidate skips it;
+    # some of these laws never reject a candidate the others pass, so the
+    # comparison with the single-loop filter alone would not show they run
+    assert enumerate_objects(base_gx3, pool4)
+    monkeypatch.setattr(search, law, lambda *args: iter([(law, (), "rejected", ())]))
+    assert enumerate_objects(base_gx3, pool4) == ()
 
 
 def test_covering_and_lifting_iso_class_counts_match(base_gx1, base_gx3, pool4):
@@ -404,6 +493,10 @@ def _zero_f(m):
     return replace(m, f=_zero(m.f))
 
 
+def _swapped_endpoints(m):
+    return replace(m, source=m.target, target=m.source)
+
+
 def _faulty(fault):
     """Replace a function by one that applies fault to each of its results."""
     return lambda fn: lambda *args: fault(fn(*args))
@@ -439,7 +532,19 @@ _FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("name, make_fault, message, counter", _FAULTS, ids=[f[2] for f in _FAULTS])
+# an image whose maps do not fit the groups of its endpoints (between liftings
+# whose X differ in order) is invalid too: it is rejected before any law
+# indexes a group table with its entries
+_SHAPE_FAULT = pytest.param(
+    "functor_on_lifting_morphism", _faulty(_swapped_endpoints),
+    "lifting morphism: functor image invalid", "morphism",
+    id="lifting morphism: functor image of the wrong shape",
+)
+
+
+@pytest.mark.parametrize(
+    "name, make_fault, message, counter", [*(pytest.param(*f, id=f[2]) for f in _FAULTS), _SHAPE_FAULT]
+)
 def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch, name, make_fault, message, counter):
     # one faulty function that verify_equivalence looks up through search; the
     # check it feeds must name the fault and count it as failed
