@@ -9,7 +9,7 @@ explicit <f, 1> witness.  Functor laws (identities, all composable
 compositions) and the naturality squares are checked numerically.
 
 The S3-based run enumerates about 16 000 morphisms and checks 1.5 million
-composable pairs; the demo takes about 3 seconds on a 2-core machine.
+composable pairs; the demo takes about 2 seconds on a 2-core machine.
 """
 
 from genxmod import standard_pool, verify_equivalence

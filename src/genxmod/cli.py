@@ -52,12 +52,14 @@ from .serialize import (
     _as_map,
     _load_gxmod,
     covering_doc,
+    covering_docs,
     doc_for,
     dumps,
     equivalence_report_doc,
     gwa_doc,
     gxmod_doc,
     lifting_doc,
+    lifting_docs,
     load_any,
     load_gwa_doc,
     load_gxmod_doc,
@@ -273,10 +275,10 @@ def cmd_enumerate(args) -> int:
             docs = [gxmod_doc(x) for x in enumerate_gxmods(a, b)]
         elif args.what == "liftings":
             base = load_gxmod_doc(_read_doc(args.input))
-            docs = [lifting_doc(l) for l in enumerate_liftings(base, standard_pool(args.bound))]
+            docs = lifting_docs(enumerate_liftings(base, standard_pool(args.bound)))
         elif args.what == "coverings":
             base = load_gxmod_doc(_read_doc(args.input))
-            docs = [covering_doc(c) for c in enumerate_coverings(base, standard_pool(args.bound))]
+            docs = covering_docs(enumerate_coverings(base, standard_pool(args.bound)))
         else:
             raise StructuralError(f"unknown enumeration {args.what}")
     except StructuralError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .crossed import (
     ExtAction,
@@ -544,6 +545,30 @@ def extend_morphism_through_lifting(
 # the equivalence functors
 
 
+def _kept_on_object(functor):
+    """functor(o), built on the first call and kept on o for o's lifetime.
+
+    The equivalence check asks for the image of each endpoint of every
+    morphism, so an object's image is asked for thousands of times.  It is
+    kept in o's __dict__, which a frozen dataclass leaves out of eq, hash
+    and repr: o compares and hashes as before.  Only the image of o itself
+    is kept, never seeded from elsewhere, so the image of an image is built
+    fresh on its own object and a round trip yields a new object equal to o.
+    """
+    slot = f"_{functor.__name__}"
+
+    @wraps(functor)
+    def kept(o):
+        try:
+            return o.__dict__[slot]
+        except KeyError:
+            image = o.__dict__[slot] = functor(o)
+            return image
+
+    return kept
+
+
+@_kept_on_object
 def lifting_to_covering(l: Lifting) -> Covering:
     """A lifting (A, X, phi) over omega becomes the covering <1_A, omega> of the base."""
     return Covering(
@@ -551,6 +576,7 @@ def lifting_to_covering(l: Lifting) -> Covering:
     )
 
 
+@_kept_on_object
 def covering_to_lifting(c: Covering) -> Lifting:
     """A covering <f, g> becomes the lifting through its top-right corner.
 
@@ -562,12 +588,9 @@ def covering_to_lifting(c: Covering) -> Lifting:
 
 def functor_on_lifting_morphism(m: LiftingMorphism) -> CoveringMorphism:
     """A lifting morphism f becomes the covering morphism <1_A, f>."""
-    return CoveringMorphism(
-        lifting_to_covering(m.source),
-        lifting_to_covering(m.target),
-        identity_hom(m.source.base.A.group),
-        m.f,
-    )
+    source = lifting_to_covering(m.source)
+    # the A-component is the 1_A its source image was built with
+    return CoveringMorphism(source, lifting_to_covering(m.target), source.f, m.f)
 
 
 def functor_on_covering_morphism(m: CoveringMorphism) -> LiftingMorphism:

@@ -217,9 +217,14 @@ def gxmod_morphism_parts_violations(
     yield from prefixed("f", hom_violations(a.group, tgt.A.group, fm))
     yield from prefixed("g", hom_violations(b, tgt.B.group, gm))
     yield from square_violations(alpha, tgt.alpha.map, fm, gm)
-    template = "f({0}.{1}) = {2} != g({0}).f({1}) = {3}"
-    yield from intertwining_violations("equivariance", template, act, tgt.action.act, gm, fm)
+    yield from morphism_equivariance_violations(act, tgt.action.act, fm, gm)
     yield from action_preserved_violations(a, tgt.A, fm, "domain_action_preserved")
+
+
+def morphism_equivariance_violations(act: Table, tgt_act: Table, fm: Map, gm: Map) -> Iterator[RawViolation]:
+    """f(b . a) = g(b) . f(a), witnessed by (b, a)."""
+    template = "f({0}.{1}) = {2} != g({0}).f({1}) = {3}"
+    return intertwining_violations("equivariance", template, act, tgt_act, gm, fm)
 
 
 def square_violations(src_alpha: Map, tgt_alpha: Map, fm: Map, gm: Map) -> Iterator[RawViolation]:

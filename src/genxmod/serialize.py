@@ -43,8 +43,9 @@ def gwa_doc(g: GwaObject) -> dict:
         "order": g.group.order,
         "op": [list(row) for row in g.group.op],
     }
-    trivial = trivial_self_action(g.group)
-    if g.self_action != trivial:
+    # a trivial self-action, whose every row is the identity map, is left out
+    n = g.group.order
+    if g.self_action.act != (tuple(range(n)),) * n:
         doc["self_action"] = [list(row) for row in g.self_action.act]
     return doc
 
@@ -54,10 +55,14 @@ def group_doc(g: GroupTable) -> dict:
 
 
 def gxmod_doc(x: GXMod) -> dict:
+    return _gxmod_doc(x, gwa_doc)
+
+
+def _gxmod_doc(x: GXMod, gwa) -> dict:
     return {
         "name": x.name,
-        "A": gwa_doc(x.A),
-        "B": gwa_doc(x.B),
+        "A": gwa(x.A),
+        "B": gwa(x.B),
         "alpha": list(x.alpha.map),
         "action": [list(row) for row in x.action.act],
     }
@@ -73,34 +78,83 @@ def cat1_doc(c: GCat1) -> dict:
 
 
 def covering_doc(c: Covering) -> dict:
+    return _covering_doc(c, gxmod_doc)
+
+
+def _covering_doc(c: Covering, gxmod) -> dict:
     return {
         "name": c.name,
-        "total": gxmod_doc(c.total),
-        "base": gxmod_doc(c.base),
+        "total": gxmod(c.total),
+        "base": gxmod(c.base),
         "f": list(c.f.map),
         "g": list(c.g.map),
     }
 
 
 def lifting_doc(l: Lifting) -> dict:
+    return _lifting_doc(l, gxmod_doc, gwa_doc)
+
+
+def _lifting_doc(l: Lifting, gxmod, gwa) -> dict:
     return {
         "name": l.name,
-        "base": gxmod_doc(l.base),
-        "X": gwa_doc(l.X),
+        "base": gxmod(l.base),
+        "X": gwa(l.X),
         "phi": list(l.phi.map),
         "omega": list(l.omega.map),
     }
 
 
+def covering_docs(coverings) -> list[dict]:
+    """covering_doc of each covering; the parts they share are built once (see _SharedParts)."""
+    parts = _SharedParts()
+    return [_covering_doc(c, parts.gxmod) for c in coverings]
+
+
+def lifting_docs(liftings) -> list[dict]:
+    """lifting_doc of each lifting; the parts they share are built once (see _SharedParts)."""
+    parts = _SharedParts()
+    return [_lifting_doc(l, parts.gxmod, parts.gwa) for l in liftings]
+
+
+class _SharedParts:
+    """The documents of the crossed modules and gwa objects that the objects
+    of one output share, each built on first use.
+
+    An enumeration's objects hold few distinct parts between them: the one
+    base, the gwa objects of the pool, one A~ per automorphism of A.  Each
+    part's document is kept by the identity of the part, which is kept with
+    it so that no identity is reused, and appears as one shared dict in
+    every document that holds the part: dumps writes it out in full each
+    time, and no caller mutates it.
+    """
+
+    def __init__(self) -> None:
+        self._docs: dict[int, tuple[object, dict]] = {}
+
+    def _doc(self, part, build) -> dict:
+        kept = self._docs.get(id(part))
+        if kept is None:
+            kept = self._docs[id(part)] = (part, build(part))
+        return kept[1]
+
+    def gwa(self, g: GwaObject) -> dict:
+        return self._doc(g, gwa_doc)
+
+    def gxmod(self, x: GXMod) -> dict:
+        return self._doc(x, lambda x: _gxmod_doc(x, self.gwa))
+
+
 def equivalence_report_doc(rep: EquivalenceReport) -> dict:
+    parts = _SharedParts()
     return {
         "base": rep.base_name,
         "order_bound": rep.order_bound,
         "pool_groups": list(rep.pool_groups),
         "lifting_count": rep.lifting_count,
         "covering_count": rep.covering_count,
-        "liftings": [lifting_doc(l) for l in rep.liftings],
-        "coverings": [covering_doc(c) for c in rep.coverings],
+        "liftings": [_lifting_doc(l, parts.gxmod, parts.gwa) for l in rep.liftings],
+        "coverings": [_covering_doc(c, parts.gxmod) for c in rep.coverings],
         "lifting_to_covering_index": list(rep.lifting_to_covering_index),
         "covering_to_lifting_index": list(rep.covering_to_lifting_index),
         "roundtrip_lifting_exact": rep.roundtrip_lifting_exact,

@@ -501,6 +501,34 @@ def test_lifting_to_covering_round_trips_exactly():
         assert back == Lifting(l.base, l.X, l.phi, l.omega)
 
 
+def test_object_images_are_built_once_per_object(base_gx3, pool4):
+    # each object keeps its own image; the image of an image is built fresh
+    # on its own object, so a round trip yields a new object, equal for a lifting
+    for l in enumerate_liftings(base_gx3, pool4):
+        c = lifting_to_covering(l)
+        assert lifting_to_covering(l) is c
+        back = covering_to_lifting(c)
+        assert covering_to_lifting(c) is back
+        assert back == l and back is not l
+        assert lifting_to_covering(back) is not c
+    for c in enumerate_coverings(base_gx3, pool4):
+        l = covering_to_lifting(c)
+        assert covering_to_lifting(c) is l
+        assert lifting_to_covering(l) is not c
+
+
+def test_a_kept_image_leaves_eq_and_hash_alone(base_gx3, pool4):
+    l = enumerate_liftings(base_gx3, pool4)[-1]
+    c = lifting_to_covering(l)
+    fresh = Lifting(l.base, l.X, l.phi, l.omega, l.name)
+    assert l == fresh and fresh == l
+    assert hash(l) == hash(fresh)
+    assert repr(l) == repr(fresh)
+    fresh_c = Covering(c.total, c.base, c.f, c.g, c.name)
+    covering_to_lifting(c)
+    assert c == fresh_c and hash(c) == hash(fresh_c)
+
+
 def test_natural_lifting_to_covering_has_iso_g():
     c = lifting_to_covering(natural_lifting(gx3()))
     assert c.g.is_bijective()

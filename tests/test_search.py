@@ -47,7 +47,9 @@ from genxmod.search import (
 from genxmod import search, serialize
 from genxmod.coverlift import (
     Covering,
+    CoveringMorphism,
     Lifting,
+    covering_morphism_violations,
     covering_violations,
     factorization_violations,
     image_lifting,
@@ -280,26 +282,71 @@ def test_enumerators_match_the_single_loop_filter(make_base, bound):
     assert enumerate_coverings(base, pool) == _single_loop_coverings(base, pool)
 
 
-# the laws each enumerator runs, as search looks them up
+def _single_filter_covering_morphisms(c1, c2):
+    """The morphisms c1 -> c2 as one filter: every law of <u, v> on each v."""
+    u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
+    u = Hom(c1.total.A.group, c2.total.A.group, u_map)
+    return tuple(
+        CoveringMorphism(c1, c2, u, v)
+        for v in all_homs(c1.total.B.group, c2.total.B.group)
+        if holds(covering_morphism_violations(c1, c2, u_map, v.map))
+    )
+
+
+@pytest.mark.parametrize("make_base, bound", [(gx1, 4), (gx3, 4), (a3_s3, 6)], ids=["gx1-4", "gx3-4", "a3s3-6"])
+def test_covering_morphisms_match_the_single_filter(make_base, bound):
+    # the laws that read only the forced A-component u run once per pair,
+    # the others once per v: the same morphisms as every law per v, in the
+    # same order
+    coverings = enumerate_coverings(make_base(), standard_pool(bound))
+    for c1 in coverings:
+        for c2 in coverings:
+            assert search.covering_morphisms_between(c1, c2) == _single_filter_covering_morphisms(c1, c2)
+
+
+def _enumeration(enumerate_objects):
+    return lambda base, pool: lambda: enumerate_objects(base, pool)
+
+
+def _covering_hom_sets(base, pool):
+    """Every morphism between two coverings of base; the coverings are
+    enumerated at once, before any law they need is patched."""
+    coverings = enumerate_coverings(base, pool)
+    return lambda: tuple(m for c1 in coverings for c2 in coverings for m in search.covering_morphisms_between(c1, c2))
+
+
+# the laws each enumerator runs, as search looks them up; hom_violations
+# covers both components of a covering morphism
 _ENUMERATOR_LAWS = [
-    (enumerate_liftings, law)
+    ("enumerate_liftings", _enumeration(enumerate_liftings), law)
     for law in ("factorization_violations", "hom_violations", "peiffer_violations", "equivariance_violations")
 ] + [
-    (enumerate_coverings, law)
+    ("enumerate_coverings", _enumeration(enumerate_coverings), law)
     for law in ("square_violations", "covering_parts_violations", "peiffer_violations", "equivariance_violations")
+] + [
+    ("covering_morphisms_between", _covering_hom_sets, law)
+    for law in (
+        "hom_violations",
+        "action_preserved_violations",
+        "triangle_f_violations",
+        "triangle_g_violations",
+        "square_violations",
+        "morphism_equivariance_violations",
+    )
 ]
 
 
 @pytest.mark.parametrize(
-    "enumerate_objects, law", _ENUMERATOR_LAWS, ids=[f"{e.__name__}-{law}" for e, law in _ENUMERATOR_LAWS]
+    "name, prepare, law", _ENUMERATOR_LAWS, ids=[f"{name}-{law}" for name, _, law in _ENUMERATOR_LAWS]
 )
-def test_every_enumerator_law_runs_on_every_candidate(base_gx3, pool4, monkeypatch, enumerate_objects, law):
+def test_every_enumerator_law_runs_on_every_candidate(base_gx3, pool4, monkeypatch, name, prepare, law):
     # a law that rejects everything leaves nothing, so no candidate skips it;
     # some of these laws never reject a candidate the others pass, so the
     # comparison with the single-loop filter alone would not show they run
-    assert enumerate_objects(base_gx3, pool4)
+    enumerate_objects = prepare(base_gx3, pool4)
+    assert enumerate_objects()
     monkeypatch.setattr(search, law, lambda *args: iter([(law, (), "rejected", ())]))
-    assert enumerate_objects(base_gx3, pool4) == ()
+    assert enumerate_objects() == ()
 
 
 def test_covering_and_lifting_iso_class_counts_match(base_gx1, base_gx3, pool4):
@@ -467,6 +514,56 @@ def test_composition_law_requires_enumerated_composites(base_gx1, pool4, monkeyp
     assert not rep.truncated
     assert "functor law: composite of covering morphisms not enumerated" in rep.failures
     assert not rep.ok
+
+
+def _per_pair_composition_law(source, target, tally):
+    """The composition law one composable pair at a time: for m1 in Hom(i, j)
+    and m2 in Hom(j, k), the stored image of m2 o m1 against the composite
+    of the stored images of m2 and m1."""
+    out_of = {}
+    for (j, k, c2), img2 in source.images.items():
+        out_of.setdefault(j, []).append((k, c2, img2))
+    for (i, j, c1), img1 in source.images.items():
+        for k, c2, img2 in out_of.get(j, ()):
+            img = source.images.get((i, k, source.maps[c2, c1]))
+            if img is None:
+                if not source.cut:
+                    tally.check("functor_law", False, f"functor law: composite of {source.label} morphisms not enumerated")
+            else:
+                preserved = img == target.maps[img2, img1]
+                tally.check("functor_law", preserved, f"functor law: composition of {source.label} morphisms not preserved")
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["complete", "cut"])
+def test_grouped_composition_law_matches_the_per_pair_loop(base_gx3, pool4, monkeypatch, cut):
+    composition_law = search._composition_law
+    categories = []
+    monkeypatch.setattr(search, "_composition_law", lambda source, target, tally: categories.append((source, target)))
+    verify_equivalence(base_gx3, pool4)
+    source, target = categories[-1]
+    assert source.label == "covering"
+    # a class of parallel morphisms: one target j, map ids c1 and image, several sources
+    classes = {}
+    for (i, j, c1), img1 in source.images.items():
+        classes.setdefault((j, c1, img1), []).append(i)
+    (j, c1, img1), members = next((key, members) for key, members in classes.items() if len(members) > 2)
+    # the image of one member corrupted to the zero map
+    i = members[0]
+    zero = target.maps.ids((0,) * source.objects[i].total.B.order)
+    assert zero != img1
+    source.images[i, j, c1] = zero
+    # the composite m2 o m1 of another member with some m2 out of j deleted
+    k, c2 = next((k, c2) for (j2, k, c2) in source.images if j2 == j)
+    del source.images[members[1], k, source.maps[c2, c1]]
+    source.cut = cut
+
+    grouped, per_pair = search._Tally(), search._Tally()
+    composition_law(source, target, grouped)
+    _per_pair_composition_law(source, target, per_pair)
+    assert grouped["functor_law", False] > 0 and grouped["functor_law", True] > 0
+    assert grouped == per_pair
+    assert Counter(grouped.failures) == Counter(per_pair.failures)
+    assert ("functor law: composite of covering morphisms not enumerated" in grouped.failures) is not cut
 
 
 # a group with self-action that no object enumerated at bound 4 is built on

@@ -19,12 +19,14 @@ from genxmod.fixtures import (
 from genxmod.serialize import (
     cat1_doc,
     covering_doc,
+    covering_docs,
     detect_kind,
     doc_for,
     dumps,
     gwa_doc,
     gxmod_doc,
     lifting_doc,
+    lifting_docs,
     load_cat1_doc,
     load_covering_doc,
     load_gwa_doc,
@@ -58,6 +60,22 @@ def test_gwa_doc_omits_trivial_action():
     assert "self_action" not in doc
     loaded, _ = load_gwa_doc(doc)
     assert loaded.self_action.act == ((0, 1, 2),) * 3
+
+
+def test_gwa_doc_keeps_every_nontrivial_self_action():
+    # the self-action is left out exactly when it is the trivial one
+    for gw in gwa_objects(standard_pool(6)):
+        trivial = gw.self_action.act == tuple(tuple(range(gw.order)) for _ in range(gw.order))
+        assert ("self_action" not in gwa_doc(gw)) == trivial
+
+
+def test_docs_of_an_enumeration_equal_the_docs_one_by_one(base_gx3, pool4):
+    # the batch shares the documents of common parts, and writes the same bytes
+    liftings = enumerate_liftings(base_gx3, pool4)
+    coverings = enumerate_coverings(base_gx3, pool4)
+    assert lifting_docs(liftings) == [lifting_doc(l) for l in liftings]
+    assert covering_docs(coverings) == [covering_doc(c) for c in coverings]
+    assert "".join(map(dumps, covering_docs(coverings))) == "".join(dumps(covering_doc(c)) for c in coverings)
 
 
 def test_gxmod_roundtrip():
