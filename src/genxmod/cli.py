@@ -35,24 +35,22 @@ from .crossed import (
     transport_domain,
     validate_gxmod_full,
 )
-from .groups import Hom, subgroup, validate_group
-from .gwa import GwaObject, validate_gwa
+from .groups import subgroup, validate_group
+from .gwa import validate_gwa
 from .search import (
     enumerate_coverings,
     enumerate_ext_actions,
     enumerate_gxmods,
     enumerate_liftings,
-    enumerate_self_actions,
     gwa_objects_for,
     morphism_cap,
     standard_pool,
     verify_equivalence,
 )
 from .serialize import (
-    _as_map,
-    _load_gxmod,
     covering_doc,
     covering_docs,
+    detect_kind,
     doc_for,
     dumps,
     equivalence_report_doc,
@@ -63,6 +61,7 @@ from .serialize import (
     load_any,
     load_gwa_doc,
     load_gxmod_doc,
+    load_transport_docs,
 )
 from .validation import PreconditionError, StructuralError, ValidationReport
 
@@ -148,34 +147,22 @@ def cmd_validate(args) -> int:
     return worst
 
 
-def _load_hom_file(path: str, side: str, fixed: GwaObject, fixed_perm: tuple[int, ...]) -> tuple[GwaObject, Hom]:
-    """The gwa document under side, and the file's map between fixed and it:
-    from fixed for side "target", into fixed for side "source".
-
-    The map is written in the numbering of the files: fixed_perm renumbers
-    fixed's file, and load_gwa_doc the hom file's document.
-    """
-    doc = _read_doc(path)
-    if not isinstance(doc, dict) or "map" not in doc:
-        raise StructuralError(f"{path}: hom file needs a 'map' key")
-    if side not in doc:
-        raise StructuralError(f"{path}: hom file needs a '{side}' gwa document")
-    gw, perm = load_gwa_doc(doc[side], side)
-    source, target = (fixed, gw) if side == "target" else (gw, fixed)
-    source_perm, target_perm = (fixed_perm, perm) if side == "target" else (perm, fixed_perm)
-    raw = _as_map(doc["map"], source.order, f"{path}: map")
-    if any(x < 0 or x >= target.order for x in raw):
-        raise StructuralError(f"{path}: map entry out of range")
-    m = [0] * source.order
-    for old, value in enumerate(raw):
-        m[source_perm[old]] = target_perm[value]
-    return gw, Hom(source.group, target.group, tuple(m))
+def _hom_file(path: str | None) -> tuple[dict, str] | None:
+    """The document of a --codomain-iso/--domain-iso file and its path, if given."""
+    return path and (_read_doc(path), path)
 
 
 def cmd_construct(args) -> int:
     try:
         doc = _read_doc(args.input)
-        kind, obj = load_any(doc)
+        if args.construction == "transport":
+            # the isomorphisms are read in the gxmod file's numbering
+            _require_kind(detect_kind(doc), "gxmod")
+            obj, codomain, domain = load_transport_docs(
+                doc, _hom_file(args.codomain_iso), _hom_file(args.domain_iso)
+            )
+        else:
+            kind, obj = load_any(doc)
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -220,18 +207,12 @@ def cmd_construct(args) -> int:
             result = covering_to_lifting(obj)
             out_doc, check = lifting_doc(result), validate_lifting(result)
         elif args.construction == "transport":
-            _require_kind(kind, "gxmod")
-            _, perm_a, perm_b = _load_gxmod(doc, "gxmod")
-            if args.codomain_iso and args.domain_iso:
-                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B, perm_b)
-                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A, perm_a)
-                result, _ = transport_both(obj, f, b_new, g, a_new)
-            elif args.codomain_iso:
-                b_new, f = _load_hom_file(args.codomain_iso, "target", obj.B, perm_b)
-                result, _ = transport_codomain(obj, f, b_new)
-            elif args.domain_iso:
-                a_new, g = _load_hom_file(args.domain_iso, "source", obj.A, perm_a)
-                result, _ = transport_domain(obj, g, a_new)
+            if codomain and domain:
+                result, _ = transport_both(obj, *codomain, *domain)
+            elif codomain:
+                result, _ = transport_codomain(obj, *codomain)
+            elif domain:
+                result, _ = transport_domain(obj, *domain)
             else:
                 raise StructuralError("transport needs --codomain-iso and/or --domain-iso")
             out_doc, check = gxmod_doc(result), validate_gxmod_full(result)
@@ -255,9 +236,7 @@ def cmd_enumerate(args) -> int:
     try:
         if args.what == "self-actions":
             gw = load_gwa_doc(_read_doc(args.input))[0]
-            docs = []
-            for i, sa in enumerate(enumerate_self_actions(gw.group)):
-                docs.append(gwa_doc(GwaObject(gw.group, sa, f"{gw.group.name}#sa{i}")))
+            docs = [gwa_doc(g) for g in gwa_objects_for(gw.group)]
         elif args.what == "ext-actions":
             if not args.second:
                 raise StructuralError("ext-actions needs --in2 with the acted-on group")
@@ -399,13 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write the shipped fixture files and exit",
     )
+    # one destination: a sub-command's --out leaves the top-level one alone unless given
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("validate", help="validate structure files")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     p = sub.add_parser("construct", help="run a construction on a structure file")
     p.add_argument(
@@ -422,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
     p.add_argument("--ideal", default=None, help="comma-separated member indices")
     p.add_argument("--codomain-iso", dest="codomain_iso", default=None)
     p.add_argument("--domain-iso", dest="domain_iso", default=None)
@@ -432,17 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--in2", dest="second", default=None, help="second input (actor/space, A/B)")
     p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     p = sub.add_parser("equivalence", help="verify the covering/lifting equivalence for a base")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--bound", type=int, default=4)
     p.add_argument("--format", choices=("human", "json"), default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     p = sub.add_parser("catalog", help="dump the group/self-action catalog as JSON lines")
     p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     return parser
 

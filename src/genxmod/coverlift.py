@@ -29,7 +29,6 @@ from .crossed import (
     GXModMorphism,
     check_gxmod_morphism_shape,
     equivariance_violations,
-    gxmod_morphism_parts_violations,
     gxmod_morphism_violations,
     gxmod_violations,
     is_simply_connected,
@@ -37,7 +36,6 @@ from .crossed import (
     validate_gxmod_morphism,
 )
 from .groups import (
-    GroupTable,
     Hom,
     Map,
     Subgroup,
@@ -156,16 +154,7 @@ def validate_covering(c: Covering, max_violations: int = DEFAULT_MAX_VIOLATIONS)
 
 def covering_violations(total: GXMod, base: GXMod, fm: Map, gm: Map) -> Iterator[RawViolation]:
     """The laws of the covering <f, g>: total -> base for the maps fm and gm."""
-    return covering_parts_violations(total.A, total.B.group, total.alpha.map, total.action.act, base, fm, gm)
-
-
-def covering_parts_violations(
-    a: GwaObject, b: GroupTable, alpha: Map, act: Table, base: GXMod, fm: Map, gm: Map
-) -> Iterator[RawViolation]:
-    """The laws of the covering <f, g> of base by the total with parts a, b,
-    alpha and act; as for any crossed module morphism, none reads the
-    self-action of the total's B, which is given as a bare group."""
-    yield from gxmod_morphism_parts_violations(a, b, alpha, act, base, fm, gm)
+    yield from gxmod_morphism_violations(total, base, fm, gm)
     if not len(fm) == len(set(fm)) == base.A.order:
         yield "component_iso", (), "f is not a bijection", ()
 

@@ -14,10 +14,9 @@ of the axioms and is asserted, not assumed.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .groups import (
-    GroupTable,
     Hom,
     Map,
     Subgroup,
@@ -202,23 +201,11 @@ def check_gxmod_morphism_shape(m: GXModMorphism) -> None:
 
 def gxmod_morphism_violations(src: GXMod, tgt: GXMod, fm: Map, gm: Map) -> Iterator[RawViolation]:
     """The laws of <f, g>: src -> tgt for the maps fm: A -> A' and gm: B -> B'."""
-    return gxmod_morphism_parts_violations(src.A, src.B.group, src.alpha.map, src.action.act, tgt, fm, gm)
-
-
-def gxmod_morphism_parts_violations(
-    a: GwaObject, b: GroupTable, alpha: Map, act: Table, tgt: GXMod, fm: Map, gm: Map
-) -> Iterator[RawViolation]:
-    """The laws of <f, g> into tgt from the source with parts a, b, alpha and act.
-
-    No law of a morphism reads the self-action of the source's B, so the
-    source is given by its parts, with B as a bare group: an enumerator
-    checks a candidate source once for every self-action of b.
-    """
-    yield from prefixed("f", hom_violations(a.group, tgt.A.group, fm))
-    yield from prefixed("g", hom_violations(b, tgt.B.group, gm))
-    yield from square_violations(alpha, tgt.alpha.map, fm, gm)
-    yield from morphism_equivariance_violations(act, tgt.action.act, fm, gm)
-    yield from action_preserved_violations(a, tgt.A, fm, "domain_action_preserved")
+    yield from prefixed("f", hom_violations(src.A.group, tgt.A.group, fm))
+    yield from prefixed("g", hom_violations(src.B.group, tgt.B.group, gm))
+    yield from square_violations(src.alpha.map, tgt.alpha.map, fm, gm)
+    yield from morphism_equivariance_violations(src.action.act, tgt.action.act, fm, gm)
+    yield from action_preserved_violations(src.A, tgt.A, fm, "domain_action_preserved")
 
 
 def morphism_equivariance_violations(act: Table, tgt_act: Table, fm: Map, gm: Map) -> Iterator[RawViolation]:
@@ -280,19 +267,22 @@ def check_kernel_acts_trivially(x: GXMod) -> bool:
 # derived crossed modules
 
 
-def _restricted_action_table(outer: GwaObject, emb, members_pos) -> Table:
-    """Action of outer on a renumbered invariant subset via the self-action."""
+def _inclusion_gxmod(outer: GwaObject, members, name: str) -> GXMod:
+    """(H, outer, incl) for the subgroup H on members, renumbered, with outer
+    acting on it through its self-action."""
+    h, emb = sub_gwa(outer, members)
+    pos = {m: i for i, m in enumerate(emb.map)}
     act = outer.self_action.act
     rows = []
     for g in range(outer.order):
         row = []
-        for m in emb:
+        for m in emb.map:
             y = act[g][m]
-            if y not in members_pos:
+            if y not in pos:
                 raise StructuralError(f"subset not invariant under the ambient action: ^{g} {m} = {y}")
-            row.append(members_pos[y])
+            row.append(pos[y])
         rows.append(tuple(row))
-    return tuple(rows)
+    return GXMod(h, outer, emb, ExtAction(outer, h, tuple(rows)), name)
 
 
 def from_invariant_subgroup(g: GwaObject, h: Subgroup) -> GXMod:
@@ -303,28 +293,18 @@ def from_invariant_subgroup(g: GwaObject, h: Subgroup) -> GXMod:
         raise PreconditionError(
             "subobject", f"subgroup is not invariant under the ambient action at {wit}"
         )
-    h_gwa, emb = sub_gwa(g, h.members)
-    pos = {m: i for i, m in enumerate(emb.map)}
-    table = _restricted_action_table(g, emb.map, pos)
-    return GXMod(h_gwa, g, emb, ExtAction(g, h_gwa, table), f"({h_gwa.group.name},{g.group.name},incl)")
+    x = _inclusion_gxmod(g, h.members, "")
+    return replace(x, name=f"({x.A.group.name},{g.group.name},incl)")
 
 
 def kernel_gxmod(x: GXMod) -> GXMod:
     """(ker alpha, A, incl): A acts on its kernel through the self-action."""
-    k = kernel(x.alpha)
-    k_gwa, emb = sub_gwa(x.A, k.members)
-    pos = {m: i for i, m in enumerate(emb.map)}
-    table = _restricted_action_table(x.A, emb.map, pos)
-    return GXMod(k_gwa, x.A, emb, ExtAction(x.A, k_gwa, table), "kernel")
+    return _inclusion_gxmod(x.A, kernel(x.alpha).members, "kernel")
 
 
 def image_gxmod(x: GXMod) -> GXMod:
     """(alpha(A), B, incl): B acts on the image through the self-action."""
-    k = image(x.alpha)
-    k_gwa, emb = sub_gwa(x.B, k.members)
-    pos = {m: i for i, m in enumerate(emb.map)}
-    table = _restricted_action_table(x.B, emb.map, pos)
-    return GXMod(k_gwa, x.B, emb, ExtAction(x.B, k_gwa, table), "image")
+    return _inclusion_gxmod(x.B, image(x.alpha).members, "image")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .coverlift import (
     Lifting,
     LiftingMorphism,
     covering_morphism_violations,
-    covering_parts_violations,
     covering_to_lifting,
     factorization_violations,
     functor_on_covering_morphism,
@@ -146,12 +145,15 @@ def enumerate_self_actions(g: GroupTable) -> tuple[SelfAction, ...]:
     return tuple(SelfAction(g, act) for act in _action_tables(g, g))
 
 
-@lru_cache(maxsize=None)
 def gwa_objects_for(g: GroupTable) -> tuple[GwaObject, ...]:
-    out = []
-    for i, sa in enumerate(enumerate_self_actions(g)):
-        out.append(GwaObject(g, sa, f"{g.name}#sa{i}"))
-    return tuple(out)
+    """g with each of its self-actions, the i-th named <g.name>#sa<i>."""
+    return _gwa_objects_for(g, g.name)
+
+
+@lru_cache(maxsize=None)
+def _gwa_objects_for(g: GroupTable, name: str) -> tuple[GwaObject, ...]:
+    # keyed by the name too: groups with equal tables are equal whatever their names
+    return tuple(GwaObject(g, sa, f"{name}#sa{i}") for i, sa in enumerate(enumerate_self_actions(g)))
 
 
 def gwa_objects(pool: SearchPool) -> tuple[GwaObject, ...]:
@@ -192,9 +194,14 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     factorization omega o phi = alpha, the homomorphism laws of phi and omega
     and the Peiffer condition alpha(a) . a1 = ^a a1 (with x acting through
     omega) read only the group of X.  So each group of the pool collects once
-    the pairs (omega, phi) passing those laws, and each of its self-actions
-    keeps the pairs whose phi is equivariant for it.  The liftings come out
-    by group, then self-action, then omega, then phi.
+    the pairs (omega, phi) passing the factorization and Peiffer, and each
+    of its self-actions keeps the pairs whose phi is equivariant for it.
+    The liftings come out by group, then self-action, then omega, then phi.
+
+    The homomorphism laws are not run: phi and omega come from all_homs,
+    which returns only maps that pass them.  Peiffer is run, as it follows
+    from the factorization only for a valid base, and base is not validated
+    here.
     """
     a_group, b_group = base.A.group, base.B.group
     sa = base.A.self_action.act
@@ -206,12 +213,7 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
             act = induced_action(base, om)
             for phi in all_homs(a_group, x_group):
                 pm = phi.map
-                if (
-                    holds(factorization_violations(base, pm, om))
-                    and holds(hom_violations(a_group, x_group, pm))
-                    and holds(hom_violations(x_group, b_group, om))
-                    and holds(peiffer_violations(pm, act, sa))
-                ):
+                if holds(factorization_violations(base, pm, om)) and holds(peiffer_violations(pm, act, sa)):
                     candidates.append((phi, omega, act))
         for x_gwa in gwa_objects_for(x_group):
             sx = x_gwa.self_action.act
@@ -242,14 +244,20 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
 
     Of the laws of a covering <f, g> by (A~, B~, alpha~), only the
     equivariance of alpha~, alpha~(b . a) = ^b alpha~(a), reads the
-    self-action of B~: the square g o alpha~ = alpha o f, the laws of the
-    morphism <f, g> (covering_parts_violations) and the Peiffer condition
-    read only the group of B~.  So for each f and each group of the pool the
-    pairs (g, alpha~) passing those laws are collected once, the forced
-    action built only for a g with some alpha~ past the square, and each
-    self-action of the group keeps the pairs whose alpha~ is equivariant for
-    it.  The coverings come out by f, then group, then self-action, then g,
-    then alpha~.
+    self-action of B~: the square g o alpha~ = alpha o f and the Peiffer
+    condition read only the group of B~.  So for each f and each group of
+    the pool the pairs (g, alpha~) passing those laws are collected once,
+    the forced action built only for a g with some alpha~ past the square,
+    and each self-action of the group keeps the pairs whose alpha~ is
+    equivariant for it.  The coverings come out by f, then group, then
+    self-action, then g, then alpha~.
+
+    The other laws of a covering hold by construction, so they are not run:
+    f is an automorphism; g and alpha~ come from all_homs; the square is the
+    one checked; the forced action b . a = f^-1(g(b) . f(a)) makes
+    f(b . a) = g(b) . f(a); and f preserves the self-action of A~, pulled
+    back through f.  Peiffer is run, as it follows only from a valid base,
+    and base is not validated here.
     """
     a_group = base.A.group
     na = a_group.order
@@ -275,9 +283,7 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
                             tuple(f_inv[base_act[gm[bt]][f_map[at]]] for at in range(na))
                             for bt in range(b_group.order)
                         )
-                    if holds(covering_parts_violations(a_tilde, b_group, atm, forced, base, f_map, gm)) and holds(
-                        peiffer_violations(atm, forced, sa_tilde)
-                    ):
+                    if holds(peiffer_violations(atm, forced, sa_tilde)):
                         candidates.append((g, alpha_t, forced))
             for b_gwa in gwa_objects_for(b_group):
                 sb = b_gwa.self_action.act
@@ -374,8 +380,11 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     The A-component is forced to u = (f2)^-1 o f1 by the f-triangle; only the
     B-component v is searched.  The laws of <u, v> that read u alone (the
     homomorphism law of u, u preserving the self-action of A~, the
-    f-triangle) run once for the pair; each v runs the g-triangle and the
-    laws that read it: its homomorphism law, the square and equivariance.
+    f-triangle) run once for the pair; they hold whenever c1 and c2 are
+    valid coverings, which is not checked here.  Each v runs the g-triangle
+    and the laws that read it, the square and equivariance; its
+    homomorphism law is not run, as v comes from all_homs, which returns
+    only maps that pass it.
     """
     src, tgt = c1.total, c2.total
     u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
@@ -392,7 +401,6 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
         CoveringMorphism(c1, c2, u, v)
         for v in all_homs(src.B.group, tgt.B.group)
         if holds(triangle_g_violations(c1, c2, v.map))
-        and holds(hom_violations(src.B.group, tgt.B.group, v.map))
         and holds(square_violations(alpha, tgt_alpha, u_map, v.map))
         and holds(morphism_equivariance_violations(act, tgt_act, u_map, v.map))
     )

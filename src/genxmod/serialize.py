@@ -4,12 +4,14 @@ Group / group-with-action documents:
     {"name": str, "order": n, "op": [[...]], "self_action": [[...]]}
 self_action may be omitted (trivial action).  Element indices run 0..n-1 and
 the identity must sit at index 0; loaders renumber elements to enforce this,
-rewriting dependent tables consistently.
+and read every dependent map and table in the file's numbering through one
+map reader and one table reader.  order and every entry are JSON integers.
 
 Crossed module: {"A": gwa, "B": gwa, "alpha": [...], "action": [[...]]}
 Cat1-group:     {"G": gwa, "s": [...], "t": [...]}
 Covering:       {"total": gxmod, "base": gxmod, "f": [...], "g": [...]}
 Lifting:        {"base": gxmod, "X": gwa, "phi": [...], "omega": [...]}
+Hom file:       {"map": [...], "target": gwa} or {"map": [...], "source": gwa}
 
 dumps produces canonical bytes: sorted keys, compact separators, trailing
 newline; equal structures serialize identically.
@@ -23,7 +25,7 @@ from typing import Any
 from .cat1 import GCat1
 from .coverlift import Covering, Lifting
 from .crossed import ExtAction, GXMod
-from .groups import GroupTable, Hom, group_from_op
+from .groups import GroupTable, Hom, Map, Table, group_from_op
 from .gwa import GwaObject, SelfAction, trivial_self_action
 from .search import EquivalenceReport
 from .validation import StructuralError
@@ -197,106 +199,99 @@ def equivalence_report_doc(rep: EquivalenceReport) -> dict:
 # loading documents
 
 
-def _as_table(value, rows: int, cols: int, label: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, list) or len(value) != rows:
-        raise StructuralError(f"{label}: expected {rows} rows")
-    out = []
-    for row in value:
-        if not isinstance(row, list) or len(row) != cols:
-            raise StructuralError(f"{label}: expected rows of length {cols}")
-        try:
-            out.append(tuple(int(x) for x in row))
-        except (TypeError, ValueError) as exc:
-            raise StructuralError(f"{label}: non-integer entry") from exc
+def _require_object(doc, label: str, keys=()) -> None:
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{label}: expected an object")
+    for key in keys:
+        if key not in doc:
+            raise StructuralError(f"{label}: missing key {key}")
+
+
+def _require_integers(values: list, label: str) -> None:
+    # only JSON integers: bool is a subclass of int, and int() would take
+    # floats and numeric strings
+    if any(type(x) is not int for x in values):
+        raise StructuralError(f"{label}: non-integer entry")
+
+
+def _require_range(values, size: int, label: str) -> None:
+    if any(x < 0 or x >= size for x in values):
+        raise StructuralError(f"{label}: entry out of range")
+
+
+def _renumber(values, source_perm: Map, target_perm: Map) -> Map:
+    out = [0] * len(values)
+    for old, x in enumerate(values):
+        out[source_perm[old]] = target_perm[x]
     return tuple(out)
 
 
-def _as_map(value, length: int, label: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or len(value) != length:
-        raise StructuralError(f"{label}: expected a list of length {length}")
-    try:
-        return tuple(int(x) for x in value)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{label}: non-integer entry") from exc
+def _read_map(value, source_perm: Map, target_perm: Map, label: str) -> Map:
+    """A map written in the files' numbering, checked and renumbered.
+
+    The perms are those load_gwa_doc returns for the map's source and
+    target: each takes an element's index in its file to its index here.
+    """
+    n = len(source_perm)
+    if not isinstance(value, list) or len(value) != n:
+        raise StructuralError(f"{label}: expected a list of length {n}")
+    _require_integers(value, label)
+    _require_range(value, len(target_perm), label)
+    return _renumber(value, source_perm, target_perm)
 
 
-def load_gwa_doc(doc: dict, label: str = "gwa") -> tuple[GwaObject, tuple[int, ...]]:
+def _read_table(value, row_perm: Map, col_perm: Map, value_perm: Map, label: str) -> Table:
+    """A table written in the files' numbering, checked and renumbered: its
+    rows, columns and entries through row_perm, col_perm and value_perm."""
+    rows, cols = len(row_perm), len(col_perm)
+    if not isinstance(value, list) or len(value) != rows:
+        raise StructuralError(f"{label}: expected {rows} rows")
+    for row in value:
+        if not isinstance(row, list) or len(row) != cols:
+            raise StructuralError(f"{label}: expected rows of length {cols}")
+        _require_integers(row, label)
+    _require_range([x for row in value for x in row], len(value_perm), label)
+    out: list[Map] = [()] * rows
+    for old, row in enumerate(value):
+        out[row_perm[old]] = _renumber(row, col_perm, value_perm)
+    return tuple(out)
+
+
+def load_gwa_doc(doc: dict, label: str = "gwa") -> tuple[GwaObject, Map]:
     """Parse a group/gwa document, renumbering so the identity is index 0.
 
     Returns the object and the renumbering permutation (old index -> new
-    index) so that dependent tables can be rewritten by the caller.
+    index), which the readers of the maps and tables on it take.
     """
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{label}: expected an object")
-    try:
-        order = int(doc["order"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"{label}: missing or bad order") from exc
+    _require_object(doc, label)
+    order = doc.get("order")
+    if type(order) is not int:
+        raise StructuralError(f"{label}: missing or bad order")
     if order < 1:
         raise StructuralError(f"{label}: order must be positive")
-    op = _as_table(doc.get("op"), order, order, f"{label}.op")
-    if any(x < 0 or x >= order for row in op for x in row):
-        raise StructuralError(f"{label}.op: entry out of range")
     name = str(doc.get("name", ""))
-    group = group_from_op(op, name)
     perm = tuple(range(order))
-    if group.identity != 0:
-        e = group.identity
-        new_of_old = [0] * order
-        new_index = 1
-        new_of_old[e] = 0
-        for x in range(order):
-            if x != e:
-                new_of_old[x] = new_index
-                new_index += 1
-        perm = tuple(new_of_old)
-        new_op = [[0] * order for _ in range(order)]
-        for a in range(order):
-            for b in range(order):
-                new_op[perm[a]][perm[b]] = perm[op[a][b]]
-        group = group_from_op(new_op, name)
-    if "self_action" in doc and doc["self_action"] is not None:
-        raw = _as_table(doc["self_action"], order, order, f"{label}.self_action")
-        if any(x < 0 or x >= order for row in raw for x in row):
-            raise StructuralError(f"{label}.self_action: entry out of range")
-        act = [[0] * order for _ in range(order)]
-        for a in range(order):
-            for b in range(order):
-                act[perm[a]][perm[b]] = perm[raw[a][b]]
-        action = SelfAction(group, tuple(tuple(row) for row in act))
+    group = group_from_op(_read_table(doc.get("op"), perm, perm, perm, f"{label}.op"), name)
+    e = group.identity
+    if e != 0:
+        # the identity moves to 0, the elements before it up by one
+        perm = tuple(0 if x == e else x + (x < e) for x in range(order))
+        group = group_from_op(_read_table(doc["op"], perm, perm, perm, f"{label}.op"), name)
+    if doc.get("self_action") is not None:
+        act = _read_table(doc["self_action"], perm, perm, perm, f"{label}.self_action")
+        action = SelfAction(group, act)
     else:
         action = trivial_self_action(group)
     return GwaObject(group, action, name), perm
 
 
-def _load_gxmod(doc: dict, label: str) -> tuple[GXMod, tuple[int, ...], tuple[int, ...]]:
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{label}: expected an object")
-    for key in ("A", "B", "alpha", "action"):
-        if key not in doc:
-            raise StructuralError(f"{label}: missing key {key}")
+def _load_gxmod(doc: dict, label: str) -> tuple[GXMod, Map, Map]:
+    _require_object(doc, label, ("A", "B", "alpha", "action"))
     a, perm_a = load_gwa_doc(doc["A"], f"{label}.A")
     b, perm_b = load_gwa_doc(doc["B"], f"{label}.B")
-    raw_alpha = _as_map(doc["alpha"], a.order, f"{label}.alpha")
-    if any(x < 0 or x >= b.order for x in raw_alpha):
-        raise StructuralError(f"{label}.alpha: entry out of range")
-    alpha_map = [0] * a.order
-    for old_a in range(a.order):
-        alpha_map[perm_a[old_a]] = perm_b[raw_alpha[old_a]]
-    raw_act = _as_table(doc["action"], b.order, a.order, f"{label}.action")
-    if any(x < 0 or x >= a.order for row in raw_act for x in row):
-        raise StructuralError(f"{label}.action: entry out of range")
-    act = [[0] * a.order for _ in range(b.order)]
-    for old_b in range(b.order):
-        for old_a in range(a.order):
-            act[perm_b[old_b]][perm_a[old_a]] = perm_a[raw_act[old_b][old_a]]
-    x = GXMod(
-        a,
-        b,
-        Hom(a.group, b.group, tuple(alpha_map)),
-        ExtAction(b, a, tuple(tuple(row) for row in act)),
-        str(doc.get("name", "")),
-    )
+    alpha = _read_map(doc["alpha"], perm_a, perm_b, f"{label}.alpha")
+    act = _read_table(doc["action"], perm_b, perm_a, perm_a, f"{label}.action")
+    x = GXMod(a, b, Hom(a.group, b.group, alpha), ExtAction(b, a, act), str(doc.get("name", "")))
     return x, perm_a, perm_b
 
 
@@ -305,85 +300,68 @@ def load_gxmod_doc(doc: dict, label: str = "gxmod") -> GXMod:
 
 
 def load_cat1_doc(doc: dict, label: str = "cat1") -> GCat1:
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{label}: expected an object")
-    for key in ("G", "s", "t"):
-        if key not in doc:
-            raise StructuralError(f"{label}: missing key {key}")
+    _require_object(doc, label, ("G", "s", "t"))
     g, perm = load_gwa_doc(doc["G"], f"{label}.G")
-    maps = {}
-    for key in ("s", "t"):
-        raw = _as_map(doc[key], g.order, f"{label}.{key}")
-        if any(x < 0 or x >= g.order for x in raw):
-            raise StructuralError(f"{label}.{key}: entry out of range")
-        new = [0] * g.order
-        for old in range(g.order):
-            new[perm[old]] = perm[raw[old]]
-        maps[key] = tuple(new)
-    return GCat1(
-        g,
-        Hom(g.group, g.group, maps["s"], "s"),
-        Hom(g.group, g.group, maps["t"], "t"),
-        str(doc.get("name", "")),
-    )
+    s = _read_map(doc["s"], perm, perm, f"{label}.s")
+    t = _read_map(doc["t"], perm, perm, f"{label}.t")
+    return GCat1(g, Hom(g.group, g.group, s, "s"), Hom(g.group, g.group, t, "t"), str(doc.get("name", "")))
 
 
 def load_covering_doc(doc: dict, label: str = "covering") -> Covering:
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{label}: expected an object")
-    for key in ("total", "base", "f", "g"):
-        if key not in doc:
-            raise StructuralError(f"{label}: missing key {key}")
+    _require_object(doc, label, ("total", "base", "f", "g"))
     total, perm_ta, perm_tb = _load_gxmod(doc["total"], f"{label}.total")
     base, perm_ba, perm_bb = _load_gxmod(doc["base"], f"{label}.base")
-    raw_f = _as_map(doc["f"], total.A.order, f"{label}.f")
-    raw_g = _as_map(doc["g"], total.B.order, f"{label}.g")
-    if any(x < 0 or x >= base.A.order for x in raw_f):
-        raise StructuralError(f"{label}.f: entry out of range")
-    if any(x < 0 or x >= base.B.order for x in raw_g):
-        raise StructuralError(f"{label}.g: entry out of range")
-    f = [0] * total.A.order
-    for old in range(total.A.order):
-        f[perm_ta[old]] = perm_ba[raw_f[old]]
-    g = [0] * total.B.order
-    for old in range(total.B.order):
-        g[perm_tb[old]] = perm_bb[raw_g[old]]
+    f = _read_map(doc["f"], perm_ta, perm_ba, f"{label}.f")
+    g = _read_map(doc["g"], perm_tb, perm_bb, f"{label}.g")
     return Covering(
         total,
         base,
-        Hom(total.A.group, base.A.group, tuple(f)),
-        Hom(total.B.group, base.B.group, tuple(g)),
+        Hom(total.A.group, base.A.group, f),
+        Hom(total.B.group, base.B.group, g),
         str(doc.get("name", "")),
     )
 
 
 def load_lifting_doc(doc: dict, label: str = "lifting") -> Lifting:
-    if not isinstance(doc, dict):
-        raise StructuralError(f"{label}: expected an object")
-    for key in ("base", "X", "phi", "omega"):
-        if key not in doc:
-            raise StructuralError(f"{label}: missing key {key}")
+    _require_object(doc, label, ("base", "X", "phi", "omega"))
     base, perm_ba, perm_bb = _load_gxmod(doc["base"], f"{label}.base")
     x, perm_x = load_gwa_doc(doc["X"], f"{label}.X")
-    raw_phi = _as_map(doc["phi"], base.A.order, f"{label}.phi")
-    raw_omega = _as_map(doc["omega"], x.order, f"{label}.omega")
-    if any(v < 0 or v >= x.order for v in raw_phi):
-        raise StructuralError(f"{label}.phi: entry out of range")
-    if any(v < 0 or v >= base.B.order for v in raw_omega):
-        raise StructuralError(f"{label}.omega: entry out of range")
-    phi = [0] * base.A.order
-    for old in range(base.A.order):
-        phi[perm_ba[old]] = perm_x[raw_phi[old]]
-    omega = [0] * x.order
-    for old in range(x.order):
-        omega[perm_x[old]] = perm_bb[raw_omega[old]]
+    phi = _read_map(doc["phi"], perm_ba, perm_x, f"{label}.phi")
+    omega = _read_map(doc["omega"], perm_x, perm_bb, f"{label}.omega")
     return Lifting(
         base,
         x,
-        Hom(base.A.group, x.group, tuple(phi)),
-        Hom(x.group, base.B.group, tuple(omega)),
+        Hom(base.A.group, x.group, phi),
+        Hom(x.group, base.B.group, omega),
         str(doc.get("name", "")),
     )
+
+
+def load_transport_docs(doc: dict, codomain=None, domain=None) -> tuple[GXMod, tuple | None, tuple | None]:
+    """The crossed module of doc and the isomorphisms read against it.
+
+    codomain and domain are each None or a pair (hom document, label).  The
+    hom document {"map": [...], "target": gwa} gives f: B -> target, and
+    {"map": [...], "source": gwa} gives g: source -> A, each returned as the
+    pair (map, gwa object) that transport_codomain and transport_domain take.
+    """
+    x, perm_a, perm_b = _load_gxmod(doc, "gxmod")
+    return (
+        x,
+        codomain and _load_hom(*codomain, "target", x.B, perm_b),
+        domain and _load_hom(*domain, "source", x.A, perm_a),
+    )
+
+
+def _load_hom(doc, label: str, side: str, fixed: GwaObject, fixed_perm: Map) -> tuple[Hom, GwaObject]:
+    if not isinstance(doc, dict) or "map" not in doc:
+        raise StructuralError(f"{label}: hom file needs a 'map' key")
+    if side not in doc:
+        raise StructuralError(f"{label}: hom file needs a '{side}' gwa document")
+    gw, perm = load_gwa_doc(doc[side], side)
+    if side == "target":
+        return Hom(fixed.group, gw.group, _read_map(doc["map"], fixed_perm, perm, f"{label}: map")), gw
+    return Hom(gw.group, fixed.group, _read_map(doc["map"], perm, fixed_perm, f"{label}: map")), gw
 
 
 def detect_kind(doc: dict) -> str:

@@ -52,6 +52,43 @@ def test_validate_malformed_json_exit_2(tmp_path, capsys):
     assert "structural error" in capsys.readouterr().out
 
 
+Z2_OP = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"name": "Z2", "order": 2, "op": [[0, 1.7], [1, 0]]}, "gwa.op: non-integer entry"),
+        ({"name": "Z2", "order": 2, "op": [[0, 1.0], [1, 0]]}, "gwa.op: non-integer entry"),
+        ({"name": "Z2", "order": 2, "op": [[0, True], [True, 0]]}, "gwa.op: non-integer entry"),
+        ({"name": "Z2", "order": 2, "op": [[0, "1"], [1, 0]]}, "gwa.op: non-integer entry"),
+        ({"name": "Z2", "order": 2, "op": Z2_OP, "self_action": [[0, 1], [0, 1.0]]}, "gwa.self_action: non-integer entry"),
+        ({"name": "Z2", "order": 2.9, "op": Z2_OP}, "gwa: missing or bad order"),
+        ({"name": "Z2", "order": 2.0, "op": Z2_OP}, "gwa: missing or bad order"),
+        ({"name": "Z2", "order": True, "op": [[0]]}, "gwa: missing or bad order"),
+        ({"name": "Z2", "order": "2", "op": Z2_OP}, "gwa: missing or bad order"),
+        (
+            {"A": {"order": 2, "op": Z2_OP}, "B": {"order": 2, "op": Z2_OP}, "alpha": [0, 1.0], "action": [[0, 1], [0, 1]]},
+            "gxmod.alpha: non-integer entry",
+        ),
+        (
+            {"G": {"order": 2, "op": Z2_OP}, "s": [0, 1], "t": [False, 1]},
+            "cat1.t: non-integer entry",
+        ),
+    ],
+    ids=[
+        "op_float", "op_integral_float", "op_bool", "op_string", "self_action_float",
+        "order_float", "order_integral_float", "order_bool", "order_string", "gxmod_alpha", "cat1_t",
+    ],
+)
+def test_validate_takes_only_json_integers_exit_2(tmp_path, capsys, doc, message):
+    # int() would read each of these as an integer, and the file as valid
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert f"structural error: {message}" in capsys.readouterr().out
+
+
 def test_validate_json_format(fixture_dir, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["validate", str(fixture_dir / "gx1.gxmod.json"), "--format", "json", "--out", str(out)])
@@ -129,17 +166,29 @@ def test_quotient_lifting_malformed_ideal_exit_2(fixture_dir, capsys):
     assert "--ideal" in capsys.readouterr().err
 
 
+_MALFORMED_MAPS = [
+    ("non_integer", ["a", 1], "non-integer entry"),
+    ("float", [1.0, 0], "non-integer entry"),
+    ("bool", [True, False], "non-integer entry"),
+    ("out_of_range", [0, 9], "out of range"),
+    ("too_long", [0, 1, 0], "expected a list of length 2"),
+]
+
+
 @pytest.mark.parametrize(
-    "entries, message",
-    [(["a", 1], "non-integer entry"), ([0, 9], "out of range"), ([0, 1, 0], "expected a list of length 2")],
-    ids=["non_integer", "out_of_range", "too_long"],
+    "flag, side, entries, message",
+    [
+        pytest.param(flag, side, entries, message, id=prefix + case)
+        for flag, side, prefix in (("--codomain-iso", "target", ""), ("--domain-iso", "source", "domain-"))
+        for case, entries, message in _MALFORMED_MAPS
+    ],
 )
-def test_transport_malformed_map_exit_2(fixture_dir, tmp_path, capsys, entries, message):
-    # gx1's B is Z2
-    target = json.loads((fixture_dir / "gx1.gxmod.json").read_text())["B"]
+def test_transport_malformed_map_exit_2(fixture_dir, tmp_path, capsys, flag, side, entries, message):
+    # gx1's A and B are both Z2, on which [1, 0] would be a map but no hom
+    gx = json.loads((fixture_dir / "gx1.gxmod.json").read_text())
     hom_file = tmp_path / "iso.json"
-    hom_file.write_text(dumps({"map": entries, "target": target}))
-    rc = main(["construct", "transport", "--in", str(fixture_dir / "gx1.gxmod.json"), "--codomain-iso", str(hom_file)])
+    hom_file.write_text(dumps({"map": entries, side: gx["B" if side == "target" else "A"]}))
+    rc = main(["construct", "transport", "--in", str(fixture_dir / "gx1.gxmod.json"), flag, str(hom_file)])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -198,6 +247,17 @@ def test_enumerate_self_actions(fixture_dir, tmp_path):
     rc = main(["enumerate", "self-actions", "--in", str(fixture_dir / "v4.group.json"), "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 10
+
+
+def test_enumerate_self_actions_names_them_after_the_files_group(fixture_dir, tmp_path):
+    # the catalog's V4 has the same table: cached self-actions keep each name
+    assert main(["catalog", "--bound", "4", "--out", str(tmp_path / "catalog.jsonl")]) == 0
+    doc = json.loads((fixture_dir / "v4.group.json").read_text())
+    path, out = tmp_path / "k4.json", tmp_path / "sa.jsonl"
+    path.write_text(dumps({**doc, "name": "K4"}))
+    assert main(["enumerate", "self-actions", "--in", str(path), "--out", str(out)]) == 0
+    names = [json.loads(line)["name"] for line in out.read_text().splitlines()]
+    assert names == [f"K4#sa{i}" for i in range(10)]
 
 
 def test_equivalence_exit_codes_and_determinism(fixture_dir, tmp_path):
@@ -282,6 +342,14 @@ def test_catalog_deterministic(tmp_path):
     # 1 + 1 + 1 + 2 + 10 gwa objects over orders 1..4
     assert len(lines) == 15
     assert all(json.loads(line)["valid"] for line in lines)
+
+
+def test_top_level_out_is_honoured(tmp_path, capsys):
+    top, sub = tmp_path / "top.jsonl", tmp_path / "sub.jsonl"
+    assert main(["--out", str(top), "catalog", "--bound", "2"]) == 0
+    assert main(["catalog", "--bound", "2", "--out", str(sub)]) == 0
+    assert capsys.readouterr().out == ""
+    assert top.read_bytes() == sub.read_bytes() != b""
 
 
 def test_max_morphisms_env_respected(fixture_dir, tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from genxmod.groups import (
     symmetric_group,
     trivial_group,
 )
-from genxmod.gwa import GwaObject, gwa, is_gwa_morphism
+from genxmod.gwa import GwaObject, gwa, is_gwa_morphism, trivial_self_action
 from genxmod.oracles import (
     raw_hom_maps,
     raw_is_gxmod,
@@ -316,13 +316,13 @@ def _covering_hom_sets(base, pool):
 
 
 # the laws each enumerator runs, as search looks them up; hom_violations
-# covers both components of a covering morphism
+# runs on the A-component of a covering morphism
 _ENUMERATOR_LAWS = [
     ("enumerate_liftings", _enumeration(enumerate_liftings), law)
-    for law in ("factorization_violations", "hom_violations", "peiffer_violations", "equivariance_violations")
+    for law in ("factorization_violations", "peiffer_violations", "equivariance_violations")
 ] + [
     ("enumerate_coverings", _enumeration(enumerate_coverings), law)
-    for law in ("square_violations", "covering_parts_violations", "peiffer_violations", "equivariance_violations")
+    for law in ("square_violations", "peiffer_violations", "equivariance_violations")
 ] + [
     ("covering_morphisms_between", _covering_hom_sets, law)
     for law in (
@@ -347,6 +347,31 @@ def test_every_enumerator_law_runs_on_every_candidate(base_gx3, pool4, monkeypat
     assert enumerate_objects()
     monkeypatch.setattr(search, law, lambda *args: iter([(law, (), "rejected", ())]))
     assert enumerate_objects() == ()
+
+
+@pytest.mark.parametrize("make_base", [gx1, gx2, gx3, a3_s3], ids=["gx1", "gx2", "gx3", "a3s3"])
+def test_covering_laws_enumerate_coverings_skips_hold_past_the_square(make_base):
+    # enumerate_coverings runs only the square, Peiffer and equivariance;
+    # every law of the covering <f, g> holds by construction on each
+    # (f, B~, g, alpha~) past the square, whatever the self-action of B~
+    base, pool = make_base(), standard_pool(6)
+    a_group, n = base.A.group, base.A.order
+    past_the_square = 0
+    for f in automorphisms(a_group):
+        f_inv = inverse_hom(f).map
+        a_tilde = GwaObject(a_group, search._pullback_self_action(base.A, f.map, f_inv))
+        for b_group in pool.groups:
+            b = GwaObject(b_group, trivial_self_action(b_group))
+            for g in all_homs(b_group, base.B.group):
+                forced = tuple(
+                    tuple(f_inv[base.action.act[g.map[bt]][f.map[at]]] for at in range(n)) for bt in range(b.order)
+                )
+                for alpha_t in all_homs(a_group, b_group):
+                    if holds(square_violations(alpha_t.map, base.alpha.map, f.map, g.map)):
+                        total = GXMod(a_tilde, b, alpha_t, ExtAction(b, a_tilde, forced))
+                        assert list(covering_violations(total, base, f.map, g.map)) == []
+                        past_the_square += 1
+    assert past_the_square
 
 
 def test_covering_and_lifting_iso_class_counts_match(base_gx1, base_gx3, pool4):
