@@ -15,7 +15,18 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from .crossed import ExtAction, GXMod, GXModMorphism
-from .groups import Hom, Map, check_hom_shape, compose_homs, hom_violations, image, kernel
+from .groups import (
+    Hom,
+    Map,
+    check_hom_shape,
+    compose_homs,
+    hom_violations,
+    identity_hom,
+    image,
+    kernel,
+    restrict_map,
+    restrict_table,
+)
 from .gwa import GwaObject, action_preserved_violations, sub_gwa
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
@@ -153,27 +164,14 @@ def _cat1_image(c: GCat1) -> tuple[GXMod, dict[int, int], dict[int, int]]:
     i_gwa, i_emb = sub_gwa(c.G, image(c.s).members)
     im_pos = {m: i for i, m in enumerate(i_emb.map)}
     ker_pos = {m: i for i, m in enumerate(k_emb.map)}
-    tbar = []
-    for m in k_emb.map:
-        y = c.t.map[m]
-        if y not in im_pos:
-            raise StructuralError(f"t(ker s) escapes im s at element {m}: t({m}) = {y}")
-        tbar.append(im_pos[y])
-    act = c.G.self_action.act
-    rows = []
-    for x in i_emb.map:
-        row = []
-        for m in k_emb.map:
-            y = act[x][m]
-            if y not in ker_pos:
-                raise StructuralError(f"ker s not invariant under im s at (^{x} {m}) = {y}")
-            row.append(ker_pos[y])
-        rows.append(tuple(row))
+    tbar = restrict_map(c.t.map, k_emb.map, im_pos, "t maps ker s into im s")
+    what = "invariance of ker s under im s"
+    act = restrict_table(c.G.self_action.act, i_emb.map, k_emb.map, ker_pos, what)
     x = GXMod(
         k_gwa,
         i_gwa,
-        Hom(k_gwa.group, i_gwa.group, tuple(tbar), "t|ker s"),
-        ExtAction(i_gwa, k_gwa, tuple(rows)),
+        Hom(k_gwa.group, i_gwa.group, tbar, "t|ker s"),
+        ExtAction(i_gwa, k_gwa, act),
         f"from_cat1({c.name or c.G.group.name})",
     )
     return x, ker_pos, im_pos
@@ -235,8 +233,6 @@ def commutes_violations(fm, s1, t1, s2, t2) -> Iterator[RawViolation]:
 
 
 def identity_gcat1_morphism(c: GCat1) -> GCat1Morphism:
-    from .groups import identity_hom
-
     return GCat1Morphism(c, c, identity_hom(c.G.group), "id")
 
 
@@ -255,21 +251,11 @@ def cat1_functor_on_morphism(m: GCat1Morphism) -> GXModMorphism:
     src, src_ker, src_im = _cat1_image(m.source)
     tgt, tgt_ker, tgt_im = _cat1_image(m.target)
     fm = m.f.map
-    f_ker = []
-    for v in src_ker:
-        y = fm[v]
-        if y not in tgt_ker:
-            raise StructuralError(f"f(ker s) escapes ker s' at {v}")
-        f_ker.append(tgt_ker[y])
-    f_im = []
-    for v in src_im:
-        y = fm[v]
-        if y not in tgt_im:
-            raise StructuralError(f"f(im s) escapes im s' at {v}")
-        f_im.append(tgt_im[y])
+    f_ker = restrict_map(fm, src_ker, tgt_ker, "f maps ker s into ker s'")
+    f_im = restrict_map(fm, src_im, tgt_im, "f maps im s into im s'")
     return GXModMorphism(
         src,
         tgt,
-        Hom(src.A.group, tgt.A.group, tuple(f_ker)),
-        Hom(src.B.group, tgt.B.group, tuple(f_im)),
+        Hom(src.A.group, tgt.A.group, f_ker),
+        Hom(src.B.group, tgt.B.group, f_im),
     )

@@ -27,6 +27,7 @@ from .crossed import (
     ExtAction,
     GXMod,
     GXModMorphism,
+    _require_gwa_iso,
     check_gxmod_morphism_shape,
     equivariance_violations,
     gxmod_morphism_violations,
@@ -47,6 +48,7 @@ from .groups import (
     image,
     inverse_hom,
     kernel,
+    restrict_map,
 )
 from .gwa import GwaObject, is_ideal, quotient_gwa, sub_gwa
 from .validation import (
@@ -357,10 +359,10 @@ def self_lifting(x: GXMod) -> Lifting:
 
 def image_lifting(x: GXMod) -> Lifting:
     """The lifting through the image of alpha, over the inclusion."""
-    img = image(x.alpha)
-    i_gwa, emb = sub_gwa(x.B, img.members)
+    i_gwa, emb = sub_gwa(x.B, image(x.alpha).members)
     pos = {v: i for i, v in enumerate(emb.map)}
-    phi = Hom(x.A.group, i_gwa.group, tuple(pos[v] for v in x.alpha.map))
+    what = "alpha maps A into im alpha"
+    phi = Hom(x.A.group, i_gwa.group, restrict_map(x.alpha.map, range(x.A.order), pos, what))
     return Lifting(x, i_gwa, phi, emb, "image")
 
 
@@ -421,8 +423,6 @@ def lifting_transport(
     The result lifts the codomain-transported base over omega' = g o omega o f^-1
     with phi' = f o phi.
     """
-    from .crossed import _require_gwa_iso
-
     _require_gwa_iso(f, l.X, new_x, "X iso")
     base2, _ = transport_codomain(l.base, g, new_b)
     phi2 = compose_homs(f, l.phi)

@@ -28,6 +28,9 @@ from .groups import (
     image,
     inverse_hom,
     kernel,
+    restrict_table,
+    validate_group,
+    validate_hom,
 )
 from .gwa import (
     GwaObject,
@@ -37,6 +40,7 @@ from .gwa import (
     is_gwa_morphism,
     is_subobject,
     sub_gwa,
+    validate_gwa,
 )
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
@@ -154,9 +158,6 @@ def equivariance_violations(alpha: Map, act: Table, sb: Table) -> Iterator[RawVi
 
 def validate_gxmod_full(x: GXMod, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
     """Validate every layer: groups, self-actions, alpha, external action, conditions."""
-    from .groups import validate_group, validate_hom
-    from .gwa import validate_gwa
-
     full = ValidationReport(x.name or "gxmod")
     full = full.merged(validate_group(x.A.group, max_violations), "A.group")
     full = full.merged(validate_gwa(x.A, max_violations), "A")
@@ -272,17 +273,9 @@ def _inclusion_gxmod(outer: GwaObject, members, name: str) -> GXMod:
     acting on it through its self-action."""
     h, emb = sub_gwa(outer, members)
     pos = {m: i for i, m in enumerate(emb.map)}
-    act = outer.self_action.act
-    rows = []
-    for g in range(outer.order):
-        row = []
-        for m in emb.map:
-            y = act[g][m]
-            if y not in pos:
-                raise StructuralError(f"subset not invariant under the ambient action: ^{g} {m} = {y}")
-            row.append(pos[y])
-        rows.append(tuple(row))
-    return GXMod(h, outer, emb, ExtAction(outer, h, tuple(rows)), name)
+    what = "invariance under the ambient action"
+    act = restrict_table(outer.self_action.act, range(outer.order), emb.map, pos, what)
+    return GXMod(h, outer, emb, ExtAction(outer, h, act), name)
 
 
 def from_invariant_subgroup(g: GwaObject, h: Subgroup) -> GXMod:

@@ -9,18 +9,22 @@ alternating subgroup into S3 with conjugation everywhere.
 
 from __future__ import annotations
 
+import itertools
+
 from .crossed import ExtAction, GXMod, from_invariant_subgroup
 from .cat1 import GCat1
 from .coverlift import Covering, Lifting, identity_covering, natural_lifting
 from .groups import (
     GroupTable,
     Hom,
+    automorphism_group,
     cyclic_group,
     identity_hom,
     klein_four_group,
     subgroup,
     symmetric_group,
     trivial_group,
+    zero_hom,
 )
 from .gwa import (
     GwaObject,
@@ -43,16 +47,7 @@ def s3_conjugation_gwa() -> GwaObject:
 
 def a3_members() -> tuple[int, ...]:
     """Indices of the even permutations inside symmetric_group(3)."""
-    s3 = symmetric_group(3)
-    import itertools
-
-    perms = sorted(itertools.permutations(range(3)))
-
-    def sign(p):
-        inv = sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j])
-        return 1 if inv % 2 == 0 else -1
-
-    return tuple(i for i, p in enumerate(perms) if sign(p) == 1)
+    return tuple(i for i in range(6) if _perm_sign(i) == 1)
 
 
 def gx1() -> GXMod:
@@ -94,9 +89,6 @@ def inner_automorphism_gxmod(g: GroupTable | None = None) -> GXMod:
     Both groups carry conjugation self-actions; defaults to G = S3, whose
     automorphisms are exactly the inner ones.
     """
-    from .groups import automorphism_group
-    from .crossed import ExtAction as _ExtAction
-
     if g is None:
         g = symmetric_group(3)
     aut_table, auts = automorphism_group(g)
@@ -110,7 +102,7 @@ def inner_automorphism_gxmod(g: GroupTable | None = None) -> GXMod:
         "inner",
     )
     act = tuple(auts[i].map for i in range(aut_table.order))
-    return GXMod(a, b, alpha, _ExtAction(b, a, act), f"inner({g.name})")
+    return GXMod(a, b, alpha, ExtAction(b, a, act), f"inner({g.name})")
 
 
 def zero_module_gxmod() -> GXMod:
@@ -119,9 +111,6 @@ def zero_module_gxmod() -> GXMod:
     Self-actions are conjugation (trivial on the abelian module), and the
     structure map sends everything to the identity.
     """
-    from .crossed import ExtAction as _ExtAction
-    from .groups import zero_hom
-
     m = gwa(cyclic_group(3), name="Z3")
     s3 = symmetric_group(3)
     b = GwaObject(s3, conjugation_self_action(s3), "S3-conj")
@@ -129,12 +118,10 @@ def zero_module_gxmod() -> GXMod:
     inv = (0, 2, 1)
     # odd permutations invert the module
     signs = [idr if _perm_sign(i) == 1 else inv for i in range(6)]
-    return GXMod(m, b, zero_hom(m.group, s3), _ExtAction(b, m, tuple(signs)), "sign-module")
+    return GXMod(m, b, zero_hom(m.group, s3), ExtAction(b, m, tuple(signs)), "sign-module")
 
 
 def _perm_sign(index: int) -> int:
-    import itertools
-
     p = sorted(itertools.permutations(range(3)))[index]
     inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if p[i] > p[j])
     return 1 if inversions % 2 == 0 else -1

@@ -45,15 +45,9 @@ class GroupTable:
     inv: tuple[int, ...]
     name: str = field(default="", compare=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
     def conjugate(self, g: int, h: int) -> int:
         """g * h * g^-1."""
         return self.op[self.op[g][h]][self.inv[g]]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def element_order(self, g: int) -> int:
         x, n = g, 1
@@ -65,9 +59,6 @@ class GroupTable:
     def is_abelian(self) -> bool:
         op = self.op
         return all(op[a][b] == op[b][a] for a in range(self.order) for b in range(self.order))
-
-    def renamed(self, name: str) -> "GroupTable":
-        return GroupTable(self.order, self.op, self.identity, self.inv, name)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name or 'order ' + str(self.order)})"
@@ -372,6 +363,33 @@ def subgroup(parent: GroupTable, members) -> Subgroup:
             if parent.op[a][b] not in s:
                 raise StructuralError(f"subgroup not closed under op at ({a},{b})")
     return Subgroup(parent, tuple(ms))
+
+
+def restrict_map(m, domain, pos: dict[int, int], what: str) -> Map:
+    """m on the members domain, each value renumbered through pos.
+
+    pos takes each member of the subgroup the values must lie in to its
+    position in ascending order.  Raises StructuralError naming the rule
+    what, the element and its value when a value lies outside that subgroup.
+    """
+    try:
+        return tuple([pos[m[x]] for x in domain])
+    except KeyError:
+        x = next(x for x in domain if m[x] not in pos)
+        raise _escape(what, x, m[x]) from None
+
+
+def restrict_table(table, rows, cols, pos: dict[int, int], what: str) -> Table:
+    """restrict_map of each row table[r], for r in rows, to cols; an escape is named by (r, c)."""
+    try:
+        return tuple([restrict_map(table[r], cols, pos, what) for r in rows])
+    except StructuralError:
+        r, c = next((r, c) for r in rows for c in cols if table[r][c] not in pos)
+        raise _escape(what, (r, c), table[r][c]) from None
+
+
+def _escape(what: str, at, value: int) -> StructuralError:
+    return StructuralError(f"{what} fails at {at}: {value} lies outside the subgroup")
 
 
 def subgroup_closure(parent: GroupTable, gens) -> Subgroup:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .groups import GroupTable, Hom, Map, Subgroup, Table, _freeze, subgroup
+from .groups import GroupTable, Hom, Map, Subgroup, Table, _freeze, restrict_map, restrict_table, subgroup
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     PreconditionError,
@@ -43,9 +43,6 @@ class GwaObject:
     @property
     def order(self) -> int:
         return self.group.order
-
-    def act(self, g: int, h: int) -> int:
-        return self.self_action.act[g][h]
 
     def __repr__(self) -> str:
         return f"GwaObject({self.name or self.group.name})"
@@ -283,25 +280,12 @@ def sub_gwa(g: GwaObject, members) -> tuple[GwaObject, Hom]:
     Members are renumbered 0..k-1 in ascending order.  Raises StructuralError
     when the subset is not closed under the restricted action.
     """
-    sub = subgroup(g.group, members)
-    ms = sub.members
+    ms = subgroup(g.group, members).members
     pos = {m: i for i, m in enumerate(ms)}
-    k = len(ms)
-    op = [[0] * k for _ in range(k)]
-    act = [[0] * k for _ in range(k)]
-    gop, gact = g.group.op, g.self_action.act
-    for i, a in enumerate(ms):
-        for j, b in enumerate(ms):
-            op[i][j] = pos[gop[a][b]]
-            y = gact[a][b]
-            if y not in pos:
-                raise StructuralError(
-                    f"subset not closed under the restricted self-action: ^{a} {b} = {y}"
-                )
-            act[i][j] = pos[y]
-    identity = pos[g.group.identity]
-    inv = tuple(pos[g.group.inv[m]] for m in ms)
-    sg = GroupTable(k, _freeze(op), identity, inv, f"{g.group.name}|sub")
-    sgwa = GwaObject(sg, SelfAction(sg, _freeze(act)), f"{g.name}|sub")
+    op = restrict_table(g.group.op, ms, ms, pos, "closure under the operation")
+    act = restrict_table(g.self_action.act, ms, ms, pos, "closure under the restricted self-action")
+    inv = restrict_map(g.group.inv, ms, pos, "closure under inverses")
+    sg = GroupTable(len(ms), op, pos[g.group.identity], inv, f"{g.group.name}|sub")
+    sgwa = GwaObject(sg, SelfAction(sg, act), f"{g.name}|sub")
     emb = Hom(sg, g.group, ms, "incl")
     return sgwa, emb

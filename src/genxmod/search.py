@@ -71,6 +71,7 @@ from .groups import (
     direct_product,
     hom_violations,
     identity_hom,
+    kernel,
     klein_four_group,
     quaternion_group,
     symmetric_group,
@@ -135,7 +136,6 @@ def _action_tables(actor: GroupTable, space: GroupTable) -> tuple[Table, ...]:
     return tuple(sorted(tables))
 
 
-@lru_cache(maxsize=None)
 def enumerate_self_actions(g: GroupTable) -> tuple[SelfAction, ...]:
     """All self-action tables on g, via homomorphisms into Aut(g).
 
@@ -164,7 +164,6 @@ def gwa_objects(pool: SearchPool) -> tuple[GwaObject, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def enumerate_ext_actions(b: GwaObject, a: GwaObject) -> tuple[ExtAction, ...]:
     """All actions of b's group on a's group by automorphisms.
 
@@ -174,16 +173,16 @@ def enumerate_ext_actions(b: GwaObject, a: GwaObject) -> tuple[ExtAction, ...]:
     return tuple(ExtAction(b, a, act) for act in _action_tables(b.group, a.group))
 
 
-@lru_cache(maxsize=None)
 def enumerate_gxmods(a: GwaObject, b: GwaObject) -> tuple[GXMod, ...]:
     """All pairs (alpha, action) making (a, b) a generalized crossed module."""
     sa, sb = a.self_action.act, b.self_action.act
-    out = []
-    for alpha in all_homs(a.group, b.group):
-        for action in enumerate_ext_actions(b, a):
-            if holds(gxmod_violations(alpha.map, action.act, sa, sb)):
-                out.append(GXMod(a, b, alpha, action))
-    return tuple(out)
+    tables = _action_tables(b.group, a.group)
+    return tuple(
+        GXMod(a, b, alpha, ExtAction(b, a, act))
+        for alpha in all_homs(a.group, b.group)
+        for act in tables
+        if holds(gxmod_violations(alpha.map, act, sa, sb))
+    )
 
 
 def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
@@ -294,7 +293,6 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _structure_map_pairs(g: GroupTable) -> tuple[tuple[Hom, Hom], ...]:
     """All endomorphism pairs (s, t) with s o t = t and t o s = s, in all_homs order.
 
@@ -318,7 +316,6 @@ def _structure_map_pairs(g: GroupTable) -> tuple[tuple[Hom, Hom], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
     """Every generalized cat1-group structure on g: all self-actions, all (s, t).
 
@@ -326,8 +323,6 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
     action), then self-action preservation of s and t, then the kernel action
     law, memoized per kernel pair.
     """
-    from .groups import kernel
-
     pairs = _structure_map_pairs(g)
     out: list[GCat1] = []
     for gw in gwa_objects_for(g):

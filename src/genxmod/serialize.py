@@ -358,7 +358,7 @@ def _load_hom(doc, label: str, side: str, fixed: GwaObject, fixed_perm: Map) -> 
         raise StructuralError(f"{label}: hom file needs a 'map' key")
     if side not in doc:
         raise StructuralError(f"{label}: hom file needs a '{side}' gwa document")
-    gw, perm = load_gwa_doc(doc[side], side)
+    gw, perm = load_gwa_doc(doc[side], f"{label}: {side}")
     if side == "target":
         return Hom(fixed.group, gw.group, _read_map(doc["map"], fixed_perm, perm, f"{label}: map")), gw
     return Hom(gw.group, fixed.group, _read_map(doc["map"], perm, fixed_perm, f"{label}: map")), gw

@@ -166,31 +166,35 @@ def test_quotient_lifting_malformed_ideal_exit_2(fixture_dir, capsys):
     assert "--ideal" in capsys.readouterr().err
 
 
+# (case, map entries, op of the gwa written in the hom file or None for
+# gx1's, message with {path} and {side} filled in)
 _MALFORMED_MAPS = [
-    ("non_integer", ["a", 1], "non-integer entry"),
-    ("float", [1.0, 0], "non-integer entry"),
-    ("bool", [True, False], "non-integer entry"),
-    ("out_of_range", [0, 9], "out of range"),
-    ("too_long", [0, 1, 0], "expected a list of length 2"),
+    ("non_integer", ["a", 1], None, "non-integer entry"),
+    ("float", [1.0, 0], None, "non-integer entry"),
+    ("bool", [True, False], None, "non-integer entry"),
+    ("out_of_range", [0, 9], None, "out of range"),
+    ("too_long", [0, 1, 0], None, "expected a list of length 2"),
+    ("gwa_op", [1, 0], [[0]], "error: {path}: {side}.op: expected 2 rows"),
 ]
 
 
 @pytest.mark.parametrize(
-    "flag, side, entries, message",
+    "flag, side, entries, op, message",
     [
-        pytest.param(flag, side, entries, message, id=prefix + case)
+        pytest.param(flag, side, entries, op, message, id=prefix + case)
         for flag, side, prefix in (("--codomain-iso", "target", ""), ("--domain-iso", "source", "domain-"))
-        for case, entries, message in _MALFORMED_MAPS
+        for case, entries, op, message in _MALFORMED_MAPS
     ],
 )
-def test_transport_malformed_map_exit_2(fixture_dir, tmp_path, capsys, flag, side, entries, message):
+def test_transport_malformed_map_exit_2(fixture_dir, tmp_path, capsys, flag, side, entries, op, message):
     # gx1's A and B are both Z2, on which [1, 0] would be a map but no hom
     gx = json.loads((fixture_dir / "gx1.gxmod.json").read_text())
+    gw = gx["B" if side == "target" else "A"]
     hom_file = tmp_path / "iso.json"
-    hom_file.write_text(dumps({"map": entries, side: gx["B" if side == "target" else "A"]}))
+    hom_file.write_text(dumps({"map": entries, side: gw if op is None else {**gw, "op": op}}))
     rc = main(["construct", "transport", "--in", str(fixture_dir / "gx1.gxmod.json"), flag, str(hom_file)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert message.format(path=hom_file, side=side) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -258,6 +262,17 @@ def test_enumerate_self_actions_names_them_after_the_files_group(fixture_dir, tm
     assert main(["enumerate", "self-actions", "--in", str(path), "--out", str(out)]) == 0
     names = [json.loads(line)["name"] for line in out.read_text().splitlines()]
     assert names == [f"K4#sa{i}" for i in range(10)]
+
+
+def test_enumerate_gxmods_keeps_each_files_names(fixture_dir, tmp_path):
+    # a second run on an equal table under another name keeps that name
+    doc = json.loads((fixture_dir / "v4.group.json").read_text())
+    k4, out = tmp_path / "k4.json", tmp_path / "gxmods.jsonl"
+    k4.write_text(dumps({**doc, "name": "K4"}))
+    for path, name in ((fixture_dir / "v4.group.json", "V4"), (k4, "K4")):
+        assert main(["enumerate", "gxmods", "--in", str(path), "--in2", str(path), "--out", str(out)]) == 0
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert docs and {(d["A"]["name"], d["B"]["name"]) for d in docs} == {(name, name)}
 
 
 def test_equivalence_exit_codes_and_determinism(fixture_dir, tmp_path):

@@ -1,5 +1,9 @@
 import pytest
 
+from genxmod.cat1 import GCat1, GCat1Morphism, cat1_functor_on_morphism, cat1_to_gxmod
+from genxmod.crossed import ExtAction, GXMod, image_gxmod
+from genxmod.fixtures import s3_conjugation_gwa, v4_projection_cat1
+from genxmod.gwa import GwaObject, SelfAction, gwa, sub_gwa
 from genxmod.groups import (
     GroupTable,
     Hom,
@@ -171,3 +175,63 @@ def test_aut_orders():
     assert automorphism_group(klein_four_group())[0].order == 6
     assert automorphism_group(symmetric_group(3))[0].order == 6
     assert automorphism_group(quaternion_group())[0].order == 24
+
+
+# every subgroup restriction goes through restrict_map / restrict_table: one
+# escaping input per construction, each named by its witness and value.
+# S3 numbers its permutations in ascending order: (01) is 2, (12) is 1, (02) is 5
+
+
+def _s3_twisted_sub_gwa():
+    # odd permutations act by conjugation by (02), even ones trivially, so
+    # (01) sends itself to (02)(01)(02) = (12), outside {e, (01)}
+    s3 = symmetric_group(3)
+    ident, twist = tuple(range(6)), tuple(s3.conjugate(5, h) for h in range(6))
+    act = tuple(twist if g in (1, 2, 5) else ident for g in range(6))
+    return sub_gwa(GwaObject(s3, SelfAction(s3, act)), (0, 2))
+
+
+def _z2_onto_transposition_image_gxmod():
+    # {e, (01)} is a subgroup of S3, but conjugation by (12) sends (01) to (02)
+    a, b = gwa(cyclic_group(2)), s3_conjugation_gwa()
+    trivial = ExtAction(b, a, ((0, 1),) * 6)
+    return image_gxmod(GXMod(a, b, Hom(a.group, b.group, (0, 2)), trivial))
+
+
+def _t_escaping_cat1():
+    # s = 0 and t = 1 on Z2: t(ker s) = Z2 is not inside im s = {0}
+    g = gwa(cyclic_group(2))
+    return cat1_to_gxmod(GCat1(g, Hom(g.group, g.group, (0, 0)), identity_hom(g.group)))
+
+
+def _action_escaping_cat1():
+    # s = t = the projection of V4 onto {0, 2}; 2 acts by swapping 1 and 3,
+    # so ker s = {0, 1} is not invariant under im s
+    v4 = klein_four_group()
+    swap = (0, 3, 2, 1)
+    g = GwaObject(v4, SelfAction(v4, ((0, 1, 2, 3),) * 2 + (swap,) * 2))
+    proj = Hom(v4, v4, (0, 0, 2, 2))
+    return cat1_to_gxmod(GCat1(g, proj, proj))
+
+
+def _escaping_cat1_morphism(fm):
+    c = v4_projection_cat1()  # ker s = {0, 1}, im s = {0, 2}
+    return cat1_functor_on_morphism(GCat1Morphism(c, c, Hom(c.G.group, c.G.group, fm)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_s3_twisted_sub_gwa, "restricted self-action fails at (2, 2): 1 lies outside"),
+        (_z2_onto_transposition_image_gxmod, "ambient action fails at (1, 2): 5 lies outside"),
+        (_t_escaping_cat1, "t maps ker s into im s fails at 1: 1 lies outside"),
+        (_action_escaping_cat1, "ker s under im s fails at (2, 1): 3 lies outside"),
+        (lambda: _escaping_cat1_morphism((0, 2, 1, 3)), "f maps ker s into ker s' fails at 1: 2 lies outside"),
+        (lambda: _escaping_cat1_morphism((0, 1, 3, 2)), "f maps im s into im s' fails at 2: 3 lies outside"),
+    ],
+    ids=["sub_gwa", "image_gxmod", "cat1_t", "cat1_action", "cat1_morphism_ker", "cat1_morphism_im"],
+)
+def test_a_value_escaping_a_restriction_names_its_witness(build, message):
+    with pytest.raises(StructuralError, match="lies outside") as exc:
+        build()
+    assert message in str(exc.value)

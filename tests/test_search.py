@@ -36,6 +36,7 @@ from genxmod.oracles import (
 from genxmod.search import (
     enumerate_coverings,
     enumerate_ext_actions,
+    enumerate_gcat1s,
     enumerate_gxmods,
     enumerate_liftings,
     enumerate_self_actions,
@@ -45,6 +46,7 @@ from genxmod.search import (
     verify_equivalence,
 )
 from genxmod import search, serialize
+from genxmod.cat1 import cat1_to_gxmod
 from genxmod.coverlift import (
     Covering,
     CoveringMorphism,
@@ -198,6 +200,21 @@ def test_lemma_suite_on_enumerated_gxmods_order_4():
                 assert is_aspherical(im)
                 checked += 1
     assert checked > 100
+
+
+def test_enumerators_name_their_output_after_each_callers_objects():
+    # equal tables under two names: each call's output carries its own names
+    v4, z4 = klein_four_group(), cyclic_group(4)
+    k4, c4 = replace(v4, name="K4"), replace(z4, name="C4")
+    for group, name in ((v4, "V4"), (k4, "K4")):
+        found = enumerate_gxmods(gwa(group), gwa(group))
+        assert {(x.A.name, x.B.name) for x in found} == {(name, name)}
+        assert {e.actor.name for e in enumerate_ext_actions(gwa(group), gwa(cyclic_group(2)))} == {name}
+    for group, name in ((z4, "Z4"), (c4, "C4")):
+        assert {sa.group.name for sa in enumerate_self_actions(group)} == {name}
+        cats = enumerate_gcat1s(group)
+        assert cats[0].G.name == f"{name}#sa0"
+        assert {cat1_to_gxmod(c).name for c in cats} == {f"from_cat1({name})"}
 
 
 def test_enumerate_liftings_contains_canonical_ones(base_gx1, base_gx3, pool4):
