@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
@@ -457,7 +457,26 @@ def _extend_map(src: GroupTable, tgt: GroupTable, gens: list[int], imgs: list[in
     return tuple(m[x] for x in range(src.order))
 
 
-@lru_cache(maxsize=None)
+def _cached_per_name(fn):
+    """An lru_cache of fn keyed by the names of its GroupTable arguments as
+    well as by the arguments.
+
+    GroupTables compare by their tables alone, so a plain lru_cache would hand
+    every caller the Homs and tables built for the first equal table it saw,
+    with that table's name.  The wrapper has the cache's cache_info() and
+    cache_clear().
+    """
+    cached = lru_cache(maxsize=None)(lambda names, *args: fn(*args))
+
+    @wraps(fn)
+    def per_name(*args):
+        return cached(tuple([a.name for a in args if isinstance(a, GroupTable)]), *args)
+
+    per_name.cache_info, per_name.cache_clear = cached.cache_info, cached.cache_clear
+    return per_name
+
+
+@_cached_per_name
 def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     """Every homomorphism src -> tgt, sorted by map tuple.
 
@@ -482,12 +501,12 @@ def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_name
 def automorphisms(g: GroupTable) -> tuple[Hom, ...]:
     return tuple(f for f in all_homs(g, g) if f.is_bijective())
 
 
-@lru_cache(maxsize=None)
+@_cached_per_name
 def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
     """Aut(g) as a GroupTable over the sorted automorphism list.
 
@@ -502,3 +521,17 @@ def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
         for j, h in enumerate(auts):
             op[i][j] = index[tuple(f.map[x] for x in h.map)]
     return group_from_op(op, f"Aut({g.name})"), auts
+
+
+@_cached_per_name
+def homs_by_composite(src: GroupTable, tgt: GroupTable, outer: Map) -> dict[Map, tuple[Hom, ...]]:
+    """The homs h of all_homs(src, tgt) keyed by the composite map outer o h,
+    each key's homs in all_homs order.
+
+    Looking up a map m gives the h with outer o h = m without scanning the
+    others; the caller still has to check whatever else it needs of them.
+    """
+    out: dict[Map, list[Hom]] = {}
+    for h in all_homs(src, tgt):
+        out.setdefault(tuple(map(outer.__getitem__, h.map)), []).append(h)
+    return {m: tuple(hs) for m, hs in out.items()}

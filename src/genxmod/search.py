@@ -70,6 +70,7 @@ from .groups import (
     dihedral_group,
     direct_product,
     hom_violations,
+    homs_by_composite,
     identity_hom,
     kernel,
     klein_four_group,
@@ -361,10 +362,17 @@ def gcat1_morphisms_between(c1: GCat1, c2: GCat1) -> tuple[GCat1Morphism, ...]:
 
 
 def lifting_morphisms_between(l1: Lifting, l2: Lifting) -> tuple[LiftingMorphism, ...]:
-    """All morphisms l1 -> l2: homs between the X parts commuting with both triangles."""
+    """All morphisms l1 -> l2: homs f between the X parts commuting with both triangles.
+
+    The candidates are the homs with omega' o f = omega, looked up in
+    homs_by_composite rather than found by scanning all_homs; both triangles
+    still run on each of them.  The homomorphism law of f is not run, as f
+    comes from all_homs, which returns only maps that pass it.
+    """
+    candidates = homs_by_composite(l1.X.group, l2.X.group, l2.omega.map).get(l1.omega.map, ())
     return tuple(
         LiftingMorphism(l1, l2, f)
-        for f in all_homs(l1.X.group, l2.X.group)
+        for f in candidates
         if holds(triangle_omega_violations(l1, l2, f.map)) and holds(triangle_phi_violations(l1, l2, f.map))
     )
 
@@ -373,15 +381,20 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     """All morphisms c1 -> c2 over the common base.
 
     The A-component is forced to u = (f2)^-1 o f1 by the f-triangle; only the
-    B-component v is searched.  The laws of <u, v> that read u alone (the
+    B-component v is searched.  The candidates v are the homs with
+    g2 o v = g1, looked up in homs_by_composite rather than found by scanning
+    all_homs.  When there are any, the laws of <u, v> that read u alone (the
     homomorphism law of u, u preserving the self-action of A~, the
     f-triangle) run once for the pair; they hold whenever c1 and c2 are
-    valid coverings, which is not checked here.  Each v runs the g-triangle
-    and the laws that read it, the square and equivariance; its
-    homomorphism law is not run, as v comes from all_homs, which returns
-    only maps that pass it.
+    valid coverings, which is not checked here.  Then each candidate runs the
+    g-triangle and the laws that read v, the square and equivariance.  The
+    homomorphism law of v is not run, as v comes from all_homs, which
+    returns only maps that pass it.
     """
     src, tgt = c1.total, c2.total
+    candidates = homs_by_composite(src.B.group, tgt.B.group, c2.g.map).get(c1.g.map)
+    if candidates is None:
+        return ()
     u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
     if not (
         holds(hom_violations(src.A.group, tgt.A.group, u_map))
@@ -394,7 +407,7 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     act, tgt_act = src.action.act, tgt.action.act
     return tuple(
         CoveringMorphism(c1, c2, u, v)
-        for v in all_homs(src.B.group, tgt.B.group)
+        for v in candidates
         if holds(triangle_g_violations(c1, c2, v.map))
         and holds(square_violations(alpha, tgt_alpha, u_map, v.map))
         and holds(morphism_equivariance_violations(act, tgt_act, u_map, v.map))
@@ -490,12 +503,16 @@ def verify_equivalence(
 
     Each side is a _Category record: its objects, its hom-sets keyed by the
     positions of source and target and capped on their own, one numbering of
-    its raw maps, and the functor out of it.  One check path runs from
-    liftings to coverings and from coverings to liftings: object images,
-    morphism images, the identity and composition laws, and the search for
-    the canonical liftings (natural, image, self) and the identity covering,
-    each up to isomorphism.  The composition law reads the numbered images
-    the morphism check stored, so each distinct pair of maps is composed once.
+    its raw maps, and the functor out of it.  The hom-sets come from
+    lifting_morphisms_between and covering_morphisms_between, which look up
+    the candidates of each pair by its triangle and run every law on each
+    candidate.  One check path runs from liftings to coverings and from
+    coverings to liftings: object images, morphism images, the identity and
+    composition laws, and the search for the canonical liftings (natural,
+    image, self) and the identity covering, each up to isomorphism.  The
+    composition law reads the numbered images the morphism check stored and
+    holds positions as bitmasks, so each pair of classes of morphisms with
+    one map tuple and one image is composed once and checked by one AND.
 
     The unit of the equivalence differs between the sides, so two checks stay
     per side and report apart.  Object round trip: a lifting comes back
@@ -770,46 +787,66 @@ def _composition_law(source: _Category, target: _Category, tally: _Tally) -> Non
     """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
 
     Reads the images that _morphism_images stored: source's maps number the
-    components and target's maps the images' components.  The morphisms m1
-    with one target j, one map tuple and one image form a class, told apart
-    only by their sources.  For a class and an m2 out of j, the composite
-    m2 o m1 and the composite of the images are computed once, and one set
-    intersection counts the sources i at which the law holds: those whose
-    Hom(i, k) holds m2 o m1 with that image, the class of
-    (k, m2 o m1, F(m2) o F(m1)).  Only when some source falls short are the
-    sources looked up one by one.  A source whose Hom(i, k) has no morphism
-    with the composite maps shows the category is not closed under
-    composition (a composite map that no enumerated morphism has gets a
-    fresh id, which no key holds); it is skipped when the cap cut the
-    category short.
+    components and target's maps the images' components.  Positions are held
+    as integer bitmasks.  The morphisms out of i with one map tuple c and one
+    image are told apart only by their targets: holding[i][c, img] is the
+    mask of those k.  The morphisms into j with one map tuple and one image
+    form a class, told apart only by their sources S.
+
+    For a class (j, c1, img1, S) and an out-class (c2, img2, K) of j, the
+    composite c2 o c1 and the composite of the images are computed once.  The
+    law holds at (i, k) when k is in holding[i][composite, expected image];
+    the AND of those masks over S, memoized per (S, composite, expected), is
+    the targets at which every source passes, and when it covers K all
+    |S| * |K| pairs pass at once.  Otherwise each source's failing targets
+    are reported one by one.  One whose Hom(i, k) has no morphism with the
+    composite maps shows the category is not closed under composition (a
+    composite map that no enumerated morphism has gets a fresh id, which no
+    key holds); it is skipped when the cap cut the category short.  One that
+    has it with another image breaks the law.  The classes are keyed by
+    image, so nothing assumes the image is a function of the map ids.
     """
     images, maps, image_maps = source.images, source.maps, target.maps
-    out_of: dict[int, tuple[list, list]] = {}
-    classes: dict[tuple, set[int]] = {}
-    for key, img in images.items():
-        i, j, c1 = key
-        keys, imgs = out_of.setdefault(i, ([], []))
-        keys.append(key)
-        imgs.append(img)
-        classes.setdefault((j, c1, img), set()).add(i)
+    holding: dict[int, dict[tuple, int]] = {}
+    sources: dict[tuple, int] = {}
+    for (i, j, c), img in images.items():
+        out = holding.setdefault(i, {})
+        out[c, img] = out.get((c, img), 0) | 1 << j
+        sources[j, c, img] = sources.get((j, c, img), 0) | 1 << i
     missing = f"functor law: composite of {source.label} morphisms not enumerated"
     broken = f"functor law: composition of {source.label} morphisms not preserved"
-    nowhere: frozenset[int] = frozenset()
+    allowed_at: dict[tuple, int] = {}
     passed = 0
-    for (j, c1, img1), sources in classes.items():
-        for (_, k, c2), img2 in zip(*out_of.get(j, ((), ()))):
+    for (j, c1, img1), s_mask in sources.items():
+        for (c2, img2), k_mask in holding.get(j, {}).items():
             composite, expected = maps[c2, c1], image_maps[img2, img1]
-            preserved = len(sources & classes.get((k, composite, expected), nowhere))
-            passed += preserved
-            if preserved < len(sources):
-                for i in sources:
-                    img = images.get((i, k, composite))
-                    if img is None:
-                        if not source.cut:
-                            tally.check("functor_law", False, missing)
-                    elif img != expected:
+            key = (s_mask, composite, expected)
+            allowed = allowed_at.get(key)
+            if allowed is None:
+                allowed = -1
+                for i in _bits(s_mask):
+                    allowed &= holding[i].get((composite, expected), 0)
+                allowed_at[key] = allowed
+            if not k_mask & ~allowed:
+                passed += s_mask.bit_count() * k_mask.bit_count()
+                continue
+            for i in _bits(s_mask):
+                held = holding[i].get((composite, expected), 0) & k_mask
+                passed += held.bit_count()
+                for k in _bits(k_mask & ~held):
+                    if (i, k, composite) in images:
                         tally.check("functor_law", False, broken)
+                    elif not source.cut:
+                        tally.check("functor_law", False, missing)
     tally["functor_law", True] += passed
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _try(fn, *args):

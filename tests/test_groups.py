@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from genxmod.cat1 import GCat1, GCat1Morphism, cat1_functor_on_morphism, cat1_to_gxmod
@@ -15,6 +17,7 @@ from genxmod.groups import (
     dihedral_group,
     direct_product,
     group_from_op,
+    homs_by_composite,
     identity_hom,
     image,
     inverse_hom,
@@ -29,6 +32,7 @@ from genxmod.groups import (
     zero_hom,
 )
 from genxmod.oracles import raw_associativity_witnesses, raw_aut_maps, raw_hom_maps
+from genxmod.search import enumerate_gxmods
 from genxmod.validation import StructuralError
 
 
@@ -175,6 +179,26 @@ def test_aut_orders():
     assert automorphism_group(klein_four_group())[0].order == 6
     assert automorphism_group(symmetric_group(3))[0].order == 6
     assert automorphism_group(quaternion_group())[0].order == 24
+
+
+def test_the_table_caches_keep_each_callers_names():
+    # groups compare by their tables alone, so a cache keyed by the tables
+    # alone hands a second caller the homs and tables built for the first
+    v4 = klein_four_group()
+    k4 = replace(v4, name="K4")
+    assert all_homs(v4, v4)[0].source.name == "V4"
+    assert automorphism_group(v4)[0].name == "Aut(V4)"
+    assert homs_by_composite(v4, v4, identity_hom(v4).map)[identity_hom(v4).map][0].source.name == "V4"
+    v4_gwa = gwa(v4)
+    assert enumerate_gxmods(v4_gwa, v4_gwa)[0].alpha.source.name == "V4"
+
+    assert all_homs(k4, k4)[0].source.name == "K4"
+    assert automorphisms(k4)[0].source.name == "K4"
+    assert automorphism_group(k4)[0].name == "Aut(K4)"
+    by_composite = homs_by_composite(k4, k4, identity_hom(k4).map)
+    assert {h.source.name for homs in by_composite.values() for h in homs} == {"K4"}
+    k4_gwa = gwa(k4)
+    assert {x.alpha.source.name for x in enumerate_gxmods(k4_gwa, k4_gwa)} == {"K4"}
 
 
 # every subgroup restriction goes through restrict_map / restrict_table: one

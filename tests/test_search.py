@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from dataclasses import replace
@@ -51,10 +52,12 @@ from genxmod.coverlift import (
     Covering,
     CoveringMorphism,
     Lifting,
+    LiftingMorphism,
     covering_morphism_violations,
     covering_violations,
     factorization_violations,
     image_lifting,
+    lifting_morphism_violations,
     lifting_violations,
     natural_lifting,
     self_lifting,
@@ -321,6 +324,29 @@ def test_covering_morphisms_match_the_single_filter(make_base, bound):
             assert search.covering_morphisms_between(c1, c2) == _single_filter_covering_morphisms(c1, c2)
 
 
+def _single_filter_lifting_morphisms(l1, l2):
+    """The morphisms l1 -> l2 as one filter: every law of f on each f of all_homs."""
+    return tuple(
+        LiftingMorphism(l1, l2, f)
+        for f in all_homs(l1.X.group, l2.X.group)
+        if holds(lifting_morphism_violations(l1, l2, f.map))
+    )
+
+
+@pytest.mark.parametrize(
+    "make_base, bound",
+    [(gx1, 4), (gx3, 4), (a3_s3, 6), (lambda: _relabelled_gxmod(a3_s3(), random.Random(1)), 6)],
+    ids=["gx1-4", "gx3-4", "a3s3-6", "a3s3-relabelled-6"],
+)
+def test_lifting_morphisms_match_the_single_filter(make_base, bound):
+    # the candidates are looked up by omega' o f rather than scanned: the same
+    # morphisms as every law per f, in the same order
+    liftings = enumerate_liftings(make_base(), standard_pool(bound))
+    for l1 in liftings:
+        for l2 in liftings:
+            assert search.lifting_morphisms_between(l1, l2) == _single_filter_lifting_morphisms(l1, l2)
+
+
 def _enumeration(enumerate_objects):
     return lambda base, pool: lambda: enumerate_objects(base, pool)
 
@@ -330,6 +356,13 @@ def _covering_hom_sets(base, pool):
     enumerated at once, before any law they need is patched."""
     coverings = enumerate_coverings(base, pool)
     return lambda: tuple(m for c1 in coverings for c2 in coverings for m in search.covering_morphisms_between(c1, c2))
+
+
+def _lifting_hom_sets(base, pool):
+    """Every morphism between two liftings of base; the liftings are
+    enumerated at once, before any law they need is patched."""
+    liftings = enumerate_liftings(base, pool)
+    return lambda: tuple(m for l1 in liftings for l2 in liftings for m in search.lifting_morphisms_between(l1, l2))
 
 
 # the laws each enumerator runs, as search looks them up; hom_violations
@@ -350,6 +383,9 @@ _ENUMERATOR_LAWS = [
         "square_violations",
         "morphism_equivariance_violations",
     )
+] + [
+    ("lifting_morphisms_between", _lifting_hom_sets, law)
+    for law in ("triangle_omega_violations", "triangle_phi_violations")
 ]
 
 
@@ -606,6 +642,84 @@ def test_grouped_composition_law_matches_the_per_pair_loop(base_gx3, pool4, monk
     assert grouped == per_pair
     assert Counter(grouped.failures) == Counter(per_pair.failures)
     assert ("functor law: composite of covering morphisms not enumerated" in grouped.failures) is not cut
+
+
+@lru_cache(maxsize=None)
+def _checked_categories(fixture, bound):
+    """The (source, target) _Category pairs verify_equivalence hands to the
+    composition law for fixture's base, images stored: liftings first."""
+    categories = []
+    composition_law = search._composition_law
+    search._composition_law = lambda source, target, tally: categories.append((source, target))
+    try:
+        verify_equivalence(fixture(), standard_pool(bound))
+    finally:
+        search._composition_law = composition_law
+    return tuple(categories)
+
+
+def _classes_with_a_wrong_image(source, target):
+    """The classes of source's morphisms (target j, map ids, image) -> their
+    sources, each with another image of the same shape: every component of
+    the image sent to the identity 0.  Classes whose image is that already
+    are left out."""
+    classes = {}
+    for (i, j, c), img in source.images.items():
+        wrong = target.maps.ids(*((0,) * len(target.maps._maps[m]) for m in img))
+        if wrong != img:
+            classes.setdefault((j, c, img, wrong), []).append(i)
+    return sorted(classes.items())
+
+
+def _corrupt_a_class(source, target, rng):
+    """Every member of one class gets a wrong image."""
+    (j, c, _, wrong), members = rng.choice(_classes_with_a_wrong_image(source, target))
+    for i in members:
+        source.images[i, j, c] = wrong
+
+
+def _corrupt_a_member(source, target, rng):
+    """One morphism whose map ids another morphism has too gets a wrong
+    image, so the image is no longer a function of the map ids."""
+    shared = Counter(c for _, _, c in source.images)
+    classes = _classes_with_a_wrong_image(source, target)
+    (j, c, _, wrong), members = rng.choice([item for item in classes if shared[item[0][1]] > 1])
+    source.images[rng.choice(members), j, c] = wrong
+
+
+def _delete_a_composite(source, target, rng):
+    """The composite m2 o m1 of some composable pair, neither of them, is no
+    longer a morphism."""
+    keys = sorted(source.images)
+    while True:
+        i, j, c1 = rng.choice(keys)
+        j2, k, c2 = rng.choice([key for key in keys if key[0] == j])
+        composite = (i, k, source.maps[c2, c1])
+        if composite in source.images and composite not in ((i, j, c1), (j2, k, c2)):
+            del source.images[composite]
+            return
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["complete", "cut"])
+@pytest.mark.parametrize("fault", [_corrupt_a_class, _corrupt_a_member, _delete_a_composite])
+@pytest.mark.parametrize("side", [0, 1], ids=["liftings", "coverings"])
+@pytest.mark.parametrize("fixture, bound", [(gx1, 4), (gx3, 4), (a3_s3, 4)], ids=["gx1-4", "gx3-4", "a3s3-4"])
+def test_composition_law_matches_the_per_pair_loop_under_seeded_faults(fixture, bound, side, fault, cut):
+    # the bitmask law against the law one composable pair at a time, on a
+    # copy of one side's stored images with a fault seeded in it
+    checked, target = _checked_categories(fixture, bound)[side]
+    source = copy.copy(checked)
+    source.images = dict(checked.images)
+    source.cut = cut
+    fault(source, target, random.Random(f"{fixture.__name__}/{bound}/{side}/{fault.__name__}"))
+
+    grouped, per_pair = search._Tally(), search._Tally()
+    search._composition_law(source, target, grouped)
+    _per_pair_composition_law(source, target, per_pair)
+    assert grouped["functor_law", True] > 0
+    assert grouped["functor_law", False] > 0 or (cut and fault is _delete_a_composite)
+    assert grouped == per_pair
+    assert Counter(grouped.failures) == Counter(per_pair.failures)
 
 
 # a group with self-action that no object enumerated at bound 4 is built on
