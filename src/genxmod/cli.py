@@ -1,10 +1,19 @@
 """Command-line front end.
 
 Commands: validate, construct, enumerate, equivalence, catalog; plus
---seed-fixtures to install the shipped fixture files.  Exit codes: 0 all
-checks passed, 1 axiom or precondition failure, 2 parse/structural failure
-(including a malformed GXMOD_MAX_MORPHISMS), 3 incomplete equivalence run:
-the pool is too small or the morphism cap was reached.
+--seed-fixtures to install the shipped fixture files.  Exit codes:
+
+    0  all checks passed
+    1  an axiom or precondition failure, in an input or in the output of a
+       construction
+    2  a parse or structural failure: malformed JSON or a malformed document,
+       an unreadable input, an unwritable --out or --seed-fixtures target, a
+       malformed GXMOD_MAX_MORPHISMS
+    3  an incomplete equivalence run: the pool is too small or the morphism
+       cap was reached
+
+main maps the failures of every command to codes 1 and 2; validate alone
+reports a file's structural error itself and goes on to the next file.
 
 JSON output is canonical (sorted keys, compact separators), so repeated runs
 on the same inputs produce byte-identical files.
@@ -48,7 +57,6 @@ from .search import (
     verify_equivalence,
 )
 from .serialize import (
-    covering_doc,
     covering_docs,
     detect_kind,
     doc_for,
@@ -56,7 +64,6 @@ from .serialize import (
     equivalence_report_doc,
     gwa_doc,
     gxmod_doc,
-    lifting_doc,
     lifting_docs,
     load_any,
     load_gwa_doc,
@@ -71,6 +78,15 @@ EXIT_PARSE = 2
 EXIT_INCOMPLETE = 3
 
 
+class _ChecksFailed(Exception):
+    """The summary of a report with violations; main prints it and exits 1."""
+
+
+def _require_ok(report: ValidationReport) -> None:
+    if not report.ok:
+        raise _ChecksFailed(report.summary())
+
+
 def _read_doc(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -83,32 +99,30 @@ def _read_doc(path: str) -> dict:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StructuralError(f"{out}: {exc}") from exc
 
 
-def _validate_loaded(kind: str, obj):
+def _validate_loaded(kind: str, obj) -> ValidationReport:
+    """The full check of an object of the kind: the laws of its parts too."""
     if kind == "gwa":
-        report = validate_group(obj.group).merged(validate_gwa(obj))
-    elif kind == "gxmod":
-        report = validate_gxmod_full(obj)
-    elif kind == "cat1":
+        return validate_group(obj.group).merged(validate_gwa(obj))
+    if kind == "gxmod":
+        return validate_gxmod_full(obj)
+    if kind == "cat1":
         report = ValidationReport().merged(validate_group(obj.G.group), "G.group")
-        report = report.merged(validate_gwa(obj.G, 10)).merged(validate_gcat1(obj))
-    elif kind == "covering":
-        report = validate_gxmod_full(obj.total, 10).merged(
-            validate_gxmod_full(obj.base, 10), "base"
-        )
-        report = report.merged(validate_covering(obj))
-    elif kind == "lifting":
-        report = validate_gxmod_full(obj.base, 10).merged(validate_group(obj.X.group), "X.group")
-        report = report.merged(validate_gwa(obj.X), "X")
-        report = report.merged(validate_lifting(obj))
-    else:
-        raise StructuralError(f"unknown kind {kind}")
-    return report
+        return report.merged(validate_gwa(obj.G)).merged(validate_gcat1(obj))
+    if kind == "covering":
+        report = validate_gxmod_full(obj.total).merged(validate_gxmod_full(obj.base), "base")
+        return report.merged(validate_covering(obj))
+    # a lifting
+    report = validate_gxmod_full(obj.base).merged(validate_group(obj.X.group), "X.group")
+    return report.merged(validate_gwa(obj.X), "X").merged(validate_lifting(obj))
 
 
 def cmd_validate(args) -> int:
@@ -152,137 +166,100 @@ def _hom_file(path: str | None) -> tuple[dict, str] | None:
     return path and (_read_doc(path), path)
 
 
+def _loaded(construction):
+    """construction run on the object its input document holds."""
+    return lambda doc, args: construction(load_any(doc)[1])
+
+
+def _cat1_to_gxmod(c):
+    # the functor is defined on cat1-groups that satisfy the laws only
+    _require_ok(validate_gcat1(c))
+    return cat1_to_gxmod(c)
+
+
+def _quotient_lifting(doc: dict, args):
+    x = load_gxmod_doc(doc)
+    if not args.ideal:
+        raise StructuralError("quotient-lifting needs --ideal with member indices")
+    try:
+        members = [int(i) for i in args.ideal.split(",") if i != ""]
+    except ValueError:
+        raise StructuralError(f"--ideal must be comma-separated indices, got {args.ideal!r}") from None
+    return quotient_lifting(x, subgroup(x.A.group, members))
+
+
+def _transport(doc: dict, args):
+    # the isomorphisms are read in the gxmod file's numbering
+    x, codomain, domain = load_transport_docs(doc, _hom_file(args.codomain_iso), _hom_file(args.domain_iso))
+    if codomain and domain:
+        return transport_both(x, *codomain, *domain)[0]
+    if codomain:
+        return transport_codomain(x, *codomain)[0]
+    if domain:
+        return transport_domain(x, *domain)[0]
+    raise StructuralError("transport needs --codomain-iso and/or --domain-iso")
+
+
+# construction -> (the kind of document it takes, its build from that
+# document and the parsed arguments)
+CONSTRUCTIONS = {
+    "kernel-gxmod": ("gxmod", _loaded(kernel_gxmod)),
+    "image-gxmod": ("gxmod", _loaded(image_gxmod)),
+    "transport": ("gxmod", _transport),
+    "cat1-to-gxmod": ("cat1", _loaded(_cat1_to_gxmod)),
+    "natural-lifting": ("gxmod", _loaded(natural_lifting)),
+    "quotient-lifting": ("gxmod", _quotient_lifting),
+    "lift-to-cover": ("lifting", _loaded(lifting_to_covering)),
+    "cover-to-lift": ("covering", _loaded(covering_to_lifting)),
+}
+
+
 def cmd_construct(args) -> int:
-    try:
-        doc = _read_doc(args.input)
-        if args.construction == "transport":
-            # the isomorphisms are read in the gxmod file's numbering
-            _require_kind(detect_kind(doc), "gxmod")
-            obj, codomain, domain = load_transport_docs(
-                doc, _hom_file(args.codomain_iso), _hom_file(args.domain_iso)
-            )
-        else:
-            kind, obj = load_any(doc)
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        if args.construction == "kernel-gxmod":
-            _require_kind(kind, "gxmod")
-            result = kernel_gxmod(obj)
-            out_doc, check = gxmod_doc(result), validate_gxmod_full(result)
-        elif args.construction == "image-gxmod":
-            _require_kind(kind, "gxmod")
-            result = image_gxmod(obj)
-            out_doc, check = gxmod_doc(result), validate_gxmod_full(result)
-        elif args.construction == "cat1-to-gxmod":
-            _require_kind(kind, "cat1")
-            report = validate_gcat1(obj)
-            if not report.ok:
-                print(report.summary(), file=sys.stderr)
-                return EXIT_AXIOM
-            result = cat1_to_gxmod(obj)
-            out_doc, check = gxmod_doc(result), validate_gxmod_full(result)
-        elif args.construction == "natural-lifting":
-            _require_kind(kind, "gxmod")
-            result = natural_lifting(obj)
-            out_doc, check = lifting_doc(result), validate_lifting(result)
-        elif args.construction == "quotient-lifting":
-            _require_kind(kind, "gxmod")
-            if not args.ideal:
-                raise StructuralError("quotient-lifting needs --ideal with member indices")
-            try:
-                members = [int(x) for x in args.ideal.split(",") if x != ""]
-            except ValueError:
-                raise StructuralError(f"--ideal must be comma-separated indices, got {args.ideal!r}") from None
-            result = quotient_lifting(obj, subgroup(obj.A.group, members))
-            out_doc, check = lifting_doc(result), validate_lifting(result)
-        elif args.construction == "lift-to-cover":
-            _require_kind(kind, "lifting")
-            result = lifting_to_covering(obj)
-            out_doc, check = covering_doc(result), validate_covering(result)
-        elif args.construction == "cover-to-lift":
-            _require_kind(kind, "covering")
-            result = covering_to_lifting(obj)
-            out_doc, check = lifting_doc(result), validate_lifting(result)
-        elif args.construction == "transport":
-            if codomain and domain:
-                result, _ = transport_both(obj, *codomain, *domain)
-            elif codomain:
-                result, _ = transport_codomain(obj, *codomain)
-            elif domain:
-                result, _ = transport_domain(obj, *domain)
-            else:
-                raise StructuralError("transport needs --codomain-iso and/or --domain-iso")
-            out_doc, check = gxmod_doc(result), validate_gxmod_full(result)
-        else:
-            raise StructuralError(f"unknown construction {args.construction}")
-    except PreconditionError as exc:
-        print(f"precondition failed ({exc.condition}): {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    if not check.ok:
-        print(check.summary(), file=sys.stderr)
-        return EXIT_AXIOM
+    kind, build = CONSTRUCTIONS[args.construction]
+    doc = _read_doc(args.input)
+    _require_kind(detect_kind(doc), kind)
+    result = build(doc, args)
+    # the output gets the check that validate runs on a file of its kind
+    out_doc = doc_for(result)
+    _require_ok(_validate_loaded(detect_kind(out_doc), result))
     _write(dumps(out_doc), args.out)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        if args.what == "self-actions":
-            gw = load_gwa_doc(_read_doc(args.input))[0]
-            docs = [gwa_doc(g) for g in gwa_objects_for(gw.group)]
-        elif args.what == "ext-actions":
-            if not args.second:
-                raise StructuralError("ext-actions needs --in2 with the acted-on group")
-            actor = load_gwa_doc(_read_doc(args.input))[0]
-            space = load_gwa_doc(_read_doc(args.second))[0]
-            docs = [
-                {"actor": actor.name, "space": space.name, "act": [list(r) for r in e.act]}
-                for e in enumerate_ext_actions(actor, space)
-            ]
-        elif args.what == "gxmods":
-            if not args.second:
-                raise StructuralError("gxmods needs --in2 with the codomain group")
-            a = load_gwa_doc(_read_doc(args.input))[0]
-            b = load_gwa_doc(_read_doc(args.second))[0]
-            docs = [gxmod_doc(x) for x in enumerate_gxmods(a, b)]
-        elif args.what == "liftings":
-            base = load_gxmod_doc(_read_doc(args.input))
-            docs = lifting_docs(enumerate_liftings(base, standard_pool(args.bound)))
-        elif args.what == "coverings":
-            base = load_gxmod_doc(_read_doc(args.input))
-            docs = covering_docs(enumerate_coverings(base, standard_pool(args.bound)))
-        else:
-            raise StructuralError(f"unknown enumeration {args.what}")
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.what == "self-actions":
+        gw = load_gwa_doc(_read_doc(args.input))[0]
+        docs = [gwa_doc(g) for g in gwa_objects_for(gw.group)]
+    elif args.what == "ext-actions":
+        if not args.second:
+            raise StructuralError("ext-actions needs --in2 with the acted-on group")
+        actor = load_gwa_doc(_read_doc(args.input))[0]
+        space = load_gwa_doc(_read_doc(args.second))[0]
+        docs = [
+            {"actor": actor.name, "space": space.name, "act": [list(r) for r in e.act]}
+            for e in enumerate_ext_actions(actor, space)
+        ]
+    elif args.what == "gxmods":
+        if not args.second:
+            raise StructuralError("gxmods needs --in2 with the codomain group")
+        a = load_gwa_doc(_read_doc(args.input))[0]
+        b = load_gwa_doc(_read_doc(args.second))[0]
+        docs = [gxmod_doc(x) for x in enumerate_gxmods(a, b)]
+    elif args.what == "liftings":
+        base = load_gxmod_doc(_read_doc(args.input))
+        docs = lifting_docs(enumerate_liftings(base, standard_pool(args.bound)))
+    else:
+        base = load_gxmod_doc(_read_doc(args.input))
+        docs = covering_docs(enumerate_coverings(base, standard_pool(args.bound)))
     _write("".join(dumps(d) for d in docs), args.out)
     return EXIT_OK
 
 
 def cmd_equivalence(args) -> int:
-    try:
-        base = load_gxmod_doc(_read_doc(args.input))
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    check = validate_gxmod_full(base)
-    if not check.ok:
-        print(check.summary(), file=sys.stderr)
-        return EXIT_AXIOM
-    try:
-        pool = standard_pool(args.bound)
-        cap = morphism_cap()
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    base = load_gxmod_doc(_read_doc(args.input))
+    _require_ok(validate_gxmod_full(base))
+    pool = standard_pool(args.bound)
+    cap = morphism_cap()
     report = verify_equivalence(base, pool, cap)
     doc = equivalence_report_doc(report)
     if args.format == "human":
@@ -314,11 +291,7 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    try:
-        pool = standard_pool(args.bound)
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    pool = standard_pool(args.bound)
     docs = []
     for g in pool.groups:
         verdict = validate_group(g).ok
@@ -330,35 +303,42 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-FIXTURE_FILES = {
-    "trivial.group.json": lambda: doc_for(fixtures.fixture_groups()[0]),
-    "z2.group.json": lambda: doc_for(fixtures.fixture_groups()[1]),
-    "z3.group.json": lambda: doc_for(fixtures.fixture_groups()[2]),
-    "z4.group.json": lambda: doc_for(fixtures.fixture_groups()[3]),
-    "v4.group.json": lambda: doc_for(fixtures.fixture_groups()[4]),
-    "s3.group.json": lambda: doc_for(fixtures.fixture_groups()[5]),
-    "z8.group.json": lambda: doc_for(fixtures.fixture_groups()[6]),
-    "z4_inversion.gwa.json": lambda: doc_for(fixtures.z4_inversion_gwa()),
-    "s3_conjugation.gwa.json": lambda: doc_for(fixtures.s3_conjugation_gwa()),
-    "gx1.gxmod.json": lambda: doc_for(fixtures.gx1()),
-    "gx2.gxmod.json": lambda: doc_for(fixtures.gx2()),
-    "gx3.gxmod.json": lambda: doc_for(fixtures.gx3()),
-    "a3_s3.gxmod.json": lambda: doc_for(fixtures.a3_s3()),
-    "inner_s3.gxmod.json": lambda: doc_for(fixtures.inner_automorphism_gxmod()),
-    "sign_module.gxmod.json": lambda: doc_for(fixtures.zero_module_gxmod()),
-    "v4_projection.cat1.json": lambda: doc_for(fixtures.v4_projection_cat1()),
-    "s3_identity.cat1.json": lambda: doc_for(fixtures.s3_identity_cat1()),
-    "z2_identity.cat1.json": lambda: doc_for(fixtures.z2_identity_cat1()),
-    "gx1_identity.covering.json": lambda: doc_for(fixtures.fixture_covering()),
-    "gx3_natural.lifting.json": lambda: doc_for(fixtures.fixture_lifting()),
+# file name -> the builder of the fixture it holds
+_FIXTURES = {
+    "trivial.group.json": lambda: fixtures.fixture_groups()[0],
+    "z2.group.json": lambda: fixtures.fixture_groups()[1],
+    "z3.group.json": lambda: fixtures.fixture_groups()[2],
+    "z4.group.json": lambda: fixtures.fixture_groups()[3],
+    "v4.group.json": lambda: fixtures.fixture_groups()[4],
+    "s3.group.json": lambda: fixtures.fixture_groups()[5],
+    "z8.group.json": lambda: fixtures.fixture_groups()[6],
+    "z4_inversion.gwa.json": fixtures.z4_inversion_gwa,
+    "s3_conjugation.gwa.json": fixtures.s3_conjugation_gwa,
+    "gx1.gxmod.json": fixtures.gx1,
+    "gx2.gxmod.json": fixtures.gx2,
+    "gx3.gxmod.json": fixtures.gx3,
+    "a3_s3.gxmod.json": fixtures.a3_s3,
+    "inner_s3.gxmod.json": fixtures.inner_automorphism_gxmod,
+    "sign_module.gxmod.json": fixtures.zero_module_gxmod,
+    "v4_projection.cat1.json": fixtures.v4_projection_cat1,
+    "s3_identity.cat1.json": fixtures.s3_identity_cat1,
+    "z2_identity.cat1.json": fixtures.z2_identity_cat1,
+    "gx1_identity.covering.json": fixtures.fixture_covering,
+    "gx3_natural.lifting.json": fixtures.fixture_lifting,
 }
+# file name -> the builder of its document, as seed_fixtures and the
+# corruption corpus of the law-core tests read it
+FIXTURE_FILES = {name: (lambda build=build: doc_for(build())) for name, build in _FIXTURES.items()}
 
 
 def seed_fixtures(directory: str) -> int:
     target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StructuralError(f"{target}: {exc}") from exc
     for name, build in sorted(FIXTURE_FILES.items()):
-        (target / name).write_text(dumps(build()), encoding="utf-8")
+        _write(dumps(build()), str(target / name))
     print(f"wrote {len(FIXTURE_FILES)} fixture files to {target}")
     return EXIT_OK
 
@@ -380,32 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # one destination: a sub-command's --out leaves the top-level one alone unless given
     parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.set_defaults(run=None)
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("validate", help="validate structure files")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.add_argument("--out", default=argparse.SUPPRESS)
+    p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("construct", help="run a construction on a structure file")
-    p.add_argument(
-        "construction",
-        choices=(
-            "kernel-gxmod",
-            "image-gxmod",
-            "transport",
-            "cat1-to-gxmod",
-            "natural-lifting",
-            "quotient-lifting",
-            "lift-to-cover",
-            "cover-to-lift",
-        ),
-    )
+    p.add_argument("construction", choices=tuple(CONSTRUCTIONS))
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=argparse.SUPPRESS)
     p.add_argument("--ideal", default=None, help="comma-separated member indices")
     p.add_argument("--codomain-iso", dest="codomain_iso", default=None)
     p.add_argument("--domain-iso", dest="domain_iso", default=None)
+    p.set_defaults(run=cmd_construct)
 
     p = sub.add_parser("enumerate", help="enumerate structures as JSON lines")
     p.add_argument("what", choices=("self-actions", "ext-actions", "gxmods", "liftings", "coverings"))
@@ -413,16 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in2", dest="second", default=None, help="second input (actor/space, A/B)")
     p.add_argument("--bound", type=int, default=8)
     p.add_argument("--out", default=argparse.SUPPRESS)
+    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("equivalence", help="verify the covering/lifting equivalence for a base")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--bound", type=int, default=4)
     p.add_argument("--format", choices=("human", "json"), default="json")
     p.add_argument("--out", default=argparse.SUPPRESS)
+    p.set_defaults(run=cmd_equivalence)
 
     p = sub.add_parser("catalog", help="dump the group/self-action catalog as JSON lines")
     p.add_argument("--bound", type=int, default=8)
     p.add_argument("--out", default=argparse.SUPPRESS)
+    p.set_defaults(run=cmd_catalog)
 
     return parser
 
@@ -430,20 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed_fixtures:
-        return seed_fixtures(args.out or "fixtures")
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "construct":
-        return cmd_construct(args)
-    if args.command == "enumerate":
-        return cmd_enumerate(args)
-    if args.command == "equivalence":
-        return cmd_equivalence(args)
-    if args.command == "catalog":
-        return cmd_catalog(args)
-    parser.print_help()
-    return EXIT_OK
+    try:
+        if args.seed_fixtures:
+            return seed_fixtures(args.out or "fixtures")
+        if args.run is None:
+            parser.print_help()
+            return EXIT_OK
+        return args.run(args)
+    except StructuralError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except PreconditionError as exc:
+        print(f"precondition failed ({exc.condition}): {exc}", file=sys.stderr)
+        return EXIT_AXIOM
+    except _ChecksFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_AXIOM
 
 
 if __name__ == "__main__":

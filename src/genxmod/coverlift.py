@@ -48,9 +48,10 @@ from .groups import (
     image,
     inverse_hom,
     kernel,
+    map_through,
     restrict_map,
 )
-from .gwa import GwaObject, is_ideal, quotient_gwa, sub_gwa
+from .gwa import GwaObject, quotient_gwa, sub_gwa
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     PreconditionError,
@@ -271,17 +272,8 @@ def factor_through_covering(
     f_tilde_inv = inverse_hom(f_tilde)
     f_prime = compose_homs(f_tilde_inv, m.f)
     alpha_tilde = c.total.alpha
-    g_prime_map: list[int] = []
-    for d in range(src.B.order):
-        values = {
-            alpha_tilde.map[f_prime.map[c0]]
-            for c0 in range(src.A.order)
-            if gamma.map[c0] == d
-        }
-        if len(values) != 1:
-            raise StructuralError(f"factorization g' not well-defined over fibre of {d}: {values}")
-        g_prime_map.append(values.pop())
-    g_prime = Hom(src.B.group, c.total.B.group, tuple(g_prime_map))
+    g_prime_map = map_through(gamma.map, [alpha_tilde.map[x] for x in f_prime.map], src.B.order, "factorization g'")
+    g_prime = Hom(src.B.group, c.total.B.group, g_prime_map)
     result = GXModMorphism(src, c.total, f_prime, g_prime)
     check = validate_gxmod_morphism(result)
     if not check.ok:
@@ -379,22 +371,9 @@ def quotient_lifting(x: GXMod, n: Subgroup) -> Lifting:
         raise PreconditionError(
             "contained_in_kernel", "N is not contained in the kernel of alpha"
         )
-    ideal = is_ideal(n, x.A)
-    if not ideal.is_ideal:
-        raise PreconditionError(
-            ideal.failed_condition() or "ideal",
-            f"N is not an ideal of A: {ideal.failed_condition()} fails at {ideal.witness}",
-        )
+    # quotient_gwa raises the PreconditionError of an N that is not an ideal
     q_gwa, proj = quotient_gwa(x.A, n)
-    omega_map = [None] * q_gwa.order
-    for a in range(x.A.order):
-        c = proj.map[a]
-        v = x.alpha.map[a]
-        if omega_map[c] is None:
-            omega_map[c] = v
-        elif omega_map[c] != v:
-            raise StructuralError("omega not well-defined on cosets; N escapes ker alpha")
-    omega = Hom(q_gwa.group, x.B.group, tuple(omega_map))
+    omega = Hom(q_gwa.group, x.B.group, map_through(proj.map, x.alpha.map, q_gwa.order, "omega"))
     return Lifting(x, q_gwa, proj, omega, "quotient")
 
 
@@ -511,15 +490,8 @@ def extend_morphism_through_lifting(
                 m.f.map[x],
                 f"f({x}) = {m.f.map[x]} lies in f(ker alpha~) but not in ker phi",
             )
-    g_map: list[int] = []
-    for b in range(src.B.order):
-        values = {
-            l.phi.map[m.f.map[a]] for a in range(src.A.order) if src.alpha.map[a] == b
-        }
-        if len(values) != 1:
-            raise StructuralError(f"extension g~ not well-defined over fibre of {b}: {values}")
-        g_map.append(values.pop())
-    g_tilde = Hom(src.B.group, l.X.group, tuple(g_map))
+    g_map = map_through(src.alpha.map, [l.phi.map[x] for x in m.f.map], src.B.order, "extension g~")
+    g_tilde = Hom(src.B.group, l.X.group, g_map)
     result = GXModMorphism(src, lifting_as_gxmod(l), m.f, g_tilde)
     check = validate_gxmod_morphism(result)
     if not check.ok:

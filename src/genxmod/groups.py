@@ -392,6 +392,24 @@ def _escape(what: str, at, value: int) -> StructuralError:
     return StructuralError(f"{what} fails at {at}: {value} lies outside the subgroup")
 
 
+def map_through(key, value, size: int, what: str) -> Map:
+    """The map m on range(size) with m[key[x]] = value[x] for every x.
+
+    key and value run over one domain.  Raises StructuralError naming the
+    map what and the element d when the fibre of d under key carries two
+    values, or none.
+    """
+    out: list = [None] * size
+    for d, v in zip(key, value):
+        if out[d] is None:
+            out[d] = v
+        elif out[d] != v:
+            raise StructuralError(f"{what} not well-defined over the fibre of {d}: it carries {out[d]} and {v}")
+    if None in out:
+        raise StructuralError(f"{what} not defined at {out.index(None)}: its fibre is empty")
+    return tuple(out)
+
+
 def subgroup_closure(parent: GroupTable, gens) -> Subgroup:
     s = {parent.identity}
     frontier = list(s)

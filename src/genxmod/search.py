@@ -63,6 +63,7 @@ from .groups import (
     Hom,
     Map,
     Table,
+    _cached_per_name,
     all_homs,
     automorphism_group,
     automorphisms,
@@ -146,15 +147,10 @@ def enumerate_self_actions(g: GroupTable) -> tuple[SelfAction, ...]:
     return tuple(SelfAction(g, act) for act in _action_tables(g, g))
 
 
+@_cached_per_name
 def gwa_objects_for(g: GroupTable) -> tuple[GwaObject, ...]:
     """g with each of its self-actions, the i-th named <g.name>#sa<i>."""
-    return _gwa_objects_for(g, g.name)
-
-
-@lru_cache(maxsize=None)
-def _gwa_objects_for(g: GroupTable, name: str) -> tuple[GwaObject, ...]:
-    # keyed by the name too: groups with equal tables are equal whatever their names
-    return tuple(GwaObject(g, sa, f"{name}#sa{i}") for i, sa in enumerate(enumerate_self_actions(g)))
+    return tuple(GwaObject(g, sa, f"{g.name}#sa{i}") for i, sa in enumerate(enumerate_self_actions(g)))
 
 
 def gwa_objects(pool: SearchPool) -> tuple[GwaObject, ...]:

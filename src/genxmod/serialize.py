@@ -364,47 +364,38 @@ def _load_hom(doc, label: str, side: str, fixed: GwaObject, fixed_perm: Map) -> 
     return Hom(gw.group, fixed.group, _read_map(doc["map"], perm, fixed_perm, f"{label}: map")), gw
 
 
+# kind -> (the keys that mark its documents, its type, loader, document
+# builder), in detection order: a document that holds the keys of two kinds
+# is of the first
+_KINDS = {
+    "covering": (("total", "base"), Covering, load_covering_doc, covering_doc),
+    "lifting": (("phi", "omega"), Lifting, load_lifting_doc, lifting_doc),
+    "cat1": (("G", "s", "t"), GCat1, load_cat1_doc, cat1_doc),
+    "gxmod": (("alpha", "A", "B"), GXMod, load_gxmod_doc, gxmod_doc),
+    "gwa": (("op",), GwaObject, lambda doc: load_gwa_doc(doc)[0], gwa_doc),
+}
+
+
 def detect_kind(doc: dict) -> str:
     """Classify a parsed document by its keys."""
     if not isinstance(doc, dict):
         raise StructuralError("document is not a JSON object")
-    if "total" in doc and "base" in doc:
-        return "covering"
-    if "phi" in doc and "omega" in doc:
-        return "lifting"
-    if "G" in doc and "s" in doc and "t" in doc:
-        return "cat1"
-    if "alpha" in doc and "A" in doc and "B" in doc:
-        return "gxmod"
-    if "op" in doc:
-        return "gwa"
+    for kind, (keys, *_) in _KINDS.items():
+        if all(key in doc for key in keys):
+            return kind
     raise StructuralError("unrecognized document shape")
 
 
 def load_any(doc: dict):
     kind = detect_kind(doc)
-    if kind == "covering":
-        return kind, load_covering_doc(doc)
-    if kind == "lifting":
-        return kind, load_lifting_doc(doc)
-    if kind == "cat1":
-        return kind, load_cat1_doc(doc)
-    if kind == "gxmod":
-        return kind, load_gxmod_doc(doc)
-    return kind, load_gwa_doc(doc)[0]
+    return kind, _KINDS[kind][2](doc)
 
 
 def doc_for(obj) -> dict:
-    if isinstance(obj, Covering):
-        return covering_doc(obj)
-    if isinstance(obj, Lifting):
-        return lifting_doc(obj)
-    if isinstance(obj, GCat1):
-        return cat1_doc(obj)
-    if isinstance(obj, GXMod):
-        return gxmod_doc(obj)
-    if isinstance(obj, GwaObject):
-        return gwa_doc(obj)
+    # a bare group is written as a gwa document without its self_action
     if isinstance(obj, GroupTable):
         return group_doc(obj)
+    for _, cls, _, build in _KINDS.values():
+        if isinstance(obj, cls):
+            return build(obj)
     raise StructuralError(f"cannot serialize {type(obj).__name__}")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from genxmod.cli import main
+from genxmod.cli import CONSTRUCTIONS, main
 from genxmod.serialize import dumps
 
 
@@ -233,6 +233,68 @@ def test_transport_with_domain_iso(fixture_dir, tmp_path):
     assert rc == 0
     rc = main(["validate", str(out)])
     assert rc == 0
+
+
+def test_construct_output_gets_the_full_check(fixture_dir, tmp_path, capsys):
+    # the covering's base is the lifting's base, whose action validate rejects
+    doc = json.loads((fixture_dir / "gx3_natural.lifting.json").read_text())
+    doc["base"]["action"][1][1] = 1
+    path, out = tmp_path / "lift.json", tmp_path / "cover.json"
+    path.write_text(dumps(doc))
+    assert main(["construct", "lift-to-cover", "--in", str(path), "--out", str(out)]) == 1
+    assert "base.action.action_compatibility at (" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# construction -> the kind of document it takes, and a shipped fixture of another kind
+CONSTRUCTION_INPUTS = {
+    "kernel-gxmod": ("gxmod", "gx3_natural.lifting.json"),
+    "image-gxmod": ("gxmod", "gx1_identity.covering.json"),
+    "transport": ("gxmod", "v4_projection.cat1.json"),
+    "cat1-to-gxmod": ("cat1", "gx1.gxmod.json"),
+    "natural-lifting": ("gxmod", "z4_inversion.gwa.json"),
+    "quotient-lifting": ("gxmod", "gx3_natural.lifting.json"),
+    "lift-to-cover": ("lifting", "gx1_identity.covering.json"),
+    "cover-to-lift": ("covering", "gx3.gxmod.json"),
+}
+
+
+def test_every_construction_has_its_input_kind_pinned():
+    assert set(CONSTRUCTION_INPUTS) == set(CONSTRUCTIONS)
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTION_INPUTS))
+def test_construct_on_a_document_of_another_kind_exit_2(fixture_dir, capsys, construction):
+    kind, source = CONSTRUCTION_INPUTS[construction]
+    assert main(["construct", construction, "--in", str(fixture_dir / source)]) == 2
+    assert f"error: expected a {kind} document" in capsys.readouterr().err
+
+
+# argv with {file} for a regular file and {fx} for the fixture directory:
+# a regular file can neither hold a path under it nor be made a directory
+UNWRITABLE_OUT = {
+    "catalog": ["catalog", "--bound", "2", "--out", "{file}/out.json"],
+    "top-level-out": ["--out", "{file}/out.json", "catalog", "--bound", "2"],
+    "equivalence": ["equivalence", "--in", "{fx}/gx1.gxmod.json", "--bound", "2", "--out", "{file}/out.json"],
+    "validate-json": ["validate", "{fx}/gx1.gxmod.json", "--format", "json", "--out", "{file}/out.json"],
+    "construct": ["construct", "natural-lifting", "--in", "{fx}/gx3.gxmod.json", "--out", "{file}/out.json"],
+    "enumerate": ["enumerate", "gxmods", "--in", "{fx}/z2.group.json", "--in2", "{fx}/z2.group.json", "--out", "{file}/out.json"],
+    "seed-fixtures-under-a-file": ["--seed-fixtures", "--out", "{file}/fx"],
+    "seed-fixtures-onto-a-file": ["--seed-fixtures", "--out", "{file}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_exit_2(fixture_dir, tmp_path, capsys, command):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    argv = [arg.format(file=regular, fx=fixture_dir) for arg in UNWRITABLE_OUT[command]]
+    out = argv[argv.index("--out") + 1]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert any(line.startswith(f"error: {out}: ") for line in err.splitlines()), err
+    assert "Traceback" not in err
 
 
 def test_enumerate_gxmods(fixture_dir, tmp_path):

@@ -23,6 +23,7 @@ from genxmod.groups import (
     inverse_hom,
     kernel,
     klein_four_group,
+    map_through,
     quaternion_group,
     subgroup,
     symmetric_group,
@@ -258,4 +259,23 @@ def _escaping_cat1_morphism(fm):
 def test_a_value_escaping_a_restriction_names_its_witness(build, message):
     with pytest.raises(StructuralError, match="lies outside") as exc:
         build()
+    assert message in str(exc.value)
+
+
+def test_map_through_defines_a_map_fibre_by_fibre():
+    # Z4 -> Z2 mod 2 as the key, the values constant on each fibre
+    assert map_through((0, 1, 0, 1), (5, 7, 5, 7), 2, "m") == (5, 7)
+
+
+@pytest.mark.parametrize(
+    "key, value, size, message",
+    [
+        ((0, 1, 0, 1), (5, 7, 6, 7), 2, "g' not well-defined over the fibre of 0: it carries 5 and 6"),
+        ((0, 0, 2, 2), (5, 5, 7, 7), 3, "g' not defined at 1: its fibre is empty"),
+    ],
+    ids=["two_values", "empty_fibre"],
+)
+def test_map_through_names_the_map_and_the_element(key, value, size, message):
+    with pytest.raises(StructuralError) as exc:
+        map_through(key, value, size, "g'")
     assert message in str(exc.value)
