@@ -171,10 +171,15 @@ def _loaded(construction):
     return lambda doc, args: construction(load_any(doc)[1])
 
 
-def _cat1_to_gxmod(c):
-    # the functor is defined on cat1-groups that satisfy the laws only
-    _require_ok(validate_gcat1(c))
-    return cat1_to_gxmod(c)
+def _checked(construction, check):
+    """construction, run only on an input that passes check: it is defined
+    on objects that satisfy the laws only."""
+
+    def build(obj):
+        _require_ok(check(obj))
+        return construction(obj)
+
+    return build
 
 
 def _quotient_lifting(doc: dict, args):
@@ -203,10 +208,10 @@ def _transport(doc: dict, args):
 # construction -> (the kind of document it takes, its build from that
 # document and the parsed arguments)
 CONSTRUCTIONS = {
-    "kernel-gxmod": ("gxmod", _loaded(kernel_gxmod)),
-    "image-gxmod": ("gxmod", _loaded(image_gxmod)),
+    "kernel-gxmod": ("gxmod", _loaded(_checked(kernel_gxmod, validate_gxmod_full))),
+    "image-gxmod": ("gxmod", _loaded(_checked(image_gxmod, validate_gxmod_full))),
     "transport": ("gxmod", _transport),
-    "cat1-to-gxmod": ("cat1", _loaded(_cat1_to_gxmod)),
+    "cat1-to-gxmod": ("cat1", _loaded(_checked(cat1_to_gxmod, validate_gcat1))),
     "natural-lifting": ("gxmod", _loaded(natural_lifting)),
     "quotient-lifting": ("gxmod", _quotient_lifting),
     "lift-to-cover": ("lifting", _loaded(lifting_to_covering)),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -138,6 +139,50 @@ def _action_tables(actor: GroupTable, space: GroupTable) -> tuple[Table, ...]:
     return tuple(sorted(tables))
 
 
+# lines[k][line]: the positions i of some action tables whose k-th row (or
+# column) is line, as the bitmask of the 1 << i
+_Lines = tuple[dict[tuple[int, ...], int], ...]
+
+
+@_cached_per_name
+def _action_table_lines(actor: GroupTable, space: GroupTable, columns: bool) -> _Lines:
+    """The tables of _action_tables(actor, space) indexed by their rows, or by
+    their columns when columns is set."""
+    lines: list[dict[tuple[int, ...], int]] = [{} for _ in range(space.order if columns else actor.order)]
+    for i, act in enumerate(_action_tables(actor, space)):
+        for found, line in zip(lines, zip(*act) if columns else act):
+            found[line] = found.get(line, 0) | 1 << i
+    return tuple(lines)
+
+
+def _tables_with(lines: _Lines, pinned: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator[int]:
+    """The positions, ascending, of the tables whose k-th line is line for
+    every (k, line) in pinned, which holds at least one pair.
+
+    Looking up the lines a law pins gives the tables that agree with them
+    without testing the others; the caller still runs the law on those.  Two
+    lines pinned at one k leave no table.
+    """
+    allowed = -1
+    for k, line in pinned:
+        allowed &= lines[k].get(line, 0)
+        if not allowed:
+            return iter(())
+    return _bits(allowed)
+
+
+def _equivariant_self_actions(columns: _Lines, alpha: Map, act: Table) -> Iterator[int]:
+    """The positions in gwa_objects_for(g) of the self-actions sb of g that
+    agree with alpha(b . a) = ^b alpha(a), b acting by act, where columns is
+    _action_table_lines(g, g, True).
+
+    The law pins column alpha(a) of sb to (alpha(b . a) for each b of g), so
+    sb is fixed on g x im(alpha); when two a with one image pin different
+    columns, no self-action passes.
+    """
+    return _tables_with(columns, ((alpha[a], tuple([alpha[row[a]] for row in act])) for a in range(len(alpha))))
+
+
 def enumerate_self_actions(g: GroupTable) -> tuple[SelfAction, ...]:
     """All self-action tables on g, via homomorphisms into Aut(g).
 
@@ -171,15 +216,26 @@ def enumerate_ext_actions(b: GwaObject, a: GwaObject) -> tuple[ExtAction, ...]:
 
 
 def enumerate_gxmods(a: GwaObject, b: GwaObject) -> tuple[GXMod, ...]:
-    """All pairs (alpha, action) making (a, b) a generalized crossed module."""
+    """All pairs (alpha, action) making (a, b) a generalized crossed module.
+
+    The Peiffer condition alpha(a) . a1 = ^a a1 pins the action's rows on
+    im(alpha): row alpha(a) is row a of the self-action of a.  So for each
+    alpha the action tables are looked up by those rows, and both conditions
+    still run on each table found.  When two a with one image have different
+    rows, no table passes.  The crossed modules come out by alpha, then
+    action table.
+    """
     sa, sb = a.self_action.act, b.self_action.act
     tables = _action_tables(b.group, a.group)
-    return tuple(
-        GXMod(a, b, alpha, ExtAction(b, a, act))
-        for alpha in all_homs(a.group, b.group)
-        for act in tables
-        if holds(gxmod_violations(alpha.map, act, sa, sb))
-    )
+    rows = _action_table_lines(b.group, a.group, False)
+    out = []
+    for alpha in all_homs(a.group, b.group):
+        am = alpha.map
+        for i in _tables_with(rows, zip(am, sa)):
+            act = tables[i]
+            if holds(gxmod_violations(am, act, sa, sb)):
+                out.append(GXMod(a, b, alpha, ExtAction(b, a, act)))
+    return tuple(out)
 
 
 def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
@@ -190,8 +246,10 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     factorization omega o phi = alpha, the homomorphism laws of phi and omega
     and the Peiffer condition alpha(a) . a1 = ^a a1 (with x acting through
     omega) read only the group of X.  So each group of the pool collects once
-    the pairs (omega, phi) passing the factorization and Peiffer, and each
-    of its self-actions keeps the pairs whose phi is equivariant for it.
+    the pairs (omega, phi) passing the factorization and Peiffer.
+    Equivariance pins the self-action of X on X x im(phi), so each pair looks
+    up the self-actions that agree there (_equivariant_self_actions) and joins
+    their buckets; each self-action then runs equivariance on its bucket.
     The liftings come out by group, then self-action, then omega, then phi.
 
     The homomorphism laws are not run: phi and omega come from all_homs,
@@ -203,19 +261,22 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     sa = base.A.self_action.act
     out: list[Lifting] = []
     for x_group in pool.groups:
-        candidates = []
+        x_gwas = gwa_objects_for(x_group)
+        columns = _action_table_lines(x_group, x_group, True)
+        buckets: list[list] = [[] for _ in x_gwas]
         for omega in all_homs(x_group, b_group):
             om = omega.map
             act = induced_action(base, om)
             for phi in all_homs(a_group, x_group):
                 pm = phi.map
                 if holds(factorization_violations(base, pm, om)) and holds(peiffer_violations(pm, act, sa)):
-                    candidates.append((phi, omega, act))
-        for x_gwa in gwa_objects_for(x_group):
+                    for i in _equivariant_self_actions(columns, pm, act):
+                        buckets[i].append((phi, omega, act))
+        for x_gwa, bucket in zip(x_gwas, buckets):
             sx = x_gwa.self_action.act
             out.extend(
                 Lifting(base, x_gwa, phi, omega)
-                for phi, omega, act in candidates
+                for phi, omega, act in bucket
                 if holds(equivariance_violations(phi.map, act, sx))
             )
     return tuple(out)
@@ -243,10 +304,12 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
     self-action of B~: the square g o alpha~ = alpha o f and the Peiffer
     condition read only the group of B~.  So for each f and each group of
     the pool the pairs (g, alpha~) passing those laws are collected once,
-    the forced action built only for a g with some alpha~ past the square,
-    and each self-action of the group keeps the pairs whose alpha~ is
-    equivariant for it.  The coverings come out by f, then group, then
-    self-action, then g, then alpha~.
+    the forced action built only for a g with some alpha~ past the square.
+    Equivariance pins the self-action of B~ on B~ x im(alpha~), so each pair
+    looks up the self-actions that agree there (_equivariant_self_actions)
+    and joins their buckets; each self-action then runs equivariance on its
+    bucket.  The coverings come out by f, then group, then self-action, then
+    g, then alpha~.
 
     The other laws of a covering hold by construction, so they are not run:
     f is an automorphism; g and alpha~ come from all_homs; the square is the
@@ -266,7 +329,9 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
         sa_tilde = a_tilde.self_action.act
         f = Hom(a_group, a_group, f_map)
         for b_group in pool.groups:
-            candidates = []
+            b_gwas = gwa_objects_for(b_group)
+            columns = _action_table_lines(b_group, b_group, True)
+            buckets: list[list] = [[] for _ in b_gwas]
             for g in all_homs(b_group, base.B.group):
                 gm = g.map
                 forced = None
@@ -280,10 +345,11 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
                             for bt in range(b_group.order)
                         )
                     if holds(peiffer_violations(atm, forced, sa_tilde)):
-                        candidates.append((g, alpha_t, forced))
-            for b_gwa in gwa_objects_for(b_group):
+                        for i in _equivariant_self_actions(columns, atm, forced):
+                            buckets[i].append((g, alpha_t, forced))
+            for b_gwa, bucket in zip(b_gwas, buckets):
                 sb = b_gwa.self_action.act
-                for g, alpha_t, forced in candidates:
+                for g, alpha_t, forced in bucket:
                     if holds(equivariance_violations(alpha_t.map, forced, sb)):
                         total = GXMod(a_tilde, b_gwa, alpha_t, ExtAction(b_gwa, a_tilde, forced))
                         out.append(Covering(total, base, f, g))
@@ -318,9 +384,10 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
 
     The composition identities are filtered first (they do not involve the
     action), then self-action preservation of s and t, then the kernel action
-    law, memoized per kernel pair.
+    law, memoized per kernel pair.  The kernels of each pair are taken once,
+    before the self-actions.
     """
-    pairs = _structure_map_pairs(g)
+    pairs = [(s, t, (kernel(s).members, kernel(t).members)) for s, t in _structure_map_pairs(g)]
     out: list[GCat1] = []
     for gw in gwa_objects_for(g):
         act = gw.self_action.act
@@ -334,10 +401,9 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
             return cached
 
         kernel_cond: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        for s, t in pairs:
+        for s, t, key in pairs:
             if not ok_endo(s) or not ok_endo(t):
                 continue
-            key = (kernel(s).members, kernel(t).members)
             res = kernel_cond.get(key)
             if res is None:
                 res = kernel_cond[key] = holds(kernel_action_violations(act, *key))

@@ -246,6 +246,18 @@ def test_construct_output_gets_the_full_check(fixture_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("construction", ["kernel-gxmod", "image-gxmod"])
+def test_construct_checks_its_gxmod_input(fixture_dir, tmp_path, capsys, construction):
+    # the kernel and the image of this gxmod pass the output check; the input does not
+    doc = json.loads((fixture_dir / "gx3.gxmod.json").read_text())
+    doc["action"][1][1] = 1
+    path, out = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text(dumps(doc))
+    assert main(["construct", construction, "--in", str(path), "--out", str(out)]) == 1
+    assert "action.action_compatibility at (1, 1, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # construction -> the kind of document it takes, and a shipped fixture of another kind
 CONSTRUCTION_INPUTS = {
     "kernel-gxmod": ("gxmod", "gx3_natural.lifting.json"),

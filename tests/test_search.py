@@ -9,10 +9,12 @@ from genxmod.crossed import (
     GXMod,
     check_alpha_gwa_morphism,
     check_kernel_acts_trivially,
+    equivariance_violations,
     gxmod_violations,
     image_gxmod,
     is_aspherical,
     kernel_gxmod,
+    peiffer_violations,
     square_violations,
     transport_both,
     validate_gxmod,
@@ -57,6 +59,7 @@ from genxmod.coverlift import (
     covering_violations,
     factorization_violations,
     image_lifting,
+    induced_action,
     lifting_morphism_violations,
     lifting_violations,
     natural_lifting,
@@ -302,6 +305,93 @@ def test_enumerators_match_the_single_loop_filter(make_base, bound):
     assert enumerate_coverings(base, pool) == _single_loop_coverings(base, pool)
 
 
+def _per_self_action_liftings(base, pool):
+    """The liftings as each group's candidates past the factorization and
+    Peiffer, run through equivariance for every self-action of the group."""
+    sa = base.A.self_action.act
+    out = []
+    for x_group in pool.groups:
+        candidates = []
+        for omega in all_homs(x_group, base.B.group):
+            act = induced_action(base, omega.map)
+            for phi in all_homs(base.A.group, x_group):
+                if holds(factorization_violations(base, phi.map, omega.map)) and holds(
+                    peiffer_violations(phi.map, act, sa)
+                ):
+                    candidates.append((phi, omega, act))
+        for x in search.gwa_objects_for(x_group):
+            out.extend(
+                Lifting(base, x, phi, omega)
+                for phi, omega, act in candidates
+                if holds(equivariance_violations(phi.map, act, x.self_action.act))
+            )
+    return tuple(out)
+
+
+def _per_self_action_coverings(base, pool):
+    """The coverings as the candidates past the square and Peiffer of each f
+    and group, run through equivariance for every self-action of the group."""
+    a_group, n = base.A.group, base.A.order
+    out = []
+    for f in automorphisms(a_group):
+        f_inv = inverse_hom(f).map
+        a_tilde = GwaObject(a_group, search._pullback_self_action(base.A, f.map, f_inv))
+        for b_group in pool.groups:
+            candidates = []
+            for g in all_homs(b_group, base.B.group):
+                forced = tuple(
+                    tuple(f_inv[base.action.act[g.map[bt]][f.map[at]]] for at in range(n))
+                    for bt in range(b_group.order)
+                )
+                for alpha_t in all_homs(a_group, b_group):
+                    if holds(square_violations(alpha_t.map, base.alpha.map, f.map, g.map)) and holds(
+                        peiffer_violations(alpha_t.map, forced, a_tilde.self_action.act)
+                    ):
+                        candidates.append((g, alpha_t, forced))
+            for b in search.gwa_objects_for(b_group):
+                for g, alpha_t, forced in candidates:
+                    if holds(equivariance_violations(alpha_t.map, forced, b.self_action.act)):
+                        out.append(Covering(GXMod(a_tilde, b, alpha_t, ExtAction(b, a_tilde, forced)), base, f, g))
+    return tuple(out)
+
+
+def _per_table_gxmods(a, b):
+    """The gxmods on (a, b) as both conditions run on every (alpha, action table)."""
+    return tuple(
+        GXMod(a, b, alpha, action)
+        for alpha in all_homs(a.group, b.group)
+        for action in enumerate_ext_actions(b, a)
+        if holds(gxmod_violations(alpha.map, action.act, a.self_action.act, b.self_action.act))
+    )
+
+
+@pytest.mark.parametrize(
+    "make_base",
+    [gx1, gx3, a3_s3, lambda: _relabelled_gxmod(a3_s3(), random.Random(1))],
+    ids=["gx1", "gx3", "a3s3", "a3s3-relabelled"],
+)
+def test_enumerators_match_the_per_self_action_filter_at_bound_8(make_base):
+    # each candidate looks up the self-actions its equivariance allows: the
+    # same objects as equivariance run for every self-action, in the same order
+    base, pool = make_base(), standard_pool(8)
+    assert enumerate_liftings(base, pool) == _per_self_action_liftings(base, pool)
+    assert enumerate_coverings(base, pool) == _per_self_action_coverings(base, pool)
+
+
+def test_gxmods_match_the_per_table_filter():
+    # each alpha looks up the action tables whose rows on im(alpha) Peiffer
+    # allows: the same gxmods as both conditions on every table, in the same order
+    gwas = gwa_objects(standard_pool(6))
+    assert len(gwas) == 28
+    found = 0
+    for a in gwas:
+        for b in gwas:
+            gxmods = enumerate_gxmods(a, b)
+            assert gxmods == _per_table_gxmods(a, b)
+            found += len(gxmods)
+    assert found
+
+
 def _single_filter_covering_morphisms(c1, c2):
     """The morphisms c1 -> c2 as one filter: every law of <u, v> on each v."""
     u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
@@ -365,6 +455,10 @@ def _lifting_hom_sets(base, pool):
     return lambda: tuple(m for l1 in liftings for l2 in liftings for m in search.lifting_morphisms_between(l1, l2))
 
 
+def _gxmod_enumeration(base, pool):
+    return lambda: enumerate_gxmods(base.A, base.B)
+
+
 # the laws each enumerator runs, as search looks them up; hom_violations
 # runs on the A-component of a covering morphism
 _ENUMERATOR_LAWS = [
@@ -386,6 +480,8 @@ _ENUMERATOR_LAWS = [
 ] + [
     ("lifting_morphisms_between", _lifting_hom_sets, law)
     for law in ("triangle_omega_violations", "triangle_phi_violations")
+] + [
+    ("enumerate_gxmods", _gxmod_enumeration, "gxmod_violations"),
 ]
 
 
