@@ -450,29 +450,30 @@ def _generating_sequence(g: GroupTable) -> list[int]:
     return gens
 
 
-def _extend_map(src: GroupTable, tgt: GroupTable, gens: list[int], imgs: list[int]):
-    """Grow the partial map determined on gens by right-multiplication closure.
+def _extend_map(src: GroupTable, tgt: GroupTable, gens, imgs) -> dict[int, int] | None:
+    """The map m on the subgroup generated by gens with m(gens[i]) = imgs[i],
+    grown from the identity by right-multiplication closure.
 
-    Returns the full map when the assignment is consistent on the subgroup
-    generated by gens (the whole group for a generating sequence), else None.
+    Each step sets m(x * gens[i]) = m(x) * imgs[i].  Returns m as a dict when
+    no two steps give one element two values, which makes m a homomorphism on
+    that subgroup; else None, and then no homomorphism of any larger subgroup
+    sends gens to imgs.  The caller runs the homomorphism law itself.
     """
     m = {src.identity: tgt.identity}
     frontier = [src.identity]
+    steps = tuple(zip(gens, imgs))
     while frontier:
         x = frontier.pop()
-        fx = m[x]
-        for gi, hi in zip(gens, imgs):
-            y = src.op[x][gi]
-            fy = tgt.op[fx][hi]
+        row, trow = src.op[x], tgt.op[m[x]]
+        for gi, hi in steps:
+            y, fy = row[gi], trow[hi]
             seen = m.get(y)
             if seen is None:
                 m[y] = fy
                 frontier.append(y)
             elif seen != fy:
                 return None
-    if len(m) != src.order:
-        return None
-    return tuple(m[x] for x in range(src.order))
+    return m
 
 
 def _cached_per_name(fn):
@@ -498,23 +499,31 @@ def _cached_per_name(fn):
 def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     """Every homomorphism src -> tgt, sorted by map tuple.
 
-    Searches images of a generating sequence (pruned by element order
-    divisibility), completes each candidate by closure, then re-verifies the
-    homomorphism property on the full table.
+    Grows the images of a generating sequence one generator at a time, each
+    image drawn from the elements whose order divides the generator's.  A
+    prefix of k images is kept only when _extend_map closes it to a
+    homomorphism on the subgroup the first k generators generate, so an
+    inconsistent prefix is dropped with all its extensions.  The
+    homomorphism law still runs on every complete map.
     """
     gens = _generating_sequence(src)
-    if not gens:  # trivial source
-        return (Hom(src, tgt, (tgt.identity,) * src.order),)
     tgt_orders = [tgt.element_order(h) for h in range(tgt.order)]
-    candidates: list[list[int]] = []
-    for g in gens:
+    level: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {src.identity: tgt.identity})]
+    for k, g in enumerate(gens, 1):
         og = src.element_order(g)
-        candidates.append([h for h in range(tgt.order) if og % tgt_orders[h] == 0])
+        options = [h for h in range(tgt.order) if og % tgt_orders[h] == 0]
+        grown = []
+        for imgs, _ in level:
+            for h in options:
+                m = _extend_map(src, tgt, gens[:k], imgs + (h,))
+                if m is not None:
+                    grown.append((imgs + (h,), m))
+        level = grown
     found = []
-    for imgs in itertools.product(*candidates):
-        m = _extend_map(src, tgt, gens, list(imgs))
-        if m is not None and holds(hom_violations(src, tgt, m)):
-            found.append(Hom(src, tgt, m))
+    for _, m in level:
+        full = tuple([m[x] for x in range(src.order)])
+        if holds(hom_violations(src, tgt, full)):
+            found.append(Hom(src, tgt, full))
     found.sort(key=lambda f: f.map)
     return tuple(found)
 
@@ -529,15 +538,15 @@ def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
     """Aut(g) as a GroupTable over the sorted automorphism list.
 
     The table index of (f o h) is op[i][j] where i, j index f and h; the
-    identity automorphism sorts first, keeping the identity at index 0.
+    identity automorphism sorts first, keeping the identity at index 0.  An
+    automorphism is fixed by its images of a generating sequence, so each
+    composite is looked up by those images alone.
     """
     auts = automorphisms(g)
-    index = {f.map: i for i, f in enumerate(auts)}
-    n = len(auts)
-    op = [[0] * n for _ in range(n)]
-    for i, f in enumerate(auts):
-        for j, h in enumerate(auts):
-            op[i][j] = index[tuple(f.map[x] for x in h.map)]
+    gens = _generating_sequence(g)
+    at_gens = [tuple([f.map[x] for x in gens]) for f in auts]
+    index = {imgs: i for i, imgs in enumerate(at_gens)}
+    op = [[index[tuple([f.map[y] for y in imgs])] for imgs in at_gens] for f in auts]
     return group_from_op(op, f"Aut({g.name})"), auts
 
 

@@ -65,6 +65,7 @@ from .groups import (
     Map,
     Table,
     _cached_per_name,
+    _generating_sequence,
     all_homs,
     automorphism_group,
     automorphisms,
@@ -379,29 +380,72 @@ def _structure_map_pairs(g: GroupTable) -> tuple[tuple[Hom, Hom], ...]:
     )
 
 
+def _preserving_self_actions(rows: _Lines, gens, h: Map) -> int:
+    """The positions in gwa_objects_for(g) of the self-actions sa of g that
+    the endomorphism h preserves at each x of gens, as a bitmask, where rows
+    is _action_table_lines(g, g, False).
+
+    At x the law h(^x y) = ^h(x) h(y) says row h(x) of sa composed with h
+    equals h composed with row x, so the rows at h(x) are keyed by the first
+    composite and looked up by the second.  x -> ^x is a homomorphism into
+    Aut(g), so the law at x1 and x2 gives it at x1 * x2, and the bitmask is
+    exact on a generating sequence gens; the caller still runs the law.
+    """
+    allowed = -1
+    for x in gens:
+        after_h: dict[tuple[int, ...], int] = {}
+        for row, mask in rows[h[x]].items():
+            key = tuple([row[y] for y in h])
+            after_h[key] = after_h.get(key, 0) | mask
+        at_x = 0
+        for row, mask in rows[x].items():
+            at_x |= mask & after_h.get(tuple([h[y] for y in row]), 0)
+        allowed &= at_x
+    return allowed
+
+
 def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
     """Every generalized cat1-group structure on g: all self-actions, all (s, t).
 
-    The composition identities are filtered first (they do not involve the
-    action), then self-action preservation of s and t, then the kernel action
-    law, memoized per kernel pair.  The kernels of each pair are taken once,
-    before the self-actions.
+    The pairs (s, t) come from _structure_map_pairs, which runs the
+    interchange law without any action.  Each distinct structure map h then
+    looks up the self-actions it preserves at the generators of g
+    (_preserving_self_actions), and each pair joins the buckets of the
+    self-actions both its maps preserve there.  Each self-action runs the full
+    preservation law on the maps of its bucket, once per map, and the kernel
+    action law on each pair whose maps pass, once per kernel pair.  The
+    kernels of each pair are taken once, before the self-actions.  The
+    cat1-groups come out by self-action, then pair, as from a loop over every
+    self-action and every pair.
     """
-    pairs = [(s, t, (kernel(s).members, kernel(t).members)) for s, t in _structure_map_pairs(g)]
+    gwas = gwa_objects_for(g)
+    rows = _action_table_lines(g, g, False)
+    gens = _generating_sequence(g)
+    everyone = (1 << len(gwas)) - 1
+    preserving: dict[Map, int] = {}
+    buckets: list[list] = [[] for _ in gwas]
+    for s, t in _structure_map_pairs(g):
+        for h in (s.map, t.map):
+            if h not in preserving:
+                preserving[h] = everyone & _preserving_self_actions(rows, gens, h)
+        mask = preserving[s.map] & preserving[t.map]
+        if mask:
+            kernels = (kernel(s).members, kernel(t).members)
+            for i in _bits(mask):
+                buckets[i].append((s, t, kernels))
     out: list[GCat1] = []
-    for gw in gwa_objects_for(g):
+    for gw, bucket in zip(gwas, buckets):
         act = gw.self_action.act
-        preserving: dict[tuple[int, ...], bool] = {}
+        preserved: dict[Map, bool] = {}
 
         def ok_endo(h: Hom) -> bool:
-            cached = preserving.get(h.map)
+            cached = preserved.get(h.map)
             if cached is None:
-                cached = is_gwa_morphism(h, gw, gw)
-                preserving[h.map] = cached
+                cached = preserved[h.map] = holds(action_preserved_violations(gw, gw, h.map))
             return cached
 
         kernel_cond: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        for s, t, key in pairs:
+        for s, t, key in bucket:
             if not ok_endo(s) or not ok_endo(t):
                 continue
             res = kernel_cond.get(key)

@@ -8,6 +8,7 @@ from genxmod.cat1 import (
     compose_gcat1_morphisms,
     identity_gcat1_morphism,
     interchange_violations,
+    kernel_action_violations,
     validate_gcat1,
     validate_gcat1_morphism,
 )
@@ -19,10 +20,16 @@ from genxmod.fixtures import (
     z2_identity_cat1,
 )
 from genxmod.groups import Hom, all_homs, cyclic_group, identity_hom, kernel, zero_hom
-from genxmod.gwa import conjugation_self_action, gwa
+from genxmod.gwa import action_preserved_violations, conjugation_self_action, gwa
 from genxmod.oracles import replay_violation
 from genxmod.validation import holds
-from genxmod.search import _structure_map_pairs, enumerate_gcat1s, gcat1_morphisms_between, group_catalog
+from genxmod.search import (
+    _structure_map_pairs,
+    enumerate_gcat1s,
+    gcat1_morphisms_between,
+    group_catalog,
+    gwa_objects_for,
+)
 
 
 def test_identity_cat1_on_trivial_action_group():
@@ -198,6 +205,42 @@ def test_structure_map_pairs_match_the_brute_force_filter():
         endos = all_homs(g, g)
         brute = tuple((s, t) for s in endos for t in endos if holds(interchange_violations(s.map, t.map)))
         assert _structure_map_pairs(g) == brute, g.name
+
+
+# cat1-groups per catalog group, 3471 in all
+GCAT1_COUNTS = {
+    "1": 1, "Z2": 2, "Z3": 2, "V4": 29, "Z4": 3, "Z5": 2, "S3": 23, "Z6": 6, "Z7": 2,
+    "D4": 109, "Q8": 53, "Z2^3": 3145, "Z4xZ2": 89, "Z8": 5,
+}
+ORDER_8_SELF_ACTIONS = {"Z2^3": 736, "Q8": 52, "D4": 36, "Z4xZ2": 32, "Z8": 4}
+
+
+def _every_self_action_and_pair(g):
+    """(self-action name, s, t) of the cat1-groups on g, from the full laws
+    on every self-action and every structure-map pair, with no lookup."""
+    pairs = [(s.map, t.map, kernel(s).members, kernel(t).members) for s, t in _structure_map_pairs(g)]
+    maps = {m for s, t, _, _ in pairs for m in (s, t)}
+    found = []
+    for gw in gwa_objects_for(g):
+        preserved = {m: holds(action_preserved_violations(gw, gw, m)) for m in maps}
+        for s, t, ker_s, ker_t in pairs:
+            if preserved[s] and preserved[t] and holds(kernel_action_violations(gw.self_action.act, ker_s, ker_t)):
+                found.append((gw.name, s, t))
+    return found
+
+
+def test_enumerate_gcat1s_matches_the_loop_over_every_self_action_and_pair():
+    # the lookup of the self-actions each structure map preserves keeps
+    # every cat1-group and the order of the loop it replaces
+    counts = {}
+    for g in group_catalog():
+        found = [(c.G.name, c.s.map, c.t.map) for c in enumerate_gcat1s(g)]
+        assert found == _every_self_action_and_pair(g), g.name
+        counts[g.name] = len(found)
+    assert counts == GCAT1_COUNTS
+    assert sum(counts.values()) == 3471
+    order_8 = {g.name: len(gwa_objects_for(g)) for g in group_catalog() if g.order == 8}
+    assert order_8 == ORDER_8_SELF_ACTIONS
 
 
 def _all_cat1s():

@@ -1,7 +1,9 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
+from genxmod import groups
 from genxmod.cat1 import GCat1, GCat1Morphism, cat1_functor_on_morphism, cat1_to_gxmod
 from genxmod.crossed import ExtAction, GXMod, image_gxmod
 from genxmod.fixtures import s3_conjugation_gwa, v4_projection_cat1
@@ -9,6 +11,7 @@ from genxmod.gwa import GwaObject, SelfAction, gwa, sub_gwa
 from genxmod.groups import (
     GroupTable,
     Hom,
+    _generating_sequence,
     all_homs,
     automorphism_group,
     automorphisms,
@@ -33,7 +36,7 @@ from genxmod.groups import (
     zero_hom,
 )
 from genxmod.oracles import raw_associativity_witnesses, raw_aut_maps, raw_hom_maps
-from genxmod.search import enumerate_gxmods
+from genxmod.search import enumerate_gxmods, group_catalog
 from genxmod.validation import StructuralError
 
 
@@ -123,8 +126,6 @@ def test_kernel_image():
 
 
 def test_kernel_image_are_subgroups_for_all_small_homs():
-    from genxmod.search import group_catalog
-
     for src in group_catalog():
         for tgt in group_catalog():
             for f in all_homs(src, tgt):
@@ -147,11 +148,56 @@ def test_all_homs_against_raw_oracle():
         (klein_four_group(), symmetric_group(3)),
         (symmetric_group(3), symmetric_group(3)),
         (cyclic_group(6), symmetric_group(3)),
+        (dihedral_group(4), klein_four_group()),
+        (quaternion_group(), cyclic_group(4)),
+        (direct_product(klein_four_group(), cyclic_group(2)), cyclic_group(2)),
     ]
     for src, tgt in cases:
         fast = {f.map for f in all_homs(src, tgt)}
         raw = set(raw_hom_maps(src.op, tgt.op))
         assert fast == raw, (src.name, tgt.name)
+
+
+def _unpruned_homs(src, tgt):
+    """Every hom src -> tgt from every tuple of generator images, each image
+    of an order dividing its generator's, closed and checked in full."""
+    gens = _generating_sequence(src)
+    order = [tgt.element_order(h) for h in range(tgt.order)]
+    options = [[h for h in range(tgt.order) if src.element_order(g) % order[h] == 0] for g in gens]
+    elements = range(src.order)
+    found = []
+    for imgs in itertools.product(*options):
+        m = {src.identity: tgt.identity}
+        frontier = [src.identity]
+        while frontier:  # the first value reached wins; the law below rejects a clash
+            x = frontier.pop()
+            for g, h in zip(gens, imgs):
+                y = src.op[x][g]
+                if y not in m:
+                    m[y] = tgt.op[m[x]][h]
+                    frontier.append(y)
+        full = tuple(m[x] for x in range(src.order))
+        if all(full[src.op[a][b]] == tgt.op[full[a]][full[b]] for a in elements for b in elements):
+            found.append(full)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("src", group_catalog(), ids=lambda g: g.name)
+def test_all_homs_matches_an_unpruned_search(src):
+    # all_homs drops a prefix of generator images that is already
+    # inconsistent; the search over every tuple finds the same homs
+    targets = [*group_catalog(), automorphism_group(src)[0]]
+    for tgt in targets:
+        assert [f.map for f in all_homs(src, tgt)] == _unpruned_homs(src, tgt), (src.name, tgt.name)
+
+
+def test_all_homs_runs_the_hom_law_on_every_complete_map(monkeypatch):
+    all_homs.cache_clear()
+    monkeypatch.setattr(groups, "hom_violations", lambda *args: iter([("homomorphism", (), "rejected", ())]))
+    try:
+        assert all_homs(cyclic_group(4), cyclic_group(2)) == ()
+    finally:
+        all_homs.cache_clear()
 
 
 def test_end_s3_count():
@@ -168,10 +214,19 @@ def test_automorphisms_against_permutation_oracle():
 
 
 def test_automorphism_group_is_a_group():
-    for g in (klein_four_group(), symmetric_group(3), quaternion_group()):
+    for g in group_catalog():
         aut_table, auts = automorphism_group(g)
         assert validate_group(aut_table).ok
         assert aut_table.order == len(auts)
+
+
+def test_automorphism_group_table_is_full_map_composition():
+    # the table looks composites up by their images of the generators
+    for g in group_catalog():
+        aut_table, auts = automorphism_group(g)
+        index = {f.map: i for i, f in enumerate(auts)}
+        composed = tuple(tuple(index[tuple(f.map[x] for x in h.map)] for h in auts) for f in auts)
+        assert aut_table.op == composed, g.name
 
 
 def test_aut_orders():

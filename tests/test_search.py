@@ -459,6 +459,10 @@ def _gxmod_enumeration(base, pool):
     return lambda: enumerate_gxmods(base.A, base.B)
 
 
+def _gcat1_enumeration(base, pool):
+    return lambda: tuple(c for g in pool.groups for c in enumerate_gcat1s(g))
+
+
 # the laws each enumerator runs, as search looks them up; hom_violations
 # runs on the A-component of a covering morphism
 _ENUMERATOR_LAWS = [
@@ -482,6 +486,9 @@ _ENUMERATOR_LAWS = [
     for law in ("triangle_omega_violations", "triangle_phi_violations")
 ] + [
     ("enumerate_gxmods", _gxmod_enumeration, "gxmod_violations"),
+] + [
+    ("enumerate_gcat1s", _gcat1_enumeration, law)
+    for law in ("action_preserved_violations", "kernel_action_violations")
 ]
 
 
