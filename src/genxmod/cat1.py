@@ -26,8 +26,9 @@ from .groups import (
     kernel,
     restrict_map,
     restrict_table,
+    subgroup_embedding,
 )
-from .gwa import GwaObject, action_preserved_violations, sub_gwa
+from .gwa import GwaObject, action_preserved_violations, restricted_gwa
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     RawViolation,
@@ -159,11 +160,18 @@ def _memo_by_identity(build):
 
 @_memo_by_identity
 def _cat1_image(c: GCat1) -> tuple[GXMod, dict[int, int], dict[int, int]]:
-    """The crossed module of c, and the positions in it of the members of ker s and of im s."""
-    k_gwa, k_emb = sub_gwa(c.G, kernel(c.s).members)
-    i_gwa, i_emb = sub_gwa(c.G, image(c.s).members)
-    im_pos = {m: i for i, m in enumerate(i_emb.map)}
-    ker_pos = {m: i for i, m in enumerate(k_emb.map)}
+    """The crossed module of c, and the positions in it of the members of ker s and of im s.
+
+    The ker s and im s tables, embeddings and positions are looked up in
+    groups.subgroup_embedding's cache, shared by every cat1-group with the
+    same group and s; the restricted self-actions, t|ker s and the action of
+    im s on ker s are built for c.
+    """
+    g = c.G.group
+    k_emb, ker_pos = subgroup_embedding(g, kernel(c.s).members)
+    k_gwa = restricted_gwa(c.G, k_emb, ker_pos)
+    i_emb, im_pos = subgroup_embedding(g, image(c.s).members)
+    i_gwa = restricted_gwa(c.G, i_emb, im_pos)
     tbar = restrict_map(c.t.map, k_emb.map, im_pos, "t maps ker s into im s")
     what = "invariance of ker s under im s"
     act = restrict_table(c.G.self_action.act, i_emb.map, k_emb.map, ker_pos, what)

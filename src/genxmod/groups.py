@@ -64,6 +64,25 @@ class GroupTable:
         return f"GroupTable({self.name or 'order ' + str(self.order)})"
 
 
+def _cached_per_name(fn):
+    """An lru_cache of fn keyed by the names of its GroupTable arguments as
+    well as by the arguments.
+
+    GroupTables compare by their tables alone, so a plain lru_cache would hand
+    every caller the Homs and tables built for the first equal table it saw,
+    with that table's name.  The wrapper has the cache's cache_info() and
+    cache_clear().
+    """
+    cached = lru_cache(maxsize=None)(lambda names, *args: fn(*args))
+
+    @wraps(fn)
+    def per_name(*args):
+        return cached(tuple([a.name for a in args if isinstance(a, GroupTable)]), *args)
+
+    per_name.cache_info, per_name.cache_clear = cached.cache_info, cached.cache_clear
+    return per_name
+
+
 def group_from_op(op, name: str = "") -> GroupTable:
     """Build a GroupTable from a raw table, deriving identity and inverses.
 
@@ -388,6 +407,24 @@ def restrict_table(table, rows, cols, pos: dict[int, int], what: str) -> Table:
         raise _escape(what, (r, c), table[r][c]) from None
 
 
+@_cached_per_name
+def subgroup_embedding(parent: GroupTable, members: tuple[int, ...]) -> tuple[Hom, dict[int, int]]:
+    """The inclusion of the subgroup on members into parent, and the position of each member.
+
+    The subgroup's table, named '<parent>|sub', numbers the members in
+    ascending order.  Cached per parent name and member tuple, so callers
+    pass the members sorted and treat the position dict as read-only.
+    Raises StructuralError, and caches nothing, when members do not form a
+    subgroup.
+    """
+    ms = subgroup(parent, members).members
+    pos = {m: i for i, m in enumerate(ms)}
+    op = restrict_table(parent.op, ms, ms, pos, "closure under the operation")
+    inv = restrict_map(parent.inv, ms, pos, "closure under inverses")
+    sg = GroupTable(len(ms), op, pos[parent.identity], inv, f"{parent.name}|sub")
+    return Hom(sg, parent, ms, "incl"), pos
+
+
 def _escape(what: str, at, value: int) -> StructuralError:
     return StructuralError(f"{what} fails at {at}: {value} lies outside the subgroup")
 
@@ -474,25 +511,6 @@ def _extend_map(src: GroupTable, tgt: GroupTable, gens, imgs) -> dict[int, int] 
             elif seen != fy:
                 return None
     return m
-
-
-def _cached_per_name(fn):
-    """An lru_cache of fn keyed by the names of its GroupTable arguments as
-    well as by the arguments.
-
-    GroupTables compare by their tables alone, so a plain lru_cache would hand
-    every caller the Homs and tables built for the first equal table it saw,
-    with that table's name.  The wrapper has the cache's cache_info() and
-    cache_clear().
-    """
-    cached = lru_cache(maxsize=None)(lambda names, *args: fn(*args))
-
-    @wraps(fn)
-    def per_name(*args):
-        return cached(tuple([a.name for a in args if isinstance(a, GroupTable)]), *args)
-
-    per_name.cache_info, per_name.cache_clear = cached.cache_info, cached.cache_clear
-    return per_name
 
 
 @_cached_per_name

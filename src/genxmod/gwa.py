@@ -11,7 +11,17 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .groups import GroupTable, Hom, Map, Subgroup, Table, _freeze, restrict_map, restrict_table, subgroup
+from .groups import (
+    GroupTable,
+    Hom,
+    Map,
+    Subgroup,
+    Table,
+    _freeze,
+    restrict_table,
+    subgroup,
+    subgroup_embedding,
+)
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     PreconditionError,
@@ -277,15 +287,21 @@ def quotient_gwa(g: GwaObject, n: Subgroup) -> tuple[GwaObject, Hom]:
 def sub_gwa(g: GwaObject, members) -> tuple[GwaObject, Hom]:
     """The gwa object on a subgroup with the restricted self-action, plus its embedding.
 
-    Members are renumbered 0..k-1 in ascending order.  Raises StructuralError
-    when the subset is not closed under the restricted action.
+    Members are renumbered 0..k-1 in ascending order.  The subgroup's table
+    and embedding come from groups.subgroup_embedding's cache; only the
+    restricted self-action is built per call.  Raises StructuralError when
+    the subset is not a subgroup or not closed under the restricted action.
     """
-    ms = subgroup(g.group, members).members
-    pos = {m: i for i, m in enumerate(ms)}
-    op = restrict_table(g.group.op, ms, ms, pos, "closure under the operation")
+    emb, pos = subgroup_embedding(g.group, tuple(sorted({int(x) for x in members})))
+    return restricted_gwa(g, emb, pos), emb
+
+
+def restricted_gwa(g: GwaObject, emb: Hom, pos: dict[int, int]) -> GwaObject:
+    """g's self-action restricted to the subgroup that emb includes, named '<g>|sub'.
+
+    emb and pos are a result of groups.subgroup_embedding for g's group.
+    Raises StructuralError when the subgroup is not closed under the action.
+    """
+    ms = emb.map
     act = restrict_table(g.self_action.act, ms, ms, pos, "closure under the restricted self-action")
-    inv = restrict_map(g.group.inv, ms, pos, "closure under inverses")
-    sg = GroupTable(len(ms), op, pos[g.group.identity], inv, f"{g.group.name}|sub")
-    sgwa = GwaObject(sg, SelfAction(sg, act), f"{g.name}|sub")
-    emb = Hom(sg, g.group, ms, "incl")
-    return sgwa, emb
+    return GwaObject(emb.source, SelfAction(emb.source, act), f"{g.name}|sub")

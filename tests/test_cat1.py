@@ -12,16 +12,30 @@ from genxmod.cat1 import (
     validate_gcat1,
     validate_gcat1_morphism,
 )
-from genxmod.crossed import validate_gxmod_full, validate_gxmod_morphism
+from genxmod.crossed import (
+    GXModMorphism,
+    gxmod_morphism_violations,
+    validate_gxmod_full,
+    validate_gxmod_morphism,
+)
 from genxmod.fixtures import (
     s3_conjugation_gwa,
     s3_identity_cat1,
     v4_projection_cat1,
     z2_identity_cat1,
 )
-from genxmod.groups import Hom, all_homs, cyclic_group, identity_hom, kernel, zero_hom
-from genxmod.gwa import action_preserved_violations, conjugation_self_action, gwa
-from genxmod.oracles import replay_violation
+from genxmod.groups import (
+    Hom,
+    all_homs,
+    cyclic_group,
+    identity_hom,
+    kernel,
+    klein_four_group,
+    subgroup_embedding,
+    zero_hom,
+)
+from genxmod.gwa import GwaObject, SelfAction, action_preserved_violations, conjugation_self_action, gwa
+from genxmod.oracles import raw_gxmod_morphism_violations, raw_hom_maps, replay_violation
 from genxmod.validation import holds
 from genxmod.search import (
     _structure_map_pairs,
@@ -288,3 +302,81 @@ def test_cat1_image_memo_cache_clear_rebuilds_an_equal_image():
     after = cat1_to_gxmod(c)
     assert after is not before and after == before and after.name == before.name
     assert cat1_to_gxmod.cache_info() == (0, 1, IMAGE_MEMO_SIZE, 1)
+
+
+def _v4_swap_cat1():
+    """V4 = {0, 1, 2, 3} where 2 and 3 swap 1 and 2, with s = t = (0, 1, 1, 0)."""
+    v4 = klein_four_group()
+    swap = (0, 2, 1, 3)
+    act = (tuple(range(4)), tuple(range(4)), swap, swap)
+    s = Hom(v4, v4, (0, 1, 1, 0))
+    return GCat1(GwaObject(v4, SelfAction(v4, act), "V4-swap"), s, s, "v4-swap")
+
+
+def test_cat1_functor_is_not_full_on_the_v4_swap_witness():
+    # F c1 -> F c2 has two morphisms, but only the zero one comes from a
+    # morphism c1 -> c2: the candidate preimage (0, 0, 1, 1) of the other
+    # does not preserve the self-action of V4, which F c1 no longer sees
+    c1 = _v4_swap_cat1()
+    z2 = cyclic_group(2)
+    c2 = GCat1(gwa(z2), zero_hom(z2, z2), zero_hom(z2, z2), "z2-zero")
+    assert validate_gcat1(c1).ok and validate_gcat1(c2).ok
+    x1, x2 = cat1_to_gxmod(c1), cat1_to_gxmod(c2)
+    homs = {
+        (f.map, g.map)
+        for f in all_homs(x1.A.group, x2.A.group)
+        for g in all_homs(x1.B.group, x2.B.group)
+        if holds(gxmod_morphism_violations(x1, x2, f.map, g.map))
+    }
+    raw = {
+        (fm, gm)
+        for fm in raw_hom_maps(x1.A.group.op, x2.A.group.op)
+        for gm in raw_hom_maps(x1.B.group.op, x2.B.group.op)
+        if not raw_gxmod_morphism_violations(x1, x2, fm, gm)
+    }
+    assert homs == raw == {((0, 0), (0, 0)), ((0, 1), (0, 0))}
+    images = {
+        (fm.f.map, fm.g.map)
+        for fm in map(cat1_functor_on_morphism, gcat1_morphisms_between(c1, c2))
+    }
+    assert images == {((0, 0), (0, 0))}
+
+
+def _names_and_tables(x):
+    """A crossed module or crossed module morphism with every name it carries."""
+    if isinstance(x, GXModMorphism):
+        return (
+            x,
+            x.name,
+            x.f.name,
+            x.g.name,
+            _names_and_tables(x.source),
+            _names_and_tables(x.target),
+        )
+    parts = [x, x.name, x.alpha.name]
+    for side in (x.A, x.B):
+        parts += [side.self_action.act, side.name, side.group, side.group.name]
+    return tuple(parts)
+
+
+def _fresh(build, arg):
+    subgroup_embedding.cache_clear()
+    cat1_to_gxmod.cache_clear()
+    return _names_and_tables(build(arg))
+
+
+def test_cat1_images_from_the_subgroup_cache_equal_fresh_builds():
+    cats = _all_cat1s()
+    subgroup_embedding.cache_clear()
+    cat1_to_gxmod.cache_clear()
+    warm = [_names_and_tables(cat1_to_gxmod(c)) for c in cats]
+    # ker s and im s of the 3471 cat1-groups are 61 distinct subgroup tables
+    info = subgroup_embedding.cache_info()
+    assert (info.hits, info.misses) == (2 * len(cats) - 61, 61)
+    assert [_fresh(cat1_to_gxmod, c) for c in cats] == warm
+
+    pool = [c for c in cats if c.G.order <= 4]
+    morphisms = [m for c1 in pool for c2 in pool for m in gcat1_morphisms_between(c1, c2)]
+    assert len(morphisms) == 2895
+    warm = [_names_and_tables(cat1_functor_on_morphism(m)) for m in morphisms]
+    assert [_fresh(cat1_functor_on_morphism, m) for m in morphisms] == warm

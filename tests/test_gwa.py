@@ -1,11 +1,13 @@
 import pytest
 
 from genxmod.groups import (
+    GroupTable,
     Hom,
     cyclic_group,
     identity_hom,
     kernel,
     subgroup,
+    subgroup_embedding,
     symmetric_group,
     trivial_group,
 )
@@ -181,6 +183,33 @@ def test_sub_gwa_reindexes():
     # A3 is abelian, so restricted conjugation is trivial
     assert sub.self_action.act == trivial_self_action(sub.group).act
 
+
+
+def test_sub_gwa_tables_are_cached_per_group_name():
+    z4 = cyclic_group(4)
+    twin = GroupTable(z4.order, z4.op, z4.identity, z4.inv, "twin")
+    assert twin == z4
+    for g in (z4, twin, z4):
+        sub, emb = sub_gwa(gwa(g, name=f"{g.name}-gwa"), [2, 0, 2])
+        assert sub.group.name == emb.source.name == f"{g.name}|sub"
+        assert sub.name == f"{g.name}-gwa|sub"
+        assert emb.map == (0, 2) and emb.target.name == g.name
+    assert subgroup_embedding(z4, (0, 2))[0] is subgroup_embedding(z4, (0, 2))[0]
+
+
+def test_subgroup_embedding_caches_no_failure():
+    subgroup_embedding.cache_clear()
+    s3 = symmetric_group(3)
+    for _ in range(2):
+        with pytest.raises(StructuralError) as err:
+            sub_gwa(gwa(s3), (0, 1, 3))
+        assert str(err.value) == "subgroup not closed under op at (1,3)"
+    assert subgroup_embedding.cache_info().currsize == 0
+
+
+def test_subgroup_embedding_is_a_cache_the_benchmark_clears():
+    assert callable(subgroup_embedding.cache_clear)
+    assert subgroup_embedding.__module__.startswith("genxmod.")
 
 def _all_subgroups(g):
     import itertools
