@@ -16,8 +16,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .cat1 import (
     GCat1,
@@ -491,9 +492,13 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     g2 o v = g1, looked up in homs_by_composite rather than found by scanning
     all_homs.  When there are any, the laws of <u, v> that read u alone (the
     homomorphism law of u, u preserving the self-action of A~, the
-    f-triangle) run once for the pair; they hold whenever c1 and c2 are
-    valid coverings, which is not checked here.  Then each candidate runs the
-    g-triangle and the laws that read v, the square and equivariance.  The
+    f-triangle) give one verdict (_u_laws_hold); they hold whenever c1 and
+    c2 are valid coverings, which is not checked here.  Then each candidate
+    runs the g-triangle and gets the verdict of the laws that read both u
+    and v, the square and equivariance (_uv_laws_hold).  Within one
+    verify_equivalence call each verdict is computed once per distinct input
+    those laws read and shared by every pair of coverings with that input;
+    a call outside one computes each of its verdicts afresh.  The
     homomorphism law of v is not run, as v comes from all_homs, which
     returns only maps that pass it.
     """
@@ -502,22 +507,87 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     if candidates is None:
         return ()
     u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
-    if not (
-        holds(hom_violations(src.A.group, tgt.A.group, u_map))
-        and holds(action_preserved_violations(src.A, tgt.A, u_map))
-        and holds(triangle_f_violations(c1, c2, u_map))
-    ):
+    if not _u_laws_hold(c1, c2, u_map):
         return ()
     u = Hom(src.A.group, tgt.A.group, u_map)
-    alpha, tgt_alpha = src.alpha.map, tgt.alpha.map
-    act, tgt_act = src.action.act, tgt.action.act
+    uv_laws_hold = _uv_laws_hold(c1, c2, u_map)
     return tuple(
         CoveringMorphism(c1, c2, u, v)
         for v in candidates
-        if holds(triangle_g_violations(c1, c2, v.map))
-        and holds(square_violations(alpha, tgt_alpha, u_map, v.map))
-        and holds(morphism_equivariance_violations(act, tgt_act, u_map, v.map))
+        if holds(triangle_g_violations(c1, c2, v.map)) and uv_laws_hold(v.map)
     )
+
+
+def _u_laws_hold(c1: Covering, c2: Covering, um: Map) -> bool:
+    """The laws of <u, v>: c1 -> c2 that read the A-component u alone: the
+    homomorphism law of u, u preserving the self-action of A~, and the
+    f-triangle f2 o u = f1.  They read A~1, A~2, f1, f2 and u."""
+    a1, a2 = c1.total.A, c2.total.A
+    verdicts = _verdicts_of("u", a1.group, a2.group, a1.self_action.act, a2.self_action.act, c1.f.map, c2.f.map)
+    verdict = verdicts.get(um)
+    if verdict is None:
+        verdict = verdicts[um] = (
+            holds(hom_violations(a1.group, a2.group, um))
+            and holds(action_preserved_violations(a1, a2, um))
+            and holds(triangle_f_violations(c1, c2, um))
+        )
+    return verdict
+
+
+def _uv_laws_hold(c1: Covering, c2: Covering, um: Map):
+    """The verdict, as a function of the B-component vm, of the laws of
+    <u, v>: c1 -> c2 that read u and v: the square v o alpha~1 = alpha~2 o u
+    and equivariance u(b . a) = v(b) . u(a).  They read alpha~1, alpha~2,
+    the two actions, u and v."""
+    src, tgt = c1.total, c2.total
+    alpha, tgt_alpha = src.alpha.map, tgt.alpha.map
+    act, tgt_act = src.action.act, tgt.action.act
+    verdicts = _verdicts_of("uv", alpha, tgt_alpha, act, tgt_act, um)
+
+    def uv_laws_hold(vm: Map) -> bool:
+        verdict = verdicts.get(vm)
+        if verdict is None:
+            verdict = verdicts[vm] = (
+                holds(square_violations(alpha, tgt_alpha, um, vm))
+                and holds(morphism_equivariance_violations(act, tgt_act, um, vm))
+            )
+        return verdict
+
+    return uv_laws_hold
+
+
+# The verdicts of the morphism laws within the running verify_equivalence
+# call, one dict per distinct (laws, part of their input) holding the verdict
+# for each rest of their input; None outside a call.  The keys are maps,
+# tables and groups, never the coverings or crossed modules that hold them.
+_verdicts: ContextVar[dict | None] = ContextVar("_verdicts", default=None)
+
+
+def _verdicts_of(*read) -> dict:
+    """The verdicts stored for read within the running verify_equivalence
+    call; outside one, a new empty dict that no later call sees."""
+    memo = _verdicts.get()
+    if memo is None:
+        return {}
+    verdicts = memo.get(read)
+    if verdicts is None:
+        verdicts = memo[read] = {}
+    return verdicts
+
+
+def _with_own_verdicts(fn):
+    """fn run with a verdict memo of its own, dropped when fn returns, so no
+    verdict outlives the call or reaches another."""
+
+    @wraps(fn)
+    def run(*args, **kwargs):
+        token = _verdicts.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _verdicts.reset(token)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +659,8 @@ class EquivalenceReport:
 def morphism_cap(explicit: int | None = None) -> int:
     """The morphism cap: explicit, else GXMOD_MAX_MORPHISMS, else the default.
 
-    A malformed environment value raises StructuralError.
+    An environment value that is not an integer, or is below 1, raises
+    StructuralError.
     """
     if explicit is not None:
         return explicit
@@ -597,11 +668,15 @@ def morphism_cap(explicit: int | None = None) -> int:
     if not env:
         return DEFAULT_MAX_MORPHISMS
     try:
-        return max(1, int(env))
+        cap = int(env)
     except ValueError:
         raise StructuralError(f"{MAX_MORPHISMS_ENV} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise StructuralError(f"{MAX_MORPHISMS_ENV} must be at least 1, got {env!r}")
+    return cap
 
 
+@_with_own_verdicts
 def verify_equivalence(
     base: GXMod, pool: SearchPool, max_morphisms: int | None = None
 ) -> EquivalenceReport:
@@ -611,7 +686,7 @@ def verify_equivalence(
     positions of source and target and capped on their own, one numbering of
     its raw maps, and the functor out of it.  The hom-sets come from
     lifting_morphisms_between and covering_morphisms_between, which look up
-    the candidates of each pair by its triangle and run every law on each
+    the candidates of each pair by its triangle and check every law on each
     candidate.  One check path runs from liftings to coverings and from
     coverings to liftings: object images, morphism images, the identity and
     composition laws, and the search for the canonical liftings (natural,
@@ -619,6 +694,13 @@ def verify_equivalence(
     composition law reads the numbered images the morphism check stored and
     holds positions as bitmasks, so each pair of classes of morphisms with
     one map tuple and one image is composed once and checked by one AND.
+
+    The call keeps a memo of law verdicts that lives as long as it does.
+    In the covering hom-set search, the laws that read u alone run once per
+    distinct (A~1, A~2, f1, f2, u), and the square and equivariance once
+    per distinct (alpha~1, alpha~2, actions, u, v).  Each distinct morphism
+    image, by the positions of its endpoints and its map ids, is validated
+    once.  Every morphism is still counted and checked.
 
     The unit of the equivalence differs between the sides, so two checks stay
     per side and report apart.  Object round trip: a lifting comes back
@@ -701,8 +783,8 @@ def verify_equivalence(
 
     l2c = _object_images(liftings, coverings, lifting_round_trip, tally)
     c2l = _object_images(coverings, liftings, covering_round_trip, tally)
-    _morphism_images(liftings, coverings, lifting_unit_square, tally)
-    _morphism_images(coverings, liftings, covering_unit_square, tally)
+    _morphism_images(liftings, coverings, l2c, lifting_unit_square, tally)
+    _morphism_images(coverings, liftings, c2l, covering_unit_square, tally)
     for law in (_identity_law, _composition_law):
         for source, target in ((liftings, coverings), (coverings, liftings)):
             law(source, target, tally)
@@ -713,8 +795,8 @@ def verify_equivalence(
         pool_groups=tuple(g.name for g in pool.groups),
         liftings=liftings.objects,
         coverings=coverings.objects,
-        lifting_to_covering_index=l2c,
-        covering_to_lifting_index=c2l,
+        lifting_to_covering_index=tuple(j for _, j in l2c),
+        covering_to_lifting_index=tuple(j for _, j in c2l),
         roundtrip_lifting_exact=not inexact,
         roundtrip_covering_witnesses=tuple(witnesses),
         lifting_homs=liftings.homs,
@@ -803,29 +885,47 @@ class _Category:
         return any(self.is_iso(m) for o in self.objects for m in self.between(wanted, o))
 
 
-def _object_images(source: _Category, target: _Category, round_trip, tally: _Tally) -> tuple[int, ...]:
-    """The position in target of each source object's image, -1 when it is
+def _object_images(source: _Category, target: _Category, round_trip, tally: _Tally) -> tuple[tuple[object, int], ...]:
+    """Each source object's image and its position in target, -1 when it is
     not enumerated; round_trip(i, object, image) checks the way back."""
-    positions = []
+    images = []
     for i, o in enumerate(source.objects):
         image = source.functor(o)
         j = target.index.get(image, -1)
         if j < 0:
             tally.failures.append(f"{source.label} {i}: functor image not among enumerated {target.label}s")
-        positions.append(j)
+        images.append((image, j))
         round_trip(i, o, image)
-    return tuple(positions)
+    return tuple(images)
 
 
-def _morphism_images(source: _Category, target: _Category, unit_square, tally: _Tally) -> None:
+def _morphism_images(
+    source: _Category, target: _Category, object_images: tuple[tuple[object, int], ...], unit_square, tally: _Tally
+) -> None:
     """Each morphism's image is a valid morphism of target; the numbered
-    images are stored, and unit_square(m, image) checks the way back."""
+    images are stored, and unit_square(m, image) checks the way back.
+
+    object_images holds each source object's image and its target position,
+    as _object_images found them.  An image of a morphism in Hom(i, j) whose
+    endpoints are those very image objects, at positions p and q, is
+    validated once per (p, q, its map ids): the verdict reads nothing else.
+    Any other image, one with an endpoint not enumerated or not the
+    object's image, is validated in full on each morphism.
+    """
     invalid = f"{source.label} morphism: functor image invalid"
+    verdicts: dict[tuple[int, int, tuple[int, ...]], bool] = {}
     for (i, j), homs in source.homs.items():
+        (end_i, p), (end_j, q) = object_images[i], object_images[j]
         for m in homs:
             image = source.functor_on_morphism(m)
-            source.images[i, j, source.ids(m)] = target.ids(image)
-            tally.check("morphism", target.is_valid(image), invalid)
+            img = source.images[i, j, source.ids(m)] = target.ids(image)
+            if p < 0 or q < 0 or image.source is not end_i or image.target is not end_j:
+                valid = target.is_valid(image)
+            else:
+                valid = verdicts.get((p, q, img))
+                if valid is None:
+                    valid = verdicts[p, q, img] = target.is_valid(image)
+            tally.check("morphism", valid, invalid)
             unit_square(m, image)
 
 

@@ -461,11 +461,21 @@ def test_truncated_run_is_reported_in_human_format(fixture_dir, monkeypatch, cap
     assert out.rstrip().endswith("NOT OK")
 
 
-def test_malformed_max_morphisms_env_exit_2(fixture_dir, monkeypatch, capsys):
-    monkeypatch.setenv("GXMOD_MAX_MORPHISMS", "abc")
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "GXMOD_MAX_MORPHISMS must be an integer"),
+        # a cap below 1 is refused, not read as a cap of 1
+        ("0", "GXMOD_MAX_MORPHISMS must be at least 1, got '0'"),
+        ("-5", "GXMOD_MAX_MORPHISMS must be at least 1, got '-5'"),
+    ],
+    ids=["abc", "0", "-5"],
+)
+def test_malformed_max_morphisms_env_exit_2(fixture_dir, monkeypatch, capsys, value, message):
+    monkeypatch.setenv("GXMOD_MAX_MORPHISMS", value)
     rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4"])
     assert rc == 2
-    assert "GXMOD_MAX_MORPHISMS must be an integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -911,6 +911,64 @@ def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch
     assert not rep.ok
 
 
+def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monkeypatch):
+    # the laws that read the forced A-component u of a covering morphism run
+    # once per distinct (A~1, A~2, f1, f2), and each distinct image of a
+    # covering morphism is validated once; every morphism is still counted
+    a_group = base_gx3.A.group
+    runs = Counter()
+
+    def count(name, on_u):
+        law = getattr(search, name)
+
+        def counted(*args):
+            runs[name] += on_u(*args)
+            return law(*args)
+
+        monkeypatch.setattr(search, name, counted)
+
+    # every A~ is built on the base's group itself; hom_violations also runs
+    # on B-components, whose groups are the pool's
+    count("hom_violations", lambda src, tgt, m: src is a_group)
+    count("action_preserved_violations", lambda *args: True)
+    count("triangle_f_violations", lambda *args: True)
+    validated = Counter()
+    is_valid = search._Category.is_valid
+
+    def counted_is_valid(category, m):
+        validated[category.label] += 1
+        return is_valid(category, m)
+
+    monkeypatch.setattr(search._Category, "is_valid", counted_is_valid)
+    rep = verify_equivalence(base_gx3, pool4)
+
+    # the images <1_A, f> and the round-trip witnesses <f, 1> add no input
+    inputs = {(c1.total.A, c2.total.A, c1.f.map, c2.f.map) for c1 in rep.coverings for c2 in rep.coverings}
+    assert len(inputs) == 4
+    assert 0 < runs["hom_violations"] <= len(inputs)
+    assert 0 < runs["action_preserved_violations"] <= len(inputs)
+    assert 0 < runs["triangle_f_violations"] <= len(inputs)
+    # the 5020 covering morphisms have 1255 distinct images
+    assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
+    assert validated["lifting"] == 1255
+    assert rep.ok
+    assert (rep.morphism_checks_passed, rep.functor_law_checks_passed, rep.naturality_checks_passed) == (
+        7530, 546912, 5020
+    )
+
+
+def test_no_law_verdict_outlives_its_equivalence_check(base_gx3, pool4, monkeypatch):
+    # a square that rejects everything, patched in between two checks in one
+    # process: the second check must run it rather than reuse the first's verdicts
+    assert verify_equivalence(base_gx3, pool4).covering_morphism_count == 5020
+    c = enumerate_coverings(base_gx3, pool4)[0]
+    monkeypatch.setattr(search, "square_violations", lambda *args: iter([("square", (), "rejected", ())]))
+    rep = verify_equivalence(base_gx3, pool4)
+    assert rep.covering_morphism_count == 0
+    assert not rep.ok
+    assert search.covering_morphisms_between(c, c) == ()
+
+
 def _relabel_table(table, p_row, p_col, p_val):
     out = [[0] * len(table[0]) for _ in table]
     for r, row in enumerate(table):
