@@ -343,11 +343,7 @@ def transport_domain(x: GXMod, g: Hom, new_a: GwaObject) -> tuple[GXMod, GXModMo
     to x.
     """
     _require_gwa_iso(g, new_a, x.A, "domain iso")
-    ginv = inverse_hom(g)
-    act = tuple(
-        tuple(ginv.map[x.action.act[b][g.map[ap]]] for ap in range(new_a.order))
-        for b in range(x.B.order)
-    )
+    act = restrict_table(x.action.act, range(x.B.order), g.map, inverse_hom(g).map, "pullback through g")
     result = GXMod(
         new_a,
         x.B,

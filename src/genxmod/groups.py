@@ -384,12 +384,14 @@ def subgroup(parent: GroupTable, members) -> Subgroup:
     return Subgroup(parent, tuple(ms))
 
 
-def restrict_map(m, domain, pos: dict[int, int], what: str) -> Map:
+def restrict_map(m, domain, pos: dict[int, int] | Map, what: str) -> Map:
     """m on the members domain, each value renumbered through pos.
 
     pos takes each member of the subgroup the values must lie in to its
     position in ascending order.  Raises StructuralError naming the rule
     what, the element and its value when a value lies outside that subgroup.
+    For a total renumbering, one that every value has, pos may be a tuple
+    indexed by the values; nothing can escape it.
     """
     try:
         return tuple([pos[m[x]] for x in domain])
@@ -398,8 +400,11 @@ def restrict_map(m, domain, pos: dict[int, int], what: str) -> Map:
         raise _escape(what, x, m[x]) from None
 
 
-def restrict_table(table, rows, cols, pos: dict[int, int], what: str) -> Table:
-    """restrict_map of each row table[r], for r in rows, to cols; an escape is named by (r, c)."""
+def restrict_table(table, rows, cols, pos: dict[int, int] | Map, what: str) -> Table:
+    """restrict_map of each row table[r], for r in rows, to cols; an escape is named by (r, c).
+
+    As for restrict_map, pos may be a tuple for a total renumbering.
+    """
     try:
         return tuple([restrict_map(table[r], cols, pos, what) for r in rows])
     except StructuralError:

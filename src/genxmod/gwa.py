@@ -18,6 +18,7 @@ from .groups import (
     Subgroup,
     Table,
     _freeze,
+    restrict_map,
     restrict_table,
     subgroup,
     subgroup_embedding,
@@ -244,7 +245,9 @@ def quotient_gwa(g: GwaObject, n: Subgroup) -> tuple[GwaObject, Hom]:
     """Quotient group with the induced self-action, plus the canonical projection.
 
     Cosets are indexed by ascending minimal member, which keeps the identity
-    coset at index 0 whenever the identity is element 0.
+    coset at index 0 whenever the identity is element 0.  The quotient's
+    operation, self-action and inverses are those of the minimal members,
+    renumbered through the projection (groups.restrict_table).
     """
     ideal = is_ideal(n, g)
     if not ideal.is_ideal:
@@ -265,23 +268,18 @@ def quotient_gwa(g: GwaObject, n: Subgroup) -> tuple[GwaObject, Hom]:
         cosets.append(c)
     cosets.sort(key=min)
     index = {c: i for i, c in enumerate(cosets)}
-    k = len(cosets)
+    pm = tuple(index[coset_of[x]] for x in range(g.order))
     reps = [min(c) for c in cosets]
-    q_op = [[0] * k for _ in range(k)]
-    q_act = [[0] * k for _ in range(k)]
-    act = g.self_action.act
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            q_op[i][j] = index[coset_of[op[ri][rj]]]
-            q_act[i][j] = index[coset_of[act[ri][rj]]]
-    q_identity = index[coset_of[g.group.identity]]
-    q_inv = [0] * k
-    for i in range(k):
-        q_inv[i] = next(j for j in range(k) if q_op[i][j] == q_identity)
-    q_group = GroupTable(k, _freeze(q_op), q_identity, tuple(q_inv), f"{g.group.name}/N")
-    q = GwaObject(q_group, SelfAction(q_group, _freeze(q_act)), f"{g.name}/N")
-    proj = Hom(g.group, q_group, tuple(index[coset_of[x]] for x in range(g.order)), "proj")
-    return q, proj
+    what = "projection to the cosets"
+    q_group = GroupTable(
+        len(cosets),
+        restrict_table(op, reps, reps, pm, what),
+        pm[g.group.identity],
+        restrict_map(g.group.inv, reps, pm, what),
+        f"{g.group.name}/N",
+    )
+    q_act = restrict_table(g.self_action.act, reps, reps, pm, what)
+    return GwaObject(q_group, SelfAction(q_group, q_act), f"{g.name}/N"), Hom(g.group, q_group, pm, "proj")
 
 
 def sub_gwa(g: GwaObject, members) -> tuple[GwaObject, Hom]:

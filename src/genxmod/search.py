@@ -16,9 +16,8 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .cat1 import (
     GCat1,
@@ -79,6 +78,7 @@ from .groups import (
     kernel,
     klein_four_group,
     quaternion_group,
+    restrict_table,
     symmetric_group,
     trivial_group,
 )
@@ -285,12 +285,9 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
 
 
 def _pullback_self_action(a: GwaObject, f_map: tuple[int, ...], f_inv: tuple[int, ...]) -> SelfAction:
-    act = a.self_action.act
-    n = a.order
-    rows = tuple(
-        tuple(f_inv[act[f_map[x]][f_map[y]]] for y in range(n)) for x in range(n)
-    )
-    return SelfAction(a.group, rows)
+    """The self-action ^x y = f^-1(^f(x) f(y)) of a's group, pulled back
+    through the automorphism f_map with inverse f_inv."""
+    return SelfAction(a.group, restrict_table(a.self_action.act, f_map, f_map, f_inv, "pullback through f"))
 
 
 def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
@@ -342,10 +339,7 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
                     if not holds(square_violations(atm, base.alpha.map, f_map, gm)):
                         continue
                     if forced is None:
-                        forced = tuple(
-                            tuple(f_inv[base_act[gm[bt]][f_map[at]]] for at in range(na))
-                            for bt in range(b_group.order)
-                        )
+                        forced = restrict_table(base_act, gm, f_map, f_inv, "forced action")
                     if holds(peiffer_violations(atm, forced, sa_tilde)):
                         for i in _equivariant_self_actions(columns, atm, forced):
                             buckets[i].append((g, alpha_t, forced))
@@ -492,13 +486,9 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     g2 o v = g1, looked up in homs_by_composite rather than found by scanning
     all_homs.  When there are any, the laws of <u, v> that read u alone (the
     homomorphism law of u, u preserving the self-action of A~, the
-    f-triangle) give one verdict (_u_laws_hold); they hold whenever c1 and
-    c2 are valid coverings, which is not checked here.  Then each candidate
-    runs the g-triangle and gets the verdict of the laws that read both u
-    and v, the square and equivariance (_uv_laws_hold).  Within one
-    verify_equivalence call each verdict is computed once per distinct input
-    those laws read and shared by every pair of coverings with that input;
-    a call outside one computes each of its verdicts afresh.  The
+    f-triangle) run once for the pair; they hold whenever c1 and c2 are
+    valid coverings, which is not checked here.  Then each candidate runs the
+    g-triangle and the laws that read v, the square and equivariance.  The
     homomorphism law of v is not run, as v comes from all_homs, which
     returns only maps that pass it.
     """
@@ -507,87 +497,22 @@ def covering_morphisms_between(c1: Covering, c2: Covering) -> tuple[CoveringMorp
     if candidates is None:
         return ()
     u_map = tuple(c2.f.map.index(v) for v in c1.f.map)
-    if not _u_laws_hold(c1, c2, u_map):
+    if not (
+        holds(hom_violations(src.A.group, tgt.A.group, u_map))
+        and holds(action_preserved_violations(src.A, tgt.A, u_map))
+        and holds(triangle_f_violations(c1, c2, u_map))
+    ):
         return ()
     u = Hom(src.A.group, tgt.A.group, u_map)
-    uv_laws_hold = _uv_laws_hold(c1, c2, u_map)
+    alpha, tgt_alpha = src.alpha.map, tgt.alpha.map
+    act, tgt_act = src.action.act, tgt.action.act
     return tuple(
         CoveringMorphism(c1, c2, u, v)
         for v in candidates
-        if holds(triangle_g_violations(c1, c2, v.map)) and uv_laws_hold(v.map)
+        if holds(triangle_g_violations(c1, c2, v.map))
+        and holds(square_violations(alpha, tgt_alpha, u_map, v.map))
+        and holds(morphism_equivariance_violations(act, tgt_act, u_map, v.map))
     )
-
-
-def _u_laws_hold(c1: Covering, c2: Covering, um: Map) -> bool:
-    """The laws of <u, v>: c1 -> c2 that read the A-component u alone: the
-    homomorphism law of u, u preserving the self-action of A~, and the
-    f-triangle f2 o u = f1.  They read A~1, A~2, f1, f2 and u."""
-    a1, a2 = c1.total.A, c2.total.A
-    verdicts = _verdicts_of("u", a1.group, a2.group, a1.self_action.act, a2.self_action.act, c1.f.map, c2.f.map)
-    verdict = verdicts.get(um)
-    if verdict is None:
-        verdict = verdicts[um] = (
-            holds(hom_violations(a1.group, a2.group, um))
-            and holds(action_preserved_violations(a1, a2, um))
-            and holds(triangle_f_violations(c1, c2, um))
-        )
-    return verdict
-
-
-def _uv_laws_hold(c1: Covering, c2: Covering, um: Map):
-    """The verdict, as a function of the B-component vm, of the laws of
-    <u, v>: c1 -> c2 that read u and v: the square v o alpha~1 = alpha~2 o u
-    and equivariance u(b . a) = v(b) . u(a).  They read alpha~1, alpha~2,
-    the two actions, u and v."""
-    src, tgt = c1.total, c2.total
-    alpha, tgt_alpha = src.alpha.map, tgt.alpha.map
-    act, tgt_act = src.action.act, tgt.action.act
-    verdicts = _verdicts_of("uv", alpha, tgt_alpha, act, tgt_act, um)
-
-    def uv_laws_hold(vm: Map) -> bool:
-        verdict = verdicts.get(vm)
-        if verdict is None:
-            verdict = verdicts[vm] = (
-                holds(square_violations(alpha, tgt_alpha, um, vm))
-                and holds(morphism_equivariance_violations(act, tgt_act, um, vm))
-            )
-        return verdict
-
-    return uv_laws_hold
-
-
-# The verdicts of the morphism laws within the running verify_equivalence
-# call, one dict per distinct (laws, part of their input) holding the verdict
-# for each rest of their input; None outside a call.  The keys are maps,
-# tables and groups, never the coverings or crossed modules that hold them.
-_verdicts: ContextVar[dict | None] = ContextVar("_verdicts", default=None)
-
-
-def _verdicts_of(*read) -> dict:
-    """The verdicts stored for read within the running verify_equivalence
-    call; outside one, a new empty dict that no later call sees."""
-    memo = _verdicts.get()
-    if memo is None:
-        return {}
-    verdicts = memo.get(read)
-    if verdicts is None:
-        verdicts = memo[read] = {}
-    return verdicts
-
-
-def _with_own_verdicts(fn):
-    """fn run with a verdict memo of its own, dropped when fn returns, so no
-    verdict outlives the call or reaches another."""
-
-    @wraps(fn)
-    def run(*args, **kwargs):
-        token = _verdicts.set({})
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _verdicts.reset(token)
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +581,14 @@ class EquivalenceReport:
         return True
 
 
-def morphism_cap(explicit: int | None = None) -> int:
-    """The morphism cap: explicit, else GXMOD_MAX_MORPHISMS, else the default.
+def morphism_cap() -> int:
+    """The morphism cap the command line runs with: GXMOD_MAX_MORPHISMS, else
+    the default.  The library never reads the variable; verify_equivalence
+    takes its cap as an argument.
 
     An environment value that is not an integer, or is below 1, raises
     StructuralError.
     """
-    if explicit is not None:
-        return explicit
     env = os.environ.get(MAX_MORPHISMS_ENV)
     if not env:
         return DEFAULT_MAX_MORPHISMS
@@ -676,31 +601,32 @@ def morphism_cap(explicit: int | None = None) -> int:
     return cap
 
 
-@_with_own_verdicts
 def verify_equivalence(
-    base: GXMod, pool: SearchPool, max_morphisms: int | None = None
+    base: GXMod, pool: SearchPool, max_morphisms: int = DEFAULT_MAX_MORPHISMS
 ) -> EquivalenceReport:
     """Enumerate both categories over the pool and check the equivalence explicitly.
 
     Each side is a _Category record: its objects, its hom-sets keyed by the
-    positions of source and target and capped on their own, one numbering of
-    its raw maps, and the functor out of it.  The hom-sets come from
-    lifting_morphisms_between and covering_morphisms_between, which look up
-    the candidates of each pair by its triangle and check every law on each
-    candidate.  One check path runs from liftings to coverings and from
-    coverings to liftings: object images, morphism images, the identity and
-    composition laws, and the search for the canonical liftings (natural,
-    image, self) and the identity covering, each up to isomorphism.  The
-    composition law reads the numbered images the morphism check stored and
-    holds positions as bitmasks, so each pair of classes of morphisms with
-    one map tuple and one image is composed once and checked by one AND.
+    positions of source and target and capped on their own at max_morphisms
+    morphisms, one numbering of its raw maps, and the functor out of it.  The
+    hom-sets come from lifting_morphisms_between and
+    covering_morphisms_between, which look up the candidates of each pair by
+    its triangle and run every law on each candidate.  One check path runs
+    from liftings to coverings and from coverings to liftings: object images,
+    morphism images, the identity and composition laws, and the search for
+    the canonical liftings (natural, image, self) and the identity covering,
+    each up to isomorphism.  The composition law reads the numbered images
+    the morphism check stored and holds positions as bitmasks, so each pair
+    of classes of morphisms with one map tuple and one image is composed
+    once and checked by one AND.
 
-    The call keeps a memo of law verdicts that lives as long as it does.
-    In the covering hom-set search, the laws that read u alone run once per
-    distinct (A~1, A~2, f1, f2, u), and the square and equivariance once
-    per distinct (alpha~1, alpha~2, actions, u, v).  Each distinct morphism
+    No morphism law reads the self-action of an object's varying group (X of
+    a lifting, B~ of a covering's total), so each hom-set is searched once
+    per ordered pair of object shapes, the objects with that self-action
+    dropped (_capped_morphisms); every other pair of objects with those
+    shapes gets the same maps on its own endpoints.  Each distinct morphism
     image, by the positions of its endpoints and its map ids, is validated
-    once.  Every morphism is still counted and checked.
+    and mapped back once.  Every morphism is still counted and checked.
 
     The unit of the equivalence differs between the sides, so two checks stay
     per side and report apart.  Object round trip: a lifting comes back
@@ -710,11 +636,17 @@ def verify_equivalence(
     back exactly, endpoints included (morphism_checks); a covering morphism
     passes the naturality square of <f, 1> (naturality_checks).
     """
-    cap = morphism_cap(max_morphisms)
     tally = _Tally()
     incomplete: list[str] = []
+    # An object's shape drops the self-action of its varying group, which no
+    # morphism law reads: a lifting morphism's laws read only X's group, phi
+    # and omega, and a covering morphism <u, v> is a gxmod morphism plus the
+    # f- and g-triangles, where crossed.gxmod_morphism_violations does not
+    # ask v to preserve the self-action of B~.  If it ever has to, the
+    # covering shape must keep that self-action.
     liftings = _Category(
-        "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, cap,
+        "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, max_morphisms,
+        shape=lambda o: (o.base, o.X.group, o.phi, o.omega),
         components=lambda m: (m.f,),
         groups=lambda o: (o.X.group,),
         identity=identity_lifting_morphism,
@@ -723,7 +655,8 @@ def verify_equivalence(
         functor_on_morphism=functor_on_lifting_morphism,
     )
     coverings = _Category(
-        "covering", enumerate_coverings(base, pool), covering_morphisms_between, cap,
+        "covering", enumerate_coverings(base, pool), covering_morphisms_between, max_morphisms,
+        shape=lambda o: (o.base, o.total.A, o.total.B.group, o.total.alpha, o.total.action.act, o.f, o.g),
         components=lambda m: (m.f, m.g),
         groups=lambda o: (o.total.A.group, o.total.B.group),
         identity=identity_covering_morphism,
@@ -770,15 +703,14 @@ def verify_equivalence(
         else:
             tally.failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
 
-    def lifting_unit_square(m: LiftingMorphism, cm: CoveringMorphism) -> None:
-        back = functor_on_covering_morphism(cm)
+    def lifting_unit_square(m: LiftingMorphism, back: LiftingMorphism) -> None:
         exact = back.f == m.f and back.source == m.source and back.target == m.target
         tally.check("morphism", exact, "lifting morphism: round trip not exact")
 
-    def covering_unit_square(m: CoveringMorphism, lm: LiftingMorphism) -> None:
+    def covering_unit_square(m: CoveringMorphism, back: CoveringMorphism) -> None:
         # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
         lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
-        natural = lhs_f == m.source.f.map and m.g.map == functor_on_lifting_morphism(lm).g.map
+        natural = lhs_f == m.source.f.map and m.g.map == back.g.map
         tally.check("naturality", natural, "covering morphism: naturality square broken")
 
     l2c = _object_images(liftings, coverings, lifting_round_trip, tally)
@@ -830,8 +762,10 @@ class _Tally(Counter):
 class _Category:
     """One side of the equivalence over a given list of objects, with the functor out of it.
 
-    between enumerates Hom(o1, o2), components gives a morphism's maps, (f)
-    or (f, g), groups an object's groups those maps run between, law their
+    between enumerates Hom(o1, o2), shape gives what of an object between
+    reads (the hom-sets are searched once per pair of shapes, see
+    _capped_morphisms), components gives a morphism's maps, (f) or (f, g),
+    groups an object's groups those maps run between, law their
     violations, and identity an object's identity morphism.  images maps
     (i, j, component ids) of each morphism of Hom(i, j) to the component ids
     of its image in the other side's numbering.
@@ -839,7 +773,7 @@ class _Category:
 
     def __init__(
         self, label: str, objects: tuple, between, cap: int, *,
-        components, groups, identity, law, functor, functor_on_morphism,
+        shape, components, groups, identity, law, functor, functor_on_morphism,
     ) -> None:
         self.label = label
         self.objects = objects
@@ -851,7 +785,7 @@ class _Category:
         self.law = law
         self.functor = functor
         self.functor_on_morphism = functor_on_morphism
-        self.homs, self.cut = _capped_morphisms(objects, between, cap)
+        self.homs, self.cut = _capped_morphisms(objects, between, shape, cap)
         self.maps = _MapNumbering()
         self.images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
 
@@ -903,30 +837,36 @@ def _morphism_images(
     source: _Category, target: _Category, object_images: tuple[tuple[object, int], ...], unit_square, tally: _Tally
 ) -> None:
     """Each morphism's image is a valid morphism of target; the numbered
-    images are stored, and unit_square(m, image) checks the way back.
+    images are stored, and unit_square(m, back) checks the image's way back,
+    back = target.functor_on_morphism(image), against m.
 
     object_images holds each source object's image and its target position,
     as _object_images found them.  An image of a morphism in Hom(i, j) whose
     endpoints are those very image objects, at positions p and q, is
-    validated once per (p, q, its map ids): the verdict reads nothing else.
-    Any other image, one with an endpoint not enumerated or not the
-    object's image, is validated in full on each morphism.
+    validated and mapped back once per (p, q, its map ids): both read
+    nothing else.  Any other image, one with an endpoint not enumerated or
+    not the object's image, is validated and mapped back on each morphism.
     """
     invalid = f"{source.label} morphism: functor image invalid"
-    verdicts: dict[tuple[int, int, tuple[int, ...]], bool] = {}
+
+    def checked(image) -> tuple[bool, object]:
+        return target.is_valid(image), target.functor_on_morphism(image)
+
+    seen: dict[tuple[int, int, tuple[int, ...]], tuple[bool, object]] = {}
     for (i, j), homs in source.homs.items():
         (end_i, p), (end_j, q) = object_images[i], object_images[j]
         for m in homs:
             image = source.functor_on_morphism(m)
             img = source.images[i, j, source.ids(m)] = target.ids(image)
             if p < 0 or q < 0 or image.source is not end_i or image.target is not end_j:
-                valid = target.is_valid(image)
+                valid, back = checked(image)
             else:
-                valid = verdicts.get((p, q, img))
-                if valid is None:
-                    valid = verdicts[p, q, img] = target.is_valid(image)
+                key = p, q, img
+                if key not in seen:
+                    seen[key] = checked(image)
+                valid, back = seen[key]
             tally.check("morphism", valid, invalid)
-            unit_square(m, image)
+            unit_square(m, back)
 
 
 def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
@@ -938,16 +878,28 @@ def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
         tally.check("functor_law", preserved, f"functor law: identity {source.label} morphism not preserved")
 
 
-def _capped_morphisms(objects, between, cap: int) -> tuple[dict, bool]:
+def _capped_morphisms(objects, between, shape, cap: int) -> tuple[dict, bool]:
     """The non-empty hom-sets between(objects[i], objects[j]), keyed by (i, j),
-    holding at most cap morphisms in all; the flag says more existed."""
+    holding at most cap morphisms in all; the flag says more existed.
+
+    between runs once per ordered pair of shapes, on the first pair of
+    objects with them; every later pair with those shapes gets morphisms
+    with the same maps, rebuilt on its own endpoints.  So shape(o) must keep
+    everything of o that between reads.
+    """
+    shape_ids: dict = {}
+    shapes = [shape_ids.setdefault(shape(o), len(shape_ids)) for o in objects]
+    searched: dict[tuple[int, int], tuple] = {}
     homs = {}
     room = cap
     for i, o1 in enumerate(objects):
         for j, o2 in enumerate(objects):
-            found = between(o1, o2)
+            key = shapes[i], shapes[j]
+            found = searched.get(key)
+            if found is None:
+                found = searched[key] = between(o1, o2)
             if found[:room]:
-                homs[(i, j)] = found[:room]
+                homs[(i, j)] = tuple(replace(m, source=o1, target=o2) for m in found[:room])
             if len(found) > room:
                 return homs, True
             room -= len(found)

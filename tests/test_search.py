@@ -912,26 +912,22 @@ def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch
 
 
 def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monkeypatch):
-    # the laws that read the forced A-component u of a covering morphism run
-    # once per distinct (A~1, A~2, f1, f2), and each distinct image of a
-    # covering morphism is validated once; every morphism is still counted
-    a_group = base_gx3.A.group
-    runs = Counter()
+    # each hom-set search runs once per ordered pair of object shapes, and
+    # each distinct image of a covering morphism is validated once; every
+    # morphism is still counted
+    searches = Counter()
 
-    def count(name, on_u):
-        law = getattr(search, name)
+    def count(name):
+        between = getattr(search, name)
 
         def counted(*args):
-            runs[name] += on_u(*args)
-            return law(*args)
+            searches[name] += 1
+            return between(*args)
 
         monkeypatch.setattr(search, name, counted)
 
-    # every A~ is built on the base's group itself; hom_violations also runs
-    # on B-components, whose groups are the pool's
-    count("hom_violations", lambda src, tgt, m: src is a_group)
-    count("action_preserved_violations", lambda *args: True)
-    count("triangle_f_violations", lambda *args: True)
+    count("covering_morphisms_between")
+    count("lifting_morphisms_between")
     validated = Counter()
     is_valid = search._Category.is_valid
 
@@ -945,9 +941,9 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     # the images <1_A, f> and the round-trip witnesses <f, 1> add no input
     inputs = {(c1.total.A, c2.total.A, c1.f.map, c2.f.map) for c1 in rep.coverings for c2 in rep.coverings}
     assert len(inputs) == 4
-    assert 0 < runs["hom_violations"] <= len(inputs)
-    assert 0 < runs["action_preserved_violations"] <= len(inputs)
-    assert 0 < runs["triangle_f_violations"] <= len(inputs)
+    # 54 coverings of 18 shapes and 27 liftings of 9
+    assert searches["covering_morphisms_between"] == 18 * 18
+    assert searches["lifting_morphisms_between"] == 9 * 9
     # the 5020 covering morphisms have 1255 distinct images
     assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
     assert validated["lifting"] == 1255
@@ -955,6 +951,50 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     assert (rep.morphism_checks_passed, rep.functor_law_checks_passed, rep.naturality_checks_passed) == (
         7530, 546912, 5020
     )
+
+
+@pytest.mark.parametrize("base, bound", [("base_gx1", 4), ("base_gx3", 4), ("base_a3s3", 4)])
+def test_hom_sets_searched_per_shape_equal_the_direct_search(base, bound, request):
+    # a hom-set is searched once per pair of object shapes and rebuilt on the
+    # other pairs; each must equal the search on that very pair, endpoints
+    # and maps, so no law may read what the shape leaves out
+    rep = verify_equivalence(request.getfixturevalue(base), standard_pool(bound))
+    assert not rep.truncated
+    for objects, homs, between in (
+        (rep.liftings, rep.lifting_homs, search.lifting_morphisms_between),
+        (rep.coverings, rep.covering_homs, search.covering_morphisms_between),
+    ):
+        for i, o1 in enumerate(objects):
+            for j, o2 in enumerate(objects):
+                found = homs.get((i, j), ())
+                assert found == between(o1, o2), (i, j)
+                assert all(m.source is o1 and m.target is o2 for m in found)
+
+
+def test_each_distinct_morphism_image_is_mapped_back_once(base_gx3, pool4, monkeypatch):
+    # the way back of a covering morphism's image is taken once per distinct
+    # image, next to its validation, not once per covering morphism
+    calls = Counter()
+    functor = search.functor_on_lifting_morphism
+
+    def counted(m):
+        calls["functor_on_lifting_morphism"] += 1
+        return functor(m)
+
+    monkeypatch.setattr(search, "functor_on_lifting_morphism", counted)
+    rep = verify_equivalence(base_gx3, pool4)
+    assert rep.ok
+    # one image per lifting morphism, one way back per distinct covering
+    # morphism image (at most one per lifting morphism), one identity per lifting
+    assert calls["functor_on_lifting_morphism"] <= 2 * rep.lifting_morphism_count + rep.lifting_count
+
+
+def test_the_library_cap_ignores_the_environment(monkeypatch):
+    # GXMOD_MAX_MORPHISMS is read by the command line only
+    monkeypatch.setenv("GXMOD_MAX_MORPHISMS", "3")
+    rep = verify_equivalence(gx1(), standard_pool(4))
+    assert not rep.truncated
+    assert rep.lifting_morphism_count == 1201
 
 
 def test_no_law_verdict_outlives_its_equivalence_check(base_gx3, pool4, monkeypatch):
