@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cat1 import (
@@ -624,9 +624,11 @@ def verify_equivalence(
     a lifting, B~ of a covering's total), so each hom-set is searched once
     per ordered pair of object shapes, the objects with that self-action
     dropped (_capped_morphisms); every other pair of objects with those
-    shapes gets the same maps on its own endpoints.  Each distinct morphism
-    image, by the positions of its endpoints and its map ids, is validated
-    and mapped back once.  Every morphism is still counted and checked.
+    shapes gets the same maps on its own endpoints.  For the same reason
+    each morphism image between enumerated image objects is validated once
+    per pair of endpoint shapes and map ids, and mapped back once per pair
+    of endpoint positions and map ids (_morphism_images).  Every morphism
+    is still counted and checked.
 
     The unit of the equivalence differs between the sides, so two checks stay
     per side and report apart.  Object round trip: a lifting comes back
@@ -643,7 +645,8 @@ def verify_equivalence(
     # and omega, and a covering morphism <u, v> is a gxmod morphism plus the
     # f- and g-triangles, where crossed.gxmod_morphism_violations does not
     # ask v to preserve the self-action of B~.  If it ever has to, the
-    # covering shape must keep that self-action.
+    # covering shape must keep that self-action.  The hom-set search and the
+    # validation memo of _morphism_images both rest on this.
     liftings = _Category(
         "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, max_morphisms,
         shape=lambda o: (o.base, o.X.group, o.phi, o.omega),
@@ -763,12 +766,15 @@ class _Category:
     """One side of the equivalence over a given list of objects, with the functor out of it.
 
     between enumerates Hom(o1, o2), shape gives what of an object between
-    reads (the hom-sets are searched once per pair of shapes, see
-    _capped_morphisms), components gives a morphism's maps, (f) or (f, g),
-    groups an object's groups those maps run between, law their
-    violations, and identity an object's identity morphism.  images maps
-    (i, j, component ids) of each morphism of Hom(i, j) to the component ids
-    of its image in the other side's numbering.
+    and law read, components gives a morphism's maps, (f) or (f, g), groups
+    an object's groups those maps run between, law their violations, and
+    identity an object's identity morphism.  shapes numbers each object's
+    shape once, in object order: the hom-sets are searched once per pair of
+    shape ids (_capped_morphisms), and the other side's morphism images are
+    validated here once per pair of shape ids and map ids
+    (_morphism_images).  images maps (i, j, component ids) of each morphism
+    of Hom(i, j) to the component ids of its image in the other side's
+    numbering.
     """
 
     def __init__(
@@ -785,7 +791,9 @@ class _Category:
         self.law = law
         self.functor = functor
         self.functor_on_morphism = functor_on_morphism
-        self.homs, self.cut = _capped_morphisms(objects, between, shape, cap)
+        shape_ids: dict = {}
+        self.shapes = tuple(shape_ids.setdefault(shape(o), len(shape_ids)) for o in objects)
+        self.homs, self.cut = _capped_morphisms(objects, self.shapes, between, components, cap)
         self.maps = _MapNumbering()
         self.images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
 
@@ -843,28 +851,38 @@ def _morphism_images(
     object_images holds each source object's image and its target position,
     as _object_images found them.  An image of a morphism in Hom(i, j) whose
     endpoints are those very image objects, at positions p and q, is
-    validated and mapped back once per (p, q, its map ids): both read
-    nothing else.  Any other image, one with an endpoint not enumerated or
-    not the object's image, is validated and mapped back on each morphism.
+    validated once per (shape of p, shape of q, its map ids), as no morphism
+    law reads what a shape leaves out, and mapped back once per (p, q, its
+    map ids), as the lifting unit square compares the way back's endpoints.
+    Any other image, one with an endpoint not enumerated or not the object's
+    image, is validated and mapped back on each morphism.  The hom-sets of
+    one pair of source shapes hold the same maps, so their ids are numbered
+    once per pair of shapes; the functor still runs on every morphism.
     """
     invalid = f"{source.label} morphism: functor image invalid"
-
-    def checked(image) -> tuple[bool, object]:
-        return target.is_valid(image), target.functor_on_morphism(image)
-
-    seen: dict[tuple[int, int, tuple[int, ...]], tuple[bool, object]] = {}
+    ids_at: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    valid_at: dict[tuple[int, int, tuple[int, ...]], bool] = {}
+    back_at: dict[tuple[int, int, tuple[int, ...]], object] = {}
     for (i, j), homs in source.homs.items():
         (end_i, p), (end_j, q) = object_images[i], object_images[j]
-        for m in homs:
+        pair = source.shapes[i], source.shapes[j]
+        ids = ids_at.get(pair)
+        if ids is None:
+            ids = ids_at[pair] = [source.ids(m) for m in homs]
+        for m, c in zip(homs, ids):
             image = source.functor_on_morphism(m)
-            img = source.images[i, j, source.ids(m)] = target.ids(image)
+            img = source.images[i, j, c] = target.ids(image)
             if p < 0 or q < 0 or image.source is not end_i or image.target is not end_j:
-                valid, back = checked(image)
+                valid, back = target.is_valid(image), target.functor_on_morphism(image)
             else:
+                key = target.shapes[p], target.shapes[q], img
+                valid = valid_at.get(key)
+                if valid is None:
+                    valid = valid_at[key] = target.is_valid(image)
                 key = p, q, img
-                if key not in seen:
-                    seen[key] = checked(image)
-                valid, back = seen[key]
+                back = back_at.get(key)
+                if back is None:
+                    back = back_at[key] = target.functor_on_morphism(image)
             tally.check("morphism", valid, invalid)
             unit_square(m, back)
 
@@ -878,17 +896,17 @@ def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
         tally.check("functor_law", preserved, f"functor law: identity {source.label} morphism not preserved")
 
 
-def _capped_morphisms(objects, between, shape, cap: int) -> tuple[dict, bool]:
+def _capped_morphisms(objects, shapes, between, components, cap: int) -> tuple[dict, bool]:
     """The non-empty hom-sets between(objects[i], objects[j]), keyed by (i, j),
     holding at most cap morphisms in all; the flag says more existed.
 
-    between runs once per ordered pair of shapes, on the first pair of
-    objects with them; every later pair with those shapes gets morphisms
-    with the same maps, rebuilt on its own endpoints.  So shape(o) must keep
-    everything of o that between reads.
+    shapes numbers each object's shape.  between runs once per ordered pair
+    of shape ids, on the first pair of objects with them, and that pair
+    keeps the tuple it returned; every later pair with those shapes gets
+    morphisms with the same maps, components(m), built on its own
+    endpoints.  So the shape must keep everything of an object that
+    between reads.
     """
-    shape_ids: dict = {}
-    shapes = [shape_ids.setdefault(shape(o), len(shape_ids)) for o in objects]
     searched: dict[tuple[int, int], tuple] = {}
     homs = {}
     room = cap
@@ -898,8 +916,11 @@ def _capped_morphisms(objects, between, shape, cap: int) -> tuple[dict, bool]:
             found = searched.get(key)
             if found is None:
                 found = searched[key] = between(o1, o2)
-            if found[:room]:
-                homs[(i, j)] = tuple(replace(m, source=o1, target=o2) for m in found[:room])
+                kept = found[:room]
+            else:
+                kept = tuple(type(m)(o1, o2, *components(m)) for m in found[:room])
+            if kept:
+                homs[(i, j)] = kept
             if len(found) > room:
                 return homs, True
             room -= len(found)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -485,3 +487,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("\n") == 2
+
+
+def test_package_runs_as_a_module(capsys):
+    # python -m genxmod is the same command line as genxmod.cli.main
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "genxmod", "catalog", "--bound", "2"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["catalog", "--bound", "2"]) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()

@@ -677,13 +677,34 @@ def test_composition_law_reads_the_functor_images(base_gx1, pool4, monkeypatch, 
     assert not rep.ok
 
 
+# a morphism's maps, and an object's shape: the object without the
+# self-action of its varying group, which no morphism law reads
+_MAPS = {"lifting": lambda m: (m.f,), "covering": lambda m: (m.f, m.g)}
+_SHAPES = {
+    "lifting": lambda o: (o.base, o.X.group, o.phi, o.omega),
+    "covering": lambda o: (o.base, o.total.A, o.total.B.group, o.total.alpha, o.total.action.act, o.f, o.g),
+}
+
+
 def _without_a_parallel_morphism(side):
-    """A fault for side's *_morphisms_between: the hom-set of _parallel_morphisms
-    loses the second of its two morphisms."""
+    """A fault for side's *_morphisms_between: every hom-set whose endpoints
+    have the shapes of those of _parallel_morphisms loses the morphism with
+    the maps of the second of its two morphisms.  verify_equivalence
+    searches one pair of objects per pair of shapes, so the fault must not
+    hang on which pair that is."""
 
     def make_fault(between):
         o1, o2, (_, dropped) = _parallel_morphisms(gx1(), standard_pool(4), side)
-        return lambda s, t: tuple(m for m in between(s, t) if m != dropped) if (s, t) == (o1, o2) else between(s, t)
+        maps, shape = _MAPS[side], _SHAPES[side]
+        ends = shape(o1), shape(o2)
+
+        def faulty(s, t):
+            found = between(s, t)
+            if (shape(s), shape(t)) != ends:
+                return found
+            return tuple(m for m in found if maps(m) != maps(dropped))
+
+        return faulty
 
     return make_fault
 
@@ -913,8 +934,8 @@ def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch
 
 def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monkeypatch):
     # each hom-set search runs once per ordered pair of object shapes, and
-    # each distinct image of a covering morphism is validated once; every
-    # morphism is still counted
+    # each image is validated once per pair of endpoint shapes and map ids;
+    # every morphism is still counted
     searches = Counter()
 
     def count(name):
@@ -944,9 +965,12 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     # 54 coverings of 18 shapes and 27 liftings of 9
     assert searches["covering_morphisms_between"] == 18 * 18
     assert searches["lifting_morphisms_between"] == 9 * 9
-    # the 5020 covering morphisms have 1255 distinct images
+    # the 5020 covering morphisms have 1255 distinct images, and the images
+    # of either side 103 distinct (shape, shape, map ids); the covering side
+    # also validates its 54 round-trip witnesses
     assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
-    assert validated["lifting"] == 1255
+    assert validated["lifting"] == 103
+    assert validated["covering"] == 103 + 54
     assert rep.ok
     assert (rep.morphism_checks_passed, rep.functor_law_checks_passed, rep.naturality_checks_passed) == (
         7530, 546912, 5020
@@ -969,6 +993,38 @@ def test_hom_sets_searched_per_shape_equal_the_direct_search(base, bound, reques
                 found = homs.get((i, j), ())
                 assert found == between(o1, o2), (i, j)
                 assert all(m.source is o1 and m.target is o2 for m in found)
+
+
+@pytest.mark.parametrize(
+    "base, bound", [("base_gx1", 4), ("base_gx3", 4), ("base_a3s3", 4)], ids=["gx1-4", "gx3-4", "a3s3-4"]
+)
+def test_image_verdicts_per_shape_equal_the_direct_check(base, bound, request, monkeypatch):
+    # an image is validated once per pair of endpoint shapes and map ids; each
+    # morphism's counted verdict must equal the check run on its own image,
+    # so no morphism law may read what the shape leaves out
+    verdicts = {"lifting": [], "covering": []}
+    check = search._Tally.check
+
+    def recorded(tally, kind, passed, message):
+        side = message.removesuffix(" morphism: functor image invalid")
+        if side in verdicts:
+            verdicts[side].append(passed)
+        check(tally, kind, passed, message)
+
+    sides = []
+    morphism_images = search._morphism_images
+
+    def kept(source, target, *args):
+        sides.append((source, target))
+        morphism_images(source, target, *args)
+
+    monkeypatch.setattr(search._Tally, "check", recorded)
+    monkeypatch.setattr(search, "_morphism_images", kept)
+    rep = verify_equivalence(request.getfixturevalue(base), standard_pool(bound))
+    assert not rep.truncated and len(sides) == 2
+    for source, target in sides:
+        direct = [target.is_valid(source.functor_on_morphism(m)) for homs in source.homs.values() for m in homs]
+        assert verdicts[source.label] == direct, source.label
 
 
 def test_each_distinct_morphism_image_is_mapped_back_once(base_gx3, pool4, monkeypatch):
