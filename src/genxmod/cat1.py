@@ -9,15 +9,15 @@ commutation of ker s and ker t.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import partial
 
 from .crossed import ExtAction, GXMod, GXModMorphism
 from .groups import (
     Hom,
     Map,
+    _cached_per_identity,
     check_hom_shape,
     compose_homs,
     hom_violations,
@@ -28,7 +28,13 @@ from .groups import (
     restrict_table,
     subgroup_embedding,
 )
-from .gwa import GwaObject, action_preserved_violations, restricted_gwa
+from .gwa import (
+    GwaObject,
+    action_preserved_violations,
+    conjugation_self_action,
+    kernel_action_violations,
+    restricted_gwa,
+)
 from .validation import (
     DEFAULT_MAX_VIOLATIONS,
     RawViolation,
@@ -87,15 +93,6 @@ def interchange_violations(sm: Map, tm: Map) -> Iterator[RawViolation]:
             yield "ts_equals_s", (g,), "t(s({0})) = {1} != s({0}) = {2}", (tm[s_g], s_g)
 
 
-def kernel_action_violations(act, ker_s, ker_t) -> Iterator[RawViolation]:
-    """Every y in ker t acts trivially on every x in ker s, witnessed by (y, x)."""
-    for y in ker_t:
-        row = act[y]
-        for x in ker_s:
-            if row[x] != x:
-                yield "kernel_action", (y, x), "^{0} {1} = {2} != {1} (x in ker s, y in ker t)", (row[x],)
-
-
 def check_ordinary_cat1(c: GCat1) -> bool:
     """True when the self-action of G is conjugation.
 
@@ -105,10 +102,7 @@ def check_ordinary_cat1(c: GCat1) -> bool:
     """
     g = c.G.group
     act = c.G.self_action.act
-    conj = all(
-        act[a][b] == g.conjugate(a, b) for a in range(g.order) for b in range(g.order)
-    )
-    if not conj:
+    if act != conjugation_self_action(g).act:
         return False
     ker_s = kernel(c.s).members
     ker_t = kernel(c.t).members
@@ -123,42 +117,8 @@ def check_ordinary_cat1(c: GCat1) -> bool:
 # 3471 of order <= 8 do not, and are visited one at a time
 IMAGE_MEMO_SIZE = 64
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-
-def _memo_by_identity(build):
-    """build(c) memoized by the identity of c, keeping the IMAGE_MEMO_SIZE most recently used results.
-
-    An entry holds c itself, so id(c) cannot pass to another object while the
-    entry lives.  The wrapper has cache_clear() and cache_info(), as a
-    functools.lru_cache wrapper does.
-    """
-    memo: dict[int, tuple] = {}
-    counts = [0, 0]  # hits, misses
-
-    @wraps(build)
-    def memoized(c):
-        entry = memo.pop(id(c), None)
-        if entry is not None and entry[0] is c:
-            counts[0] += 1
-        else:
-            counts[1] += 1
-            entry = (c, build(c))
-            if len(memo) >= IMAGE_MEMO_SIZE:
-                del memo[next(iter(memo))]
-        memo[id(c)] = entry
-        return entry[1]
-
-    def cache_clear() -> None:
-        memo.clear()
-        counts[:] = [0, 0]
-
-    memoized.cache_clear = cache_clear
-    memoized.cache_info = lambda: CacheInfo(counts[0], counts[1], IMAGE_MEMO_SIZE, len(memo))
-    return memoized
-
-
-@_memo_by_identity
+@partial(_cached_per_identity, maxsize=IMAGE_MEMO_SIZE)
 def _cat1_image(c: GCat1) -> tuple[GXMod, dict[int, int], dict[int, int]]:
     """The crossed module of c, and the positions in it of the members of ker s and of im s.
 
@@ -192,12 +152,14 @@ def cat1_to_gxmod(c: GCat1) -> GXMod:
     the invariance of ker s under the action of im s are asserted during
     construction.
 
-    Images are memoized by the identity of c, not by equality: a structurally
-    equal cat1-group with another name gets its own image, named after it.
-    The memo keeps the IMAGE_MEMO_SIZE most recently used images, so a sweep
-    over every cat1-group holds a few dozen of them at a time;
-    cat1_to_gxmod.cache_clear() empties it and cache_info() reports its hits,
-    misses, bound and size.
+    Images are cached by the identity of c, not by equality (see
+    groups._cached_per_identity): a structurally equal cat1-group with
+    another name gets its own image, named after it.  The cache keeps the
+    IMAGE_MEMO_SIZE most recently used images, so a sweep over every
+    cat1-group holds a few dozen of them at a time.
+    cat1_to_gxmod.cache_clear() and cache_info() are those of the cache's
+    functools.lru_cache: cache_info() reports its hits, misses, bound and
+    size.
     """
     return _cat1_image(c)[0]
 

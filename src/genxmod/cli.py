@@ -6,9 +6,10 @@ Commands: validate, construct, enumerate, equivalence, catalog; plus
     0  all checks passed
     1  an axiom or precondition failure, in an input or in the output of a
        construction
-    2  a parse or structural failure: malformed JSON or a malformed document,
-       an unreadable input, an unwritable --out or --seed-fixtures target, a
-       malformed GXMOD_MAX_MORPHISMS
+    2  a parse or structural failure: malformed JSON (not UTF-8, invalid or
+       nested too deeply) or a malformed document, an unreadable input, an
+       unwritable --out or --seed-fixtures target, a malformed
+       GXMOD_MAX_MORPHISMS
     3  an incomplete equivalence run: the pool is too small or the morphism
        cap was reached
 
@@ -90,12 +91,14 @@ def _require_ok(report: ValidationReport) -> None:
 def _read_doc(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise StructuralError(f"{path}: JSON nested too deeply") from exc
 
 
 def _write(text: str, out: str | None) -> None:
@@ -266,7 +269,6 @@ def cmd_equivalence(args) -> int:
     pool = standard_pool(args.bound)
     cap = morphism_cap()
     report = verify_equivalence(base, pool, cap)
-    doc = equivalence_report_doc(report)
     if args.format == "human":
         lines = [
             f"base {report.base_name}, bound {report.order_bound}",
@@ -287,7 +289,7 @@ def cmd_equivalence(args) -> int:
         lines.append("ok" if report.ok else "NOT OK")
         _write("\n".join(lines) + "\n", args.out)
     else:
-        _write(dumps(doc), args.out)
+        _write(dumps(equivalence_report_doc(report)), args.out)
     if report.incomplete or report.truncated:
         return EXIT_INCOMPLETE
     if report.failures:

@@ -39,6 +39,7 @@ from .gwa import (
     intertwining_violations,
     is_gwa_morphism,
     is_subobject,
+    kernel_action_violations,
     sub_gwa,
     validate_gwa,
 )
@@ -256,12 +257,7 @@ def is_simply_connected(x: GXMod) -> bool:
 
 def check_kernel_acts_trivially(x: GXMod) -> bool:
     """Elements of ker alpha act trivially on A; true for every valid input."""
-    sa = x.A.self_action.act
-    for k in kernel(x.alpha).members:
-        row = sa[k]
-        if any(row[a] != a for a in range(x.A.order)):
-            return False
-    return True
+    return holds(kernel_action_violations(x.A.self_action.act, range(x.A.order), kernel(x.alpha).members))
 
 
 # ---------------------------------------------------------------------------

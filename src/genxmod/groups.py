@@ -83,6 +83,41 @@ def _cached_per_name(fn):
     return per_name
 
 
+class _Identity:
+    """A cache key that hashes and compares by the identity of the object it holds."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
+def _cached_per_identity(fn, maxsize=None):
+    """An lru_cache of the one-argument fn keyed by the identity of its argument.
+
+    Structures compare by their tables alone, and hashing a nested one walks
+    every table; keyed by identity, an equal structure with another name
+    gets its own result, and a lookup costs no walk.  Each entry holds its
+    argument, so the argument's id cannot pass to another object while the
+    entry lives.  maxsize bounds the cache as lru_cache's does.  The wrapper
+    has the cache's cache_info() and cache_clear().
+    """
+    cached = lru_cache(maxsize=maxsize)(lambda key: fn(key.obj))
+
+    @wraps(fn)
+    def per_identity(arg):
+        return cached(_Identity(arg))
+
+    per_identity.cache_info, per_identity.cache_clear = cached.cache_info, cached.cache_clear
+    return per_identity
+
+
 def group_from_op(op, name: str = "") -> GroupTable:
     """Build a GroupTable from a raw table, deriving identity and inverses.
 

@@ -168,6 +168,19 @@ def intertwining_violations(
                 yield law, (x, y), template, (space_map[xy], tgt_row[space_map[y]])
 
 
+def kernel_action_violations(act: Table, ker_s, ker_t) -> Iterator[RawViolation]:
+    """Every y in ker_t acts trivially on every x in ker_s under act, witnessed by (y, x).
+
+    The kernel law of a cat1-group (G, s, t); with ker_s all of A and ker_t
+    the kernel of alpha, the law that ker alpha acts trivially on A.
+    """
+    for y in ker_t:
+        row = act[y]
+        for x in ker_s:
+            if row[x] != x:
+                yield "kernel_action", (y, x), "^{0} {1} = {2} != {1} (x in ker s, y in ker t)", (row[x],)
+
+
 def is_gwa_morphism(f: Hom, src: GwaObject, tgt: GwaObject) -> bool:
     return holds(action_preserved_violations(src, tgt, f.map))
 

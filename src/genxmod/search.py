@@ -24,7 +24,6 @@ from .cat1 import (
     GCat1Morphism,
     commutes_violations,
     interchange_violations,
-    kernel_action_violations,
 )
 from .crossed import (
     ExtAction,
@@ -82,7 +81,7 @@ from .groups import (
     symmetric_group,
     trivial_group,
 )
-from .gwa import GwaObject, SelfAction, action_preserved_violations, is_gwa_morphism
+from .gwa import GwaObject, SelfAction, action_preserved_violations, is_gwa_morphism, kernel_action_violations
 from .validation import PreconditionError, StructuralError, holds
 
 MAX_MORPHISMS_ENV = "GXMOD_MAX_MORPHISMS"

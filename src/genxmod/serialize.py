@@ -25,7 +25,7 @@ from typing import Any
 from .cat1 import GCat1
 from .coverlift import Covering, Lifting
 from .crossed import ExtAction, GXMod
-from .groups import GroupTable, Hom, Map, Table, group_from_op
+from .groups import GroupTable, Hom, Map, Table, _cached_per_identity, group_from_op
 from .gwa import GwaObject, SelfAction, trivial_self_action
 from .search import EquivalenceReport
 from .validation import StructuralError
@@ -108,55 +108,43 @@ def _lifting_doc(l: Lifting, gxmod, gwa) -> dict:
 
 
 def covering_docs(coverings) -> list[dict]:
-    """covering_doc of each covering; the parts they share are built once (see _SharedParts)."""
-    parts = _SharedParts()
-    return [_covering_doc(c, parts.gxmod) for c in coverings]
+    """covering_doc of each covering; the parts they share are built once (see _shared_part_docs)."""
+    gxmod, _ = _shared_part_docs()
+    return [_covering_doc(c, gxmod) for c in coverings]
 
 
 def lifting_docs(liftings) -> list[dict]:
-    """lifting_doc of each lifting; the parts they share are built once (see _SharedParts)."""
-    parts = _SharedParts()
-    return [_lifting_doc(l, parts.gxmod, parts.gwa) for l in liftings]
+    """lifting_doc of each lifting; the parts they share are built once (see _shared_part_docs)."""
+    gxmod, gwa = _shared_part_docs()
+    return [_lifting_doc(l, gxmod, gwa) for l in liftings]
 
 
-class _SharedParts:
-    """The documents of the crossed modules and gwa objects that the objects
-    of one output share, each built on first use.
+def _shared_part_docs():
+    """gxmod_doc and gwa_doc for the objects of one output, each part's
+    document built on first use.
 
     An enumeration's objects hold few distinct parts between them: the one
     base, the gwa objects of the pool, one A~ per automorphism of A.  Each
-    part's document is kept by the identity of the part, which is kept with
-    it so that no identity is reused, and appears as one shared dict in
-    every document that holds the part: dumps writes it out in full each
-    time, and no caller mutates it.
+    part's document is cached by the identity of the part (see
+    groups._cached_per_identity) and appears as one shared dict in every
+    document that holds the part: dumps writes it out in full each time,
+    and no caller mutates it.
     """
-
-    def __init__(self) -> None:
-        self._docs: dict[int, tuple[object, dict]] = {}
-
-    def _doc(self, part, build) -> dict:
-        kept = self._docs.get(id(part))
-        if kept is None:
-            kept = self._docs[id(part)] = (part, build(part))
-        return kept[1]
-
-    def gwa(self, g: GwaObject) -> dict:
-        return self._doc(g, gwa_doc)
-
-    def gxmod(self, x: GXMod) -> dict:
-        return self._doc(x, lambda x: _gxmod_doc(x, self.gwa))
+    gwa = _cached_per_identity(gwa_doc)
+    gxmod = _cached_per_identity(lambda x: _gxmod_doc(x, gwa))
+    return gxmod, gwa
 
 
 def equivalence_report_doc(rep: EquivalenceReport) -> dict:
-    parts = _SharedParts()
+    gxmod, gwa = _shared_part_docs()
     return {
         "base": rep.base_name,
         "order_bound": rep.order_bound,
         "pool_groups": list(rep.pool_groups),
         "lifting_count": rep.lifting_count,
         "covering_count": rep.covering_count,
-        "liftings": [_lifting_doc(l, parts.gxmod, parts.gwa) for l in rep.liftings],
-        "coverings": [_covering_doc(c, parts.gxmod) for c in rep.coverings],
+        "liftings": [_lifting_doc(l, gxmod, gwa) for l in rep.liftings],
+        "coverings": [_covering_doc(c, gxmod) for c in rep.coverings],
         "lifting_to_covering_index": list(rep.lifting_to_covering_index),
         "covering_to_lifting_index": list(rep.covering_to_lifting_index),
         "roundtrip_lifting_exact": rep.roundtrip_lifting_exact,
@@ -269,6 +257,10 @@ def load_gwa_doc(doc: dict, label: str = "gwa") -> tuple[GwaObject, Map]:
         raise StructuralError(f"{label}: missing or bad order")
     if order < 1:
         raise StructuralError(f"{label}: order must be positive")
+    # the rows are counted before anything of size order is built, so a
+    # large order on a small document fails at once
+    if not isinstance(doc.get("op"), list) or len(doc["op"]) != order:
+        raise StructuralError(f"{label}.op: expected {order} rows")
     name = str(doc.get("name", ""))
     perm = tuple(range(order))
     group = group_from_op(_read_table(doc.get("op"), perm, perm, perm, f"{label}.op"), name)

@@ -46,12 +46,19 @@ def test_validate_corrupted_fixture_exit_1(fixture_dir, tmp_path, capsys):
     assert "FAILED" in out and "at (" in out
 
 
-def test_validate_malformed_json_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "data",
+    [b"{not json", b"\xff\xfe\x00bad", b"[" * 5000],
+    ids=["broken", "not_utf8", "nested_too_deeply"],
+)
+def test_validate_malformed_json_exit_2(tmp_path, capsys, data):
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
+    bad.write_bytes(data)
     rc = main(["validate", str(bad)])
     assert rc == 2
     assert "structural error" in capsys.readouterr().out
+    assert main(["equivalence", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 Z2_OP = [[0, 1], [1, 0]]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from genxmod.fixtures import (
     v4_projection_cat1,
     z4_inversion_gwa,
 )
+from genxmod.groups import _cached_per_identity
 from genxmod.serialize import (
     cat1_doc,
     covering_doc,
@@ -23,6 +25,7 @@ from genxmod.serialize import (
     detect_kind,
     doc_for,
     dumps,
+    equivalence_report_doc,
     gwa_doc,
     gxmod_doc,
     lifting_doc,
@@ -40,6 +43,7 @@ from genxmod.search import (
     enumerate_liftings,
     gwa_objects,
     standard_pool,
+    verify_equivalence,
 )
 from genxmod.validation import StructuralError
 
@@ -76,6 +80,17 @@ def test_docs_of_an_enumeration_equal_the_docs_one_by_one(base_gx3, pool4):
     assert lifting_docs(liftings) == [lifting_doc(l) for l in liftings]
     assert covering_docs(coverings) == [covering_doc(c) for c in coverings]
     assert "".join(map(dumps, covering_docs(coverings))) == "".join(dumps(covering_doc(c)) for c in coverings)
+    # objects with one base hold one base dict
+    report = equivalence_report_doc(verify_equivalence(base_gx3, pool4))
+    for docs in (lifting_docs(liftings), covering_docs(coverings), report["liftings"], report["coverings"]):
+        assert len(docs) > 1 and all(d["base"] is docs[0]["base"] for d in docs)
+    # the cache is keyed by identity: equal but distinct arguments get their own results
+    cached = _cached_per_identity(gwa_doc)
+    gw, twin = z4_inversion_gwa(), z4_inversion_gwa()
+    assert gw == twin and gw is not twin
+    assert cached(gw) is cached(gw)
+    assert cached(twin) is not cached(gw) and cached(twin) == cached(gw)
+    assert cached.cache_info().misses == 2
 
 
 def test_gxmod_roundtrip():
@@ -151,6 +166,18 @@ def test_dumps_deterministic():
     assert a == b
     assert a.endswith("\n")
     json.loads(a)
+
+
+def test_a_large_order_fails_before_anything_of_its_size_is_built():
+    # a 40-byte document must not allocate a renumbering of 2000000 elements
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError, match="expected 2000000 rows"):
+            load_gwa_doc({"order": 2000000, "op": [[0]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_malformed_docs_raise_structural():
