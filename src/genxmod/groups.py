@@ -27,7 +27,7 @@ Map = tuple[int, ...]
 
 
 def _freeze(rows) -> Table:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def group_from_op(op, name: str = "") -> GroupTable:
     n = len(table)
     if any(len(row) != n for row in table):
         raise StructuralError("op table is not square")
-    if any(x < 0 or x >= n for row in table for x in row):
+    if table and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
         raise StructuralError("op table entry out of range")
     identity = None
     for e in range(n):
@@ -561,18 +561,27 @@ def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     image drawn from the elements whose order divides the generator's.  A
     prefix of k images is kept only when _extend_map closes it to a
     homomorphism on the subgroup the first k generators generate, so an
-    inconsistent prefix is dropped with all its extensions.  The
+    inconsistent prefix is dropped with all its extensions.  Before that, an
+    image h of the k-th generator is skipped when some earlier generator
+    commutes with it in src but the earlier image does not commute with h
+    in tgt: _extend_map reaches that product by both orders and would reject
+    the prefix, so the skip drops exactly prefixes it would drop.  The
     homomorphism law still runs on every complete map.
     """
     gens = _generating_sequence(src)
+    sop, top = src.op, tgt.op
     tgt_orders = [tgt.element_order(h) for h in range(tgt.order)]
     level: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {src.identity: tgt.identity})]
     for k, g in enumerate(gens, 1):
         og = src.element_order(g)
         options = [h for h in range(tgt.order) if og % tgt_orders[h] == 0]
+        commuting = [j for j in range(k - 1) if sop[gens[j]][g] == sop[g][gens[j]]]
         grown = []
         for imgs, _ in level:
+            partners = [imgs[j] for j in commuting]
             for h in options:
+                if any(top[x][h] != top[h][x] for x in partners):
+                    continue
                 m = _extend_map(src, tgt, gens[:k], imgs + (h,))
                 if m is not None:
                     grown.append((imgs + (h,), m))
@@ -598,13 +607,23 @@ def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
     The table index of (f o h) is op[i][j] where i, j index f and h; the
     identity automorphism sorts first, keeping the identity at index 0.  An
     automorphism is fixed by its images of a generating sequence, so each
-    composite is looked up by those images alone.
+    composite is looked up by the integer whose base-|g| digits are those
+    images.  Row f maps through f the column of each generator's images
+    under every h, one list per generator, and then looks each entry's code
+    up once.  The trivial group has no generators: its one code is 0.
     """
     auts = automorphisms(g)
-    gens = _generating_sequence(g)
-    at_gens = [tuple([f.map[x] for x in gens]) for f in auts]
-    index = {imgs: i for i, imgs in enumerate(at_gens)}
-    op = [[index[tuple([f.map[y] for y in imgs])] for imgs in at_gens] for f in auts]
+    columns = [[h.map[x] for h in auts] for x in _generating_sequence(g)]
+
+    def codes(fmap) -> list[int]:
+        """The code of f o h for every h, f given by its map."""
+        out = [0] * len(auts)
+        for column in columns:
+            out = [code * g.order + fmap[y] for code, y in zip(out, column)]
+        return out
+
+    index = {code: i for i, code in enumerate(codes(range(g.order)))}
+    op = [[index[code] for code in codes(f.map)] for f in auts]
     return group_from_op(op, f"Aut({g.name})"), auts
 
 

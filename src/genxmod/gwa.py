@@ -97,7 +97,7 @@ def validate_gwa(g: GwaObject, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> 
         raise StructuralError("self-action group reference mismatch")
     if len(act) != n or any(len(row) != n for row in act):
         raise StructuralError("self-action table dimensions do not match order")
-    if any(x < 0 or x >= n for row in act for x in row):
+    if n and (min(map(min, act)) < 0 or max(map(max, act)) >= n):
         raise StructuralError("self-action table entry out of range")
     violations = action_violations(act, g.group, g.group.op, SELF_ACTION_DETAILS)
     return report(g.name or "gwa", violations, max_violations)
@@ -117,6 +117,14 @@ def action_violations(act: Table, actor: GroupTable, space_op: Table, details) -
     act[x][y] is x . y for x in actor and y in the group with table space_op;
     details holds the three laws' detail templates.  Only the first failing y
     is witnessed for each (x1, x2) and each (x, y1).
+
+    The compatibility and automorphism laws read act through its distinct
+    rows, numbered once.  Compatibility compares the number of row x1*x2
+    with that of the composite of rows x1 and x2, each composite built once
+    per pair of distinct rows; the automorphism law runs once per distinct
+    row.  Only a pair or a row that fails is scanned element by element, so
+    every violation, its witness and its order are those of the scan over
+    every element.  Callers check act's shape and range first.
     """
     identity, compatibility, automorphism = details
     op, e = actor.op, actor.identity
@@ -124,14 +132,24 @@ def action_violations(act: Table, actor: GroupTable, space_op: Table, details) -
         if y != h:
             yield "action_identity", (h,), identity, (e, y)
     ns = len(space_op)
+    numbers: dict[tuple[int, ...], int] = {}
+    num = [numbers.setdefault(tuple(row), len(numbers)) for row in act]
+    rows = list(numbers)
+    composite = [[numbers.get(tuple([r1[y] for y in r2]), -1) for r2 in rows] for r1 in rows]
     for g1, row1 in enumerate(act):
+        expected, op1 = composite[num[g1]], op[g1]
         for g2, row2 in enumerate(act):
-            row12 = act[op[g1][g2]]
-            for h in range(ns):
-                if row12[h] != row1[row2[h]]:
-                    yield "action_compatibility", (g1, g2, h), compatibility, (row12[h], row1[row2[h]])
-                    break
+            if num[op1[g2]] == expected[num[g2]]:
+                continue
+            row12 = act[op1[g2]]
+            h = next(h for h in range(ns) if row12[h] != row1[row2[h]])
+            yield "action_compatibility", (g1, g2, h), compatibility, (row12[h], row1[row2[h]])
+    is_automorphism = [
+        all([row[y] for y in space_op[h1]] == [space_op[row[h1]][y] for y in row] for h1 in range(ns)) for row in rows
+    ]
     for a, row in enumerate(act):
+        if is_automorphism[num[a]]:
+            continue
         for h1 in range(ns):
             for h2 in range(ns):
                 if row[space_op[h1][h2]] != space_op[row[h1]][row[h2]]:

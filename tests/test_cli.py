@@ -426,6 +426,15 @@ def test_bound8_enumeration_is_pinned(fixture_dir, tmp_path, fixture, what, coun
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+def test_bound8_catalog_is_pinned(tmp_path):
+    # sha256 of `genxmod catalog --bound 8` and its line count, one line per gwa object
+    out = tmp_path / "catalog.jsonl"
+    assert main(["catalog", "--bound", "8", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data.splitlines()) == 889
+    assert hashlib.sha256(data).hexdigest() == "522825daca1e9d866bdfa7e6afbac207a2195a62d47aaae166836a2e585b4f6c"
+
+
 def test_equivalence_pool_too_small_exit_3(fixture_dir, tmp_path):
     rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "1", "--out", str(tmp_path / "eq.json")])
     assert rc == 3

@@ -90,6 +90,12 @@ def test_group_from_op_requires_identity():
     # a shuffled table still works: identity found wherever it sits
     shuffled = group_from_op([[1, 0], [0, 1]])
     assert shuffled.identity == 1
+    # the range check reads no entry of an empty table
+    with pytest.raises(StructuralError, match="^no identity element in op table$"):
+        group_from_op([])
+    for bad in ([[0, 2], [1, 0]], [[0, -1], [1, 0]]):
+        with pytest.raises(StructuralError, match="^op table entry out of range$"):
+            group_from_op(bad)
 
 
 def test_identity_and_inverse_violations_reported():
@@ -200,6 +206,23 @@ def test_all_homs_runs_the_hom_law_on_every_complete_map(monkeypatch):
         all_homs.cache_clear()
 
 
+def test_all_homs_skips_images_that_break_commuting_generators(monkeypatch):
+    # Z2^3's generators commute, so an image of the k-th generator that does
+    # not commute with every earlier image is skipped before _extend_map runs;
+    # without that skip the search closes 3762 prefixes
+    z2_3 = next(g for g in group_catalog() if g.name == "Z2^3")
+    aut = automorphism_group(z2_3)[0]
+    calls = []
+    extend_map = groups._extend_map
+    monkeypatch.setattr(groups, "_extend_map", lambda *args: calls.append(1) or extend_map(*args))
+    all_homs.cache_clear()
+    try:
+        assert len(all_homs(z2_3, aut)) == 736
+    finally:
+        all_homs.cache_clear()
+    assert len(calls) == 906
+
+
 def test_end_s3_count():
     s3 = symmetric_group(3)
     assert len(all_homs(s3, s3)) == 10
@@ -230,6 +253,8 @@ def test_automorphism_group_table_is_full_map_composition():
 
 
 def test_aut_orders():
+    # the trivial group has no generators, so its one automorphism has code 0
+    assert automorphism_group(trivial_group())[0].op == ((0,),)
     assert automorphism_group(cyclic_group(2))[0].order == 1
     assert automorphism_group(cyclic_group(4))[0].order == 2
     assert automorphism_group(klein_four_group())[0].order == 6

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from genxmod.crossed import EXT_ACTION_DETAILS, ExtAction, GXMod
 from genxmod.groups import (
     GroupTable,
     Hom,
@@ -10,10 +13,13 @@ from genxmod.groups import (
     subgroup_embedding,
     symmetric_group,
     trivial_group,
+    zero_hom,
 )
 from genxmod.gwa import (
+    SELF_ACTION_DETAILS,
     GwaObject,
     SelfAction,
+    action_violations,
     conjugation_self_action,
     gwa,
     is_ideal,
@@ -26,7 +32,8 @@ from genxmod.gwa import (
 )
 from genxmod.fixtures import a3_members, s3_conjugation_gwa, z4_inversion_gwa
 from genxmod.oracles import replay_violation
-from genxmod.validation import PreconditionError, StructuralError
+from genxmod.search import _action_tables, group_catalog
+from genxmod.validation import PreconditionError, StructuralError, report
 
 
 def test_trivial_action_valid():
@@ -242,3 +249,67 @@ def test_every_ideal_quotient_is_valid_over_small_pool():
             assert kernel(proj).members == n.members
             checked += 1
     assert checked > 50
+
+
+def _per_element_action_violations(act, actor, space_op, details):
+    # the law as a scan of every element, the reference for action_violations
+    identity, compatibility, automorphism = details
+    op, e = actor.op, actor.identity
+    for h, y in enumerate(act[e]):
+        if y != h:
+            yield "action_identity", (h,), identity, (e, y)
+    ns = len(space_op)
+    for g1, row1 in enumerate(act):
+        for g2, row2 in enumerate(act):
+            row12 = act[op[g1][g2]]
+            for h in range(ns):
+                if row12[h] != row1[row2[h]]:
+                    yield "action_compatibility", (g1, g2, h), compatibility, (row12[h], row1[row2[h]])
+                    break
+    for a, row in enumerate(act):
+        for h1 in range(ns):
+            for h2 in range(ns):
+                if row[space_op[h1][h2]] != space_op[row[h1]][row[h2]]:
+                    values = (row[space_op[h1][h2]], space_op[row[h1]][row[h2]])
+                    yield "action_automorphism", (a, h1, h2), automorphism, values
+                    break
+
+
+def _perturbed(act, modulus, rng):
+    # a copy of act with up to three changed entries, and some rows replaced
+    # by a new tuple equal to another row, so equal rows are not one object
+    rows = [list(row) for row in act]
+    for _ in range(rng.randrange(4)):
+        rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] = rng.randrange(modulus)
+    for _ in range(rng.randrange(3)):
+        rows[rng.randrange(len(rows))] = list(rows[rng.randrange(len(rows))])
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "actor_name, space_name",
+    [("Z2^3", "Z2^3"), ("D4", "D4"), ("S3", "S3"), ("Q8", "Z4"), ("Z4xZ2", "Z2^3"), ("Z6", "S3")],
+)
+def test_action_violations_match_the_per_element_scan(actor_name, space_name):
+    # every violation, witness, detail and their order, on seeded corruptions
+    # of catalog self-actions and ext-actions
+    by_name = {g.name: g for g in group_catalog()}
+    actor, space = by_name[actor_name], by_name[space_name]
+    details = SELF_ACTION_DETAILS if actor is space else EXT_ACTION_DETAILS
+    tables = _action_tables(actor, space)
+    rng = random.Random(f"{actor_name}-{space_name}")
+    laws = set()
+    for i in range(40):
+        act = _perturbed(tables[i % len(tables)], space.order, rng)
+        got = report("act", action_violations(act, actor, space.op, details), 1000)
+        want = report("act", _per_element_action_violations(act, actor, space.op, details), 1000)
+        assert got.violations == want.violations
+        if actor is space:
+            replayed = [replay_violation(GwaObject(space, SelfAction(space, act)), v) for v in got.violations]
+        else:
+            a, b = gwa(space), gwa(actor)
+            x = GXMod(a, b, zero_hom(space, actor), ExtAction(b, a, act))
+            replayed = [replay_violation(x, v.prefixed("action")) for v in got.violations]
+        assert all(replayed)
+        laws |= got.laws()
+    assert laws == {"action_identity", "action_compatibility", "action_automorphism"}
