@@ -10,11 +10,12 @@ Commands: validate, construct, enumerate, equivalence, catalog; plus
        nested too deeply) or a malformed document, an unreadable input, an
        unwritable --out or --seed-fixtures target, a malformed
        GXMOD_MAX_MORPHISMS
-    3  an incomplete equivalence run: the pool is too small or the morphism
-       cap was reached
+    3  an incomplete run: the pool is too small or the morphism cap was
+       reached in an equivalence run, or the run ran out of memory
 
-main maps the failures of every command to codes 1 and 2; validate alone
-reports a file's structural error itself and goes on to the next file.
+main maps the failures of every command to codes 1, 2 and 3; validate
+alone reports a file's structural error itself and goes on to the next
+file.  Each prints one line on stderr and no traceback.
 
 JSON output is canonical (sorted keys, compact separators), so repeated runs
 on the same inputs produce byte-identical files.
@@ -48,6 +49,7 @@ from .crossed import (
 from .groups import subgroup, validate_group
 from .gwa import validate_gwa
 from .search import (
+    MAX_MORPHISMS_ENV,
     enumerate_coverings,
     enumerate_ext_actions,
     enumerate_gxmods,
@@ -283,7 +285,10 @@ def cmd_equivalence(args) -> int:
         for reason in report.incomplete:
             lines.append(f"incomplete: {reason}")
         if report.truncated:
-            lines.append(f"truncated: the morphism cap of {cap} was reached; morphism checks are partial")
+            lines.append(
+                f"truncated: the morphism cap of {cap} was reached; a cut category lists its first {cap}"
+                " morphisms and runs no morphism-level check"
+            )
         for failure in report.failures:
             lines.append(f"FAILURE: {failure}")
         lines.append("ok" if report.ok else "NOT OK")
@@ -427,6 +432,9 @@ def main(argv=None) -> int:
     except _ChecksFailed as exc:
         print(exc, file=sys.stderr)
         return EXIT_AXIOM
+    except MemoryError:
+        print(f"error: out of memory; lower --bound or {MAX_MORPHISMS_ENV}", file=sys.stderr)
+        return EXIT_INCOMPLETE
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from .cat1 import (
     GCat1,
@@ -525,6 +526,11 @@ class EquivalenceReport:
     ok means zero failed checks, a pool rich enough to contain the canonical
     liftings (natural, image, self) and the identity covering, each up to
     isomorphism, and no morphism category cut short by the morphism cap.
+
+    Each side's morphisms are held by shape (see verify_equivalence): the
+    shape id of each object, and the hom-sets between the first objects of
+    each pair of shapes.  lifting_morphisms() and covering_morphisms() list
+    them object by object.
     """
 
     base_name: str
@@ -536,9 +542,14 @@ class EquivalenceReport:
     covering_to_lifting_index: tuple[int, ...] = ()
     roundtrip_lifting_exact: bool = True
     roundtrip_covering_witnesses: tuple[CoveringMorphism, ...] = field(repr=False, default=())
-    # non-empty hom-sets keyed by the (source, target) positions in liftings / coverings
+    # the shape id of each object in liftings / coverings
+    lifting_shapes: tuple[int, ...] = field(repr=False, default=())
+    covering_shapes: tuple[int, ...] = field(repr=False, default=())
+    # the hom-sets searched, keyed by the (source, target) shape ids
     lifting_homs: dict[tuple[int, int], tuple[LiftingMorphism, ...]] = field(repr=False, default_factory=dict)
     covering_homs: dict[tuple[int, int], tuple[CoveringMorphism, ...]] = field(repr=False, default_factory=dict)
+    lifting_morphism_count: int = 0
+    covering_morphism_count: int = 0
     morphism_checks_passed: int = 0
     morphism_checks_failed: int = 0
     functor_law_checks_passed: int = 0
@@ -557,13 +568,15 @@ class EquivalenceReport:
     def covering_count(self) -> int:
         return len(self.coverings)
 
-    @property
-    def lifting_morphism_count(self) -> int:
-        return sum(map(len, self.lifting_homs.values()))
+    def lifting_morphisms(self) -> Iterator[tuple[int, int, LiftingMorphism]]:
+        """The listed lifting morphisms as (source, target, m), in (source,
+        target) order, where m is the morphism with their maps between the
+        first objects of their shapes."""
+        return _object_level(self.lifting_shapes, self.lifting_homs, self.lifting_morphism_count)
 
-    @property
-    def covering_morphism_count(self) -> int:
-        return sum(map(len, self.covering_homs.values()))
+    def covering_morphisms(self) -> Iterator[tuple[int, int, CoveringMorphism]]:
+        """The listed covering morphisms, as lifting_morphisms lists those of liftings."""
+        return _object_level(self.covering_shapes, self.covering_homs, self.covering_morphism_count)
 
     @property
     def ok(self) -> bool:
@@ -605,29 +618,28 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Enumerate both categories over the pool and check the equivalence explicitly.
 
-    Each side is a _Category record: its objects, its hom-sets keyed by the
-    positions of source and target and capped on their own at max_morphisms
-    morphisms, one numbering of its raw maps, and the functor out of it.  The
-    hom-sets come from lifting_morphisms_between and
-    covering_morphisms_between, which look up the candidates of each pair by
-    its triangle and run every law on each candidate.  One check path runs
-    from liftings to coverings and from coverings to liftings: object images,
-    morphism images, the identity and composition laws, and the search for
-    the canonical liftings (natural, image, self) and the identity covering,
-    each up to isomorphism.  The composition law reads the numbered images
-    the morphism check stored and holds positions as bitmasks, so each pair
-    of classes of morphisms with one map tuple and one image is composed
-    once and checked by one AND.
+    Each side is a _Category record: its objects, the quotient of its
+    morphisms by object shape, and the functor out of it.  One check path
+    runs from liftings to coverings and from coverings to liftings: object
+    images, morphism images, the identity and composition laws, and the
+    search for the canonical liftings (natural, image, self) and the
+    identity covering, each up to isomorphism.
 
-    No morphism law reads the self-action of an object's varying group (X of
-    a lifting, B~ of a covering's total), so each hom-set is searched once
-    per ordered pair of object shapes, the objects with that self-action
-    dropped (_capped_morphisms); every other pair of objects with those
-    shapes gets the same maps on its own endpoints.  For the same reason
-    each morphism image between enumerated image objects is validated once
-    per pair of endpoint shapes and map ids, and mapped back once per pair
-    of endpoint positions and map ids (_morphism_images).  Every morphism
-    is still counted and checked.
+    An object's shape is the object without the self-action of its varying
+    group (X of a lifting, B~ of a covering's total), which no morphism law
+    reads.  So two pairs of objects with the same shapes have hom-sets with
+    the same maps, and every morphism-level check reads only the shapes of
+    the endpoints and the maps.  Each hom-set is searched once per ordered
+    pair of shapes, on their first objects (_shape_homs), and each
+    morphism-level check runs once per morphism of those hom-sets,
+    counting for the n(s1) * n(s2) morphisms between objects of shapes s1
+    and s2 (n(s) objects have shape s); a composable pair s1 -> s2 -> s3
+    counts for n(s1) * n(s2) * n(s3) pairs.  This rests on the functors
+    sending objects of one shape to objects of one shape, which is checked
+    object by object, and morphisms with the same maps between objects of
+    the same shapes to morphisms with the same maps.  A category with more
+    than max_morphisms morphisms between objects is cut: it lists its first
+    max_morphisms, and no morphism-level check runs on it.
 
     The unit of the equivalence differs between the sides, so two checks stay
     per side and report apart.  Object round trip: a lifting comes back
@@ -639,13 +651,12 @@ def verify_equivalence(
     """
     tally = _Tally()
     incomplete: list[str] = []
-    # An object's shape drops the self-action of its varying group, which no
-    # morphism law reads: a lifting morphism's laws read only X's group, phi
-    # and omega, and a covering morphism <u, v> is a gxmod morphism plus the
-    # f- and g-triangles, where crossed.gxmod_morphism_violations does not
-    # ask v to preserve the self-action of B~.  If it ever has to, the
-    # covering shape must keep that self-action.  The hom-set search and the
-    # validation memo of _morphism_images both rest on this.
+    # No morphism law reads the self-action an object's shape leaves out: a
+    # lifting morphism's laws read only X's group, phi and omega, and a
+    # covering morphism <u, v> is a gxmod morphism plus the f- and
+    # g-triangles, where crossed.gxmod_morphism_violations does not ask v to
+    # preserve the self-action of B~.  If it ever has to, the covering shape
+    # must keep that self-action.
     liftings = _Category(
         "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, max_morphisms,
         shape=lambda o: (o.base, o.X.group, o.phi, o.omega),
@@ -705,23 +716,26 @@ def verify_equivalence(
         else:
             tally.failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
 
-    def lifting_unit_square(m: LiftingMorphism, back: LiftingMorphism) -> None:
+    def lifting_unit_square(m: LiftingMorphism, back: LiftingMorphism, weight: int) -> None:
+        # the endpoints of m are the first objects of their shapes; each
+        # other object's own round trip is the object check above
         exact = back.f == m.f and back.source == m.source and back.target == m.target
-        tally.check("morphism", exact, "lifting morphism: round trip not exact")
+        tally.check("morphism", exact, "lifting morphism: round trip not exact", weight)
 
-    def covering_unit_square(m: CoveringMorphism, back: CoveringMorphism) -> None:
+    def covering_unit_square(m: CoveringMorphism, back: CoveringMorphism, weight: int) -> None:
         # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
         lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
         natural = lhs_f == m.source.f.map and m.g.map == back.g.map
-        tally.check("naturality", natural, "covering morphism: naturality square broken")
+        tally.check("naturality", natural, "covering morphism: naturality square broken", weight)
 
     l2c = _object_images(liftings, coverings, lifting_round_trip, tally)
     c2l = _object_images(coverings, liftings, covering_round_trip, tally)
-    _morphism_images(liftings, coverings, l2c, lifting_unit_square, tally)
-    _morphism_images(coverings, liftings, c2l, covering_unit_square, tally)
-    for law in (_identity_law, _composition_law):
-        for source, target in ((liftings, coverings), (coverings, liftings)):
-            law(source, target, tally)
+    lifting_images = _morphism_images(liftings, coverings, lifting_unit_square, tally)
+    covering_images = _morphism_images(coverings, liftings, covering_unit_square, tally)
+    for source, target in ((liftings, coverings), (coverings, liftings)):
+        _identity_law(source, target, tally)
+    _composition_law(liftings, lifting_images, tally)
+    _composition_law(coverings, covering_images, tally)
 
     return EquivalenceReport(
         base_name=base.name or f"({base.A.group.name},{base.B.group.name})",
@@ -729,12 +743,16 @@ def verify_equivalence(
         pool_groups=tuple(g.name for g in pool.groups),
         liftings=liftings.objects,
         coverings=coverings.objects,
-        lifting_to_covering_index=tuple(j for _, j in l2c),
-        covering_to_lifting_index=tuple(j for _, j in c2l),
+        lifting_to_covering_index=l2c,
+        covering_to_lifting_index=c2l,
         roundtrip_lifting_exact=not inexact,
         roundtrip_covering_witnesses=tuple(witnesses),
+        lifting_shapes=liftings.shapes,
+        covering_shapes=coverings.shapes,
         lifting_homs=liftings.homs,
         covering_homs=coverings.homs,
+        lifting_morphism_count=liftings.count,
+        covering_morphism_count=coverings.count,
         morphism_checks_passed=tally["morphism", True],
         morphism_checks_failed=tally["morphism", False],
         functor_law_checks_passed=tally["functor_law", True],
@@ -755,25 +773,27 @@ class _Tally(Counter):
         super().__init__()
         self.failures: list[str] = []
 
-    def check(self, kind: str, passed: bool, message: str) -> None:
-        self[kind, passed] += 1
+    def check(self, kind: str, passed: bool, message: str, weight: int = 1) -> None:
+        """One check that stands for weight checks with the same verdict; a
+        failure's message is recorded once."""
+        self[kind, passed] += weight
         if not passed:
             self.failures.append(message)
 
 
 class _Category:
-    """One side of the equivalence over a given list of objects, with the functor out of it.
+    """One side of the equivalence over a given list of objects, with the
+    functor out of it, and its morphisms by shape.
 
     between enumerates Hom(o1, o2), shape gives what of an object between
     and law read, components gives a morphism's maps, (f) or (f, g), groups
     an object's groups those maps run between, law their violations, and
     identity an object's identity morphism.  shapes numbers each object's
-    shape once, in object order: the hom-sets are searched once per pair of
-    shape ids (_capped_morphisms), and the other side's morphism images are
-    validated here once per pair of shape ids and map ids
-    (_morphism_images).  images maps (i, j, component ids) of each morphism
-    of Hom(i, j) to the component ids of its image in the other side's
-    numbering.
+    shape, in object order; reps holds the first object of each shape and
+    counts the number of objects with it.  homs holds between(reps[s1],
+    reps[s2]) keyed by (s1, s2), count the number of morphisms between
+    objects it lists, and cut says there were more than the cap
+    (_shape_homs).
     """
 
     def __init__(
@@ -784,6 +804,7 @@ class _Category:
         self.objects = objects
         self.index = {o: i for i, o in enumerate(objects)}
         self.between = between
+        self.shape = shape
         self.components = components
         self.groups = groups
         self.identity = identity
@@ -792,12 +813,15 @@ class _Category:
         self.functor_on_morphism = functor_on_morphism
         shape_ids: dict = {}
         self.shapes = tuple(shape_ids.setdefault(shape(o), len(shape_ids)) for o in objects)
-        self.homs, self.cut = _capped_morphisms(objects, self.shapes, between, components, cap)
-        self.maps = _MapNumbering()
-        self.images: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
+        reps: dict[int, object] = {}
+        for s, o in zip(self.shapes, objects):
+            reps.setdefault(s, o)
+        self.reps = tuple(reps.values())
+        self.counts = tuple(Counter(self.shapes).values())
+        self.homs, self.count, self.cut = _shape_homs(self.shapes, self.reps, between, cap)
 
-    def ids(self, m) -> tuple[int, ...]:
-        return self.maps.ids(*[h.map for h in self.components(m)])
+    def maps(self, m) -> tuple[Map, ...]:
+        return tuple(h.map for h in self.components(m))
 
     def is_valid(self, m) -> bool:
         """m's maps fit the groups of its endpoints, and its laws hold.
@@ -805,7 +829,7 @@ class _Category:
         The laws index the groups' tables with the maps' entries, so a map
         of the wrong shape is rejected before they run.
         """
-        maps = [h.map for h in self.components(m)]
+        maps = self.maps(m)
         for fm, src, tgt in zip(maps, self.groups(m.source), self.groups(m.target)):
             if len(fm) != src.order or min(fm) < 0 or max(fm) >= tgt.order:
                 return False
@@ -820,70 +844,106 @@ class _Category:
         The pool holds one group table per isomorphism class, so a canonical
         object built on a relabelled base (an S3 whose elements are numbered
         differently from the pool's S3) is in the pool only up to isomorphism.
+        between reads only the target's shape, so the first object of each
+        shape stands for all of them.
         """
         if wanted in self.index:
             return True
-        return any(self.is_iso(m) for o in self.objects for m in self.between(wanted, o))
+        return any(self.is_iso(m) for rep in self.reps for m in self.between(wanted, rep))
 
 
-def _object_images(source: _Category, target: _Category, round_trip, tally: _Tally) -> tuple[tuple[object, int], ...]:
-    """Each source object's image and its position in target, -1 when it is
-    not enumerated; round_trip(i, object, image) checks the way back."""
-    images = []
-    for i, o in enumerate(source.objects):
+def _shape_homs(shapes: tuple[int, ...], reps: tuple, between, cap: int) -> tuple[dict, int, bool]:
+    """The hom-sets between(reps[s1], reps[s2]) searched, keyed by (s1, s2);
+    the number of morphisms between objects, at most cap; and whether there
+    were more than cap.
+
+    between runs once per ordered pair of shape ids, so the shape must keep
+    everything of an object that between reads.  The morphisms between
+    objects are counted row by row, in object order, one row total per
+    shape, and the count stops once it passes cap: a cut category holds the
+    hom-sets its first cap morphisms lie in, and no others are searched.
+    """
+    searched: dict[tuple[int, int], tuple] = {}
+    row_totals: dict[int, int] = {}
+    room = cap
+    for s1 in shapes:
+        total = row_totals.get(s1)
+        if total is None:
+            total = 0
+            for s2 in shapes:
+                found = searched.get((s1, s2))
+                if found is None:
+                    found = searched[s1, s2] = between(reps[s1], reps[s2])
+                total += len(found)
+                if total > room:
+                    break
+            row_totals[s1] = total
+        if total > room:
+            return searched, cap, True
+        room -= total
+    return searched, cap - room, False
+
+
+def _object_level(shapes: tuple[int, ...], homs: dict, count: int) -> Iterator[tuple[int, int, object]]:
+    """The first count morphisms between objects, in (i, j) order, as
+    (i, j, m) with m in homs[shapes[i], shapes[j]]."""
+
+    def every() -> Iterator[tuple[int, int, object]]:
+        rows: dict[int, list] = {}
+        for i, s1 in enumerate(shapes):
+            row = rows.get(s1)
+            if row is None:
+                row = rows[s1] = [(j, found) for j, s2 in enumerate(shapes) if (found := homs.get((s1, s2)))]
+            for j, found in row:
+                for m in found:
+                    yield i, j, m
+
+    return islice(every(), count)
+
+
+def _object_images(source: _Category, target: _Category, round_trip, tally: _Tally) -> tuple[int, ...]:
+    """Each source object's image's position in target, -1 when it is not
+    enumerated; round_trip(i, object, image) checks the way back.
+
+    The morphism-level checks read the images of the first object of each
+    shape only, so each object's image must have the shape of its first
+    object's image.
+    """
+    positions = []
+    image_shapes: dict[int, object] = {}
+    for i, (o, s) in enumerate(zip(source.objects, source.shapes)):
         image = source.functor(o)
         j = target.index.get(image, -1)
         if j < 0:
             tally.failures.append(f"{source.label} {i}: functor image not among enumerated {target.label}s")
-        images.append((image, j))
+        image_shape = target.shape(image)
+        if image_shapes.setdefault(s, image_shape) != image_shape:
+            tally.failures.append(f"{source.label} {i}: functor image shape differs within its shape")
+        positions.append(j)
         round_trip(i, o, image)
-    return tuple(images)
+    return tuple(positions)
 
 
-def _morphism_images(
-    source: _Category, target: _Category, object_images: tuple[tuple[object, int], ...], unit_square, tally: _Tally
-) -> None:
-    """Each morphism's image is a valid morphism of target; the numbered
-    images are stored, and unit_square(m, back) checks the image's way back,
-    back = target.functor_on_morphism(image), against m.
+def _morphism_images(source: _Category, target: _Category, unit_square, tally: _Tally) -> dict:
+    """Each morphism of source.homs has a valid morphism of target as image,
+    and unit_square(m, back, weight) checks the image's way back,
+    back = target.functor_on_morphism(image), against m.  Each check stands
+    for the n(s1) * n(s2) morphisms of Hom(s1, s2) between objects.
 
-    object_images holds each source object's image and its target position,
-    as _object_images found them.  An image of a morphism in Hom(i, j) whose
-    endpoints are those very image objects, at positions p and q, is
-    validated once per (shape of p, shape of q, its map ids), as no morphism
-    law reads what a shape leaves out, and mapped back once per (p, q, its
-    map ids), as the lifting unit square compares the way back's endpoints.
-    Any other image, one with an endpoint not enumerated or not the object's
-    image, is validated and mapped back on each morphism.  The hom-sets of
-    one pair of source shapes hold the same maps, so their ids are numbered
-    once per pair of shapes; the functor still runs on every morphism.
+    Returns the images' maps: images[s1, s2][maps of m].  A cut category
+    runs no morphism-level check, and has no images.
     """
     invalid = f"{source.label} morphism: functor image invalid"
-    ids_at: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    valid_at: dict[tuple[int, int, tuple[int, ...]], bool] = {}
-    back_at: dict[tuple[int, int, tuple[int, ...]], object] = {}
-    for (i, j), homs in source.homs.items():
-        (end_i, p), (end_j, q) = object_images[i], object_images[j]
-        pair = source.shapes[i], source.shapes[j]
-        ids = ids_at.get(pair)
-        if ids is None:
-            ids = ids_at[pair] = [source.ids(m) for m in homs]
-        for m, c in zip(homs, ids):
+    images: dict[tuple[int, int], dict[tuple[Map, ...], tuple[Map, ...]]] = {}
+    for (s1, s2), homs in () if source.cut else source.homs.items():
+        weight = source.counts[s1] * source.counts[s2]
+        found = images[s1, s2] = {}
+        for m in homs:
             image = source.functor_on_morphism(m)
-            img = source.images[i, j, c] = target.ids(image)
-            if p < 0 or q < 0 or image.source is not end_i or image.target is not end_j:
-                valid, back = target.is_valid(image), target.functor_on_morphism(image)
-            else:
-                key = target.shapes[p], target.shapes[q], img
-                valid = valid_at.get(key)
-                if valid is None:
-                    valid = valid_at[key] = target.is_valid(image)
-                key = p, q, img
-                back = back_at.get(key)
-                if back is None:
-                    back = back_at[key] = target.functor_on_morphism(image)
-            tally.check("morphism", valid, invalid)
-            unit_square(m, back)
+            found[source.maps(m)] = target.maps(image)
+            tally.check("morphism", target.is_valid(image), invalid, weight)
+            unit_square(m, target.functor_on_morphism(image), weight)
+    return images
 
 
 def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
@@ -895,128 +955,39 @@ def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
         tally.check("functor_law", preserved, f"functor law: identity {source.label} morphism not preserved")
 
 
-def _capped_morphisms(objects, shapes, between, components, cap: int) -> tuple[dict, bool]:
-    """The non-empty hom-sets between(objects[i], objects[j]), keyed by (i, j),
-    holding at most cap morphisms in all; the flag says more existed.
-
-    shapes numbers each object's shape.  between runs once per ordered pair
-    of shape ids, on the first pair of objects with them, and that pair
-    keeps the tuple it returned; every later pair with those shapes gets
-    morphisms with the same maps, components(m), built on its own
-    endpoints.  So the shape must keep everything of an object that
-    between reads.
-    """
-    searched: dict[tuple[int, int], tuple] = {}
-    homs = {}
-    room = cap
-    for i, o1 in enumerate(objects):
-        for j, o2 in enumerate(objects):
-            key = shapes[i], shapes[j]
-            found = searched.get(key)
-            if found is None:
-                found = searched[key] = between(o1, o2)
-                kept = found[:room]
-            else:
-                kept = tuple(type(m)(o1, o2, *components(m)) for m in found[:room])
-            if kept:
-                homs[(i, j)] = kept
-            if len(found) > room:
-                return homs, True
-            room -= len(found)
-    return homs, False
-
-
-class _MapNumbering(dict):
-    """One numbering of the raw maps of a category.
-
-    A morphism given by its component maps is numbered as the tuple of their
-    ids, one shared tuple per distinct result, so the thousands of morphisms
-    of a category hold a few dozen id tuples between them.  The dict itself
-    is the memo of composites: (outer, inner) -> the ids of outer o inner,
-    component by component, computed on the first lookup.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._ids: dict[Map, int] = {}
-        self._maps: list[Map] = []
-        self._shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def _id(self, m: Map) -> int:
-        i = self._ids.get(m)
-        if i is None:
-            i = self._ids[m] = len(self._maps)
-            self._maps.append(m)
-        return i
-
-    def ids(self, *components: Map) -> tuple[int, ...]:
-        """The ids of components; a map not seen before gets a fresh id."""
-        t = tuple(map(self._id, components))
-        return self._shared.setdefault(t, t)
-
-    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
-        """The ids of outer o inner for key (outer, inner), computed once."""
-        maps = self._maps
-        self[key] = c = self.ids(*(tuple(map(maps[o].__getitem__, maps[i])) for o, i in zip(*key)))
-        return c
-
-
-def _composition_law(source: _Category, target: _Category, tally: _Tally) -> None:
+def _composition_law(source: _Category, images: dict, tally: _Tally) -> None:
     """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
 
-    Reads the images that _morphism_images stored: source's maps number the
-    components and target's maps the images' components.  Positions are held
-    as integer bitmasks.  The morphisms out of i with one map tuple c and one
-    image are told apart only by their targets: holding[i][c, img] is the
-    mask of those k.  The morphisms into j with one map tuple and one image
-    form a class, told apart only by their sources S.
-
-    For a class (j, c1, img1, S) and an out-class (c2, img2, K) of j, the
-    composite c2 o c1 and the composite of the images are computed once.  The
-    law holds at (i, k) when k is in holding[i][composite, expected image];
-    the AND of those masks over S, memoized per (S, composite, expected), is
-    the targets at which every source passes, and when it covers K all
-    |S| * |K| pairs pass at once.  Otherwise each source's failing targets
-    are reported one by one.  One whose Hom(i, k) has no morphism with the
-    composite maps shows the category is not closed under composition (a
-    composite map that no enumerated morphism has gets a fresh id, which no
-    key holds); it is skipped when the cap cut the category short.  One that
-    has it with another image breaks the law.  The classes are keyed by
-    image, so nothing assumes the image is a function of the map ids.
+    images holds the maps of each morphism's image, as _morphism_images
+    returns them.  The law runs once per composable pair of morphisms of
+    Hom(s1, s2) and Hom(s2, s3), and stands for the n(s1) * n(s2) * n(s3)
+    pairs between objects with their maps.  The composite's maps are
+    looked up among those of Hom(s1, s3): a composite with none shows the
+    category is not closed under composition, and one whose image is not
+    the composite of the images breaks the law.
     """
-    images, maps, image_maps = source.images, source.maps, target.maps
-    holding: dict[int, dict[tuple, int]] = {}
-    sources: dict[tuple, int] = {}
-    for (i, j, c), img in images.items():
-        out = holding.setdefault(i, {})
-        out[c, img] = out.get((c, img), 0) | 1 << j
-        sources[j, c, img] = sources.get((j, c, img), 0) | 1 << i
+    out_of: dict[int, list] = {}
+    for (s2, s3), second in images.items():
+        out_of.setdefault(s2, []).append((s3, second))
     missing = f"functor law: composite of {source.label} morphisms not enumerated"
     broken = f"functor law: composition of {source.label} morphisms not preserved"
-    allowed_at: dict[tuple, int] = {}
-    passed = 0
-    for (j, c1, img1), s_mask in sources.items():
-        for (c2, img2), k_mask in holding.get(j, {}).items():
-            composite, expected = maps[c2, c1], image_maps[img2, img1]
-            key = (s_mask, composite, expected)
-            allowed = allowed_at.get(key)
-            if allowed is None:
-                allowed = -1
-                for i in _bits(s_mask):
-                    allowed &= holding[i].get((composite, expected), 0)
-                allowed_at[key] = allowed
-            if not k_mask & ~allowed:
-                passed += s_mask.bit_count() * k_mask.bit_count()
-                continue
-            for i in _bits(s_mask):
-                held = holding[i].get((composite, expected), 0) & k_mask
-                passed += held.bit_count()
-                for k in _bits(k_mask & ~held):
-                    if (i, k, composite) in images:
-                        tally.check("functor_law", False, broken)
-                    elif not source.cut:
-                        tally.check("functor_law", False, missing)
-    tally["functor_law", True] += passed
+    n = source.counts
+    for (s1, s2), first in images.items():
+        for s3, second in out_of.get(s2, ()):
+            weight = n[s1] * n[s2] * n[s3]
+            direct = images.get((s1, s3), {})
+            for c1, img1 in first.items():
+                for c2, img2 in second.items():
+                    img = direct.get(_composite(c2, c1))
+                    if img is None:
+                        tally.check("functor_law", False, missing, weight)
+                    else:
+                        tally.check("functor_law", img == _composite(img2, img1), broken, weight)
+
+
+def _composite(outer: tuple[Map, ...], inner: tuple[Map, ...]) -> tuple[Map, ...]:
+    """The maps of outer o inner, component by component."""
+    return tuple(tuple(map(o.__getitem__, i)) for o, i in zip(outer, inner))
 
 
 def _bits(mask: int):

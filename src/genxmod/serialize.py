@@ -154,13 +154,11 @@ def equivalence_report_doc(rep: EquivalenceReport) -> dict:
         ],
         "lifting_morphisms": [
             {"source": i, "target": j, "f": list(m.f.map)}
-            for (i, j), homs in rep.lifting_homs.items()
-            for m in homs
+            for i, j, m in rep.lifting_morphisms()
         ],
         "covering_morphisms": [
             {"source": i, "target": j, "f": list(m.f.map), "g": list(m.g.map)}
-            for (i, j), homs in rep.covering_homs.items()
-            for m in homs
+            for i, j, m in rep.covering_morphisms()
         ],
         "lifting_morphism_count": rep.lifting_morphism_count,
         "covering_morphism_count": rep.covering_morphism_count,

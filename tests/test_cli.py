@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from genxmod import cli, search
 from genxmod.cli import CONSTRUCTIONS, main
 from genxmod.serialize import dumps
 
@@ -371,18 +373,19 @@ def test_equivalence_exit_codes_and_determinism(fixture_dir, tmp_path):
 
 # sha256 of `genxmod equivalence --format json` and the exit code, with the
 # GXMOD_MAX_MORPHISMS cap (None: unset); gx1/4 and gx3/4 without a cap are
-# pinned by test_acceptance_7_determinism
+# pinned by test_acceptance_7_determinism.  A category cut by the cap lists
+# its first cap morphisms and runs no morphism-level check
 PINNED_EQUIVALENCE = [
     ("a3_s3", 6, None, 0, "c73efdae839a39c68a563af32a84fc4b266f7420bca6c16c546d4b8453cae54a"),
-    ("gx1", 4, 5, 3, "61698e643535713b524f734bd91dacd287c7db277fea1cc095285c3120ad8dfc"),
-    ("gx1", 4, 100, 3, "9d4440488a027d4c61011b01a4dcaa562fdc7695c88b62dc6d4af1ec52718ffa"),
-    ("gx1", 4, 1000, 3, "98c6a1c181dcea3d43a50e17b0736c69c894c557e6479d5d3d5f1d36f9191f18"),
+    ("gx1", 4, 5, 3, "4acc2d32de9711eea1ca442c65913b9c947fb7a0efbae2cc9fefcd58043e5d26"),
+    ("gx1", 4, 100, 3, "8debc663afe5c8bacdeb0d3ba66d2ea1fe91e91d2f07683e0f3776f5316ff3f9"),
+    ("gx1", 4, 1000, 3, "d850e243126bc6bf038fddef2d276335042088ce2cd248787987e6aa750277ad"),
     # 3000 exceeds both of gx1's 1201-morphism categories: the untruncated report
     ("gx1", 4, 3000, 0, "1a3378e011f28ca6475872191bad45bf0a13387e6487f7847c24722489976309"),
-    ("gx3", 4, 5, 3, "64d6b1a227eb4fe1325662c35377dbee78b5bce65b9fc612fadbbb46b5991c83"),
-    ("gx3", 4, 100, 3, "d9e7948e3e74d1e57c325d8a1fae0c716bbe8a98ce18de736e96c7ba5d48738f"),
-    ("gx3", 4, 1000, 3, "dd0b4dc9b675f889826fb3922d2fa6622371f01dceea70a508a8b415bc0fbf09"),
-    ("gx3", 4, 3000, 3, "7920cb3c0f31a0ea1ad550b27b73a6354cd67bcd1285fb10f809a988433cc308"),
+    ("gx3", 4, 5, 3, "4817269134c7ac66eb1a15fafe09368507ed5b33f555693d186215268145b5d7"),
+    ("gx3", 4, 100, 3, "b96ea38e9e38fe524e84d7265143ebd260f72be091c6a574510ee3d2e14bc18d"),
+    ("gx3", 4, 1000, 3, "4ec94b418f29dbe88bd58b729e2c67f90818d0cbe5d49faa092e38c959ba09ac"),
+    ("gx3", 4, 3000, 3, "ce67cf9507882d72b0455eaa2d5584d63b18bfecc2e4dbe0645fa320d68e07be"),
 ]
 
 
@@ -468,6 +471,57 @@ def test_max_morphisms_env_respected(fixture_dir, tmp_path, monkeypatch):
     assert payload["ok"] is False
     assert payload["lifting_morphism_count"] <= 3
     assert rc == 3
+
+
+def test_a_cut_run_at_bound_8_lists_the_cap_and_runs_no_morphism_check(fixture_dir, tmp_path, monkeypatch):
+    # gx1 at bound 8 has 6625 liftings and 6625 coverings and more than the
+    # default cap of 20 000 morphisms on each side: both categories are cut
+    monkeypatch.delenv("GXMOD_MAX_MORPHISMS", raising=False)
+    built, searched = Counter(), Counter()
+    for name in ("LiftingMorphism", "CoveringMorphism"):
+
+        def counted(*args, _name=name, _build=getattr(search, name)):
+            built[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    for side in ("lifting", "covering"):
+
+        def between_counted(*args, _side=side, _between=getattr(search, f"{side}_morphisms_between")):
+            found = _between(*args)
+            searched[_side] += len(found)
+            return found
+
+        monkeypatch.setattr(search, f"{side}_morphisms_between", between_counted)
+    out = tmp_path / "eq.json"
+    rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "8", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert rc == 3
+    assert doc["truncated"] is True and doc["ok"] is False
+    assert (doc["lifting_count"], doc["covering_count"]) == (6625, 6625)
+    assert doc["lifting_morphism_count"] == doc["covering_morphism_count"] == 20000
+    assert len(doc["lifting_morphisms"]) == len(doc["covering_morphisms"]) == 20000
+    # no morphism-level check ran: the functor laws ran on the identities only
+    assert doc["morphism_checks"] == doc["naturality_checks"] == {"passed": 0, "failed": 0}
+    assert doc["functor_law_checks"] == {"passed": 2 * 6625, "failed": 0}
+    # every morphism built is one a hom-set search returned, on the first
+    # objects of a pair of shapes, or a covering's round-trip witness <f, 1>;
+    # the 20 000 listed on each side are not built
+    assert built["LiftingMorphism"] == searched["lifting"] < 20000
+    assert built["CoveringMorphism"] == searched["covering"] + 6625
+    assert searched["covering"] < 20000
+
+
+def test_out_of_memory_exits_3_without_a_traceback(fixture_dir, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_equivalence", exhausted)
+    rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "8"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_truncated_run_is_reported_in_human_format(fixture_dir, monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import copy
 import random
 from collections import Counter
 from dataclasses import replace
@@ -24,6 +23,7 @@ from genxmod.groups import (
     all_homs,
     automorphisms,
     cyclic_group,
+    identity_hom,
     inverse_hom,
     klein_four_group,
     symmetric_group,
@@ -65,7 +65,7 @@ from genxmod.coverlift import (
     natural_lifting,
     self_lifting,
 )
-from genxmod.fixtures import a3_s3, gx1, gx2, gx3
+from genxmod.fixtures import a3_s3, fixture_gxmods, gx1, gx2, gx3
 import pytest
 
 from genxmod.validation import StructuralError, holds
@@ -635,11 +635,11 @@ def test_functor_laws_visit_every_composable_pair(base, pool4, request):
     # m1 in Hom(-, j), m2 in Hom(j, -) of each category
     rep = verify_equivalence(request.getfixturevalue(base), pool4)
     pairs = 0
-    for homs in (rep.lifting_homs, rep.covering_homs):
+    for rows in (rep.lifting_morphisms(), rep.covering_morphisms()):
         into, out_of = Counter(), Counter()
-        for (i, j), ms in homs.items():
-            out_of[i] += len(ms)
-            into[j] += len(ms)
+        for i, j, _ in rows:
+            out_of[i] += 1
+            into[j] += 1
         pairs += sum(into[j] * out_of[j] for j in into)
     assert rep.functor_law_checks_failed == 0
     assert rep.functor_law_checks_passed == rep.lifting_count + rep.covering_count + pairs
@@ -686,15 +686,15 @@ _SHAPES = {
 }
 
 
-def _without_a_parallel_morphism(side):
+def _without_a_parallel_morphism(side, fixture=gx1, bound=4):
     """A fault for side's *_morphisms_between: every hom-set whose endpoints
-    have the shapes of those of _parallel_morphisms loses the morphism with
-    the maps of the second of its two morphisms.  verify_equivalence
-    searches one pair of objects per pair of shapes, so the fault must not
-    hang on which pair that is."""
+    have the shapes of those of _parallel_morphisms on fixture's base loses
+    the morphism with the maps of the second of its two morphisms.
+    verify_equivalence searches one pair of objects per pair of shapes, so
+    the fault must not hang on which pair that is."""
 
     def make_fault(between):
-        o1, o2, (_, dropped) = _parallel_morphisms(gx1(), standard_pool(4), side)
+        o1, o2, (_, dropped) = _parallel_morphisms(fixture(), standard_pool(bound), side)
         maps, shape = _MAPS[side], _SHAPES[side]
         ends = shape(o1), shape(o2)
 
@@ -716,134 +716,6 @@ def test_composition_law_requires_enumerated_composites(base_gx1, pool4, monkeyp
     assert not rep.truncated
     assert "functor law: composite of covering morphisms not enumerated" in rep.failures
     assert not rep.ok
-
-
-def _per_pair_composition_law(source, target, tally):
-    """The composition law one composable pair at a time: for m1 in Hom(i, j)
-    and m2 in Hom(j, k), the stored image of m2 o m1 against the composite
-    of the stored images of m2 and m1."""
-    out_of = {}
-    for (j, k, c2), img2 in source.images.items():
-        out_of.setdefault(j, []).append((k, c2, img2))
-    for (i, j, c1), img1 in source.images.items():
-        for k, c2, img2 in out_of.get(j, ()):
-            img = source.images.get((i, k, source.maps[c2, c1]))
-            if img is None:
-                if not source.cut:
-                    tally.check("functor_law", False, f"functor law: composite of {source.label} morphisms not enumerated")
-            else:
-                preserved = img == target.maps[img2, img1]
-                tally.check("functor_law", preserved, f"functor law: composition of {source.label} morphisms not preserved")
-
-
-@pytest.mark.parametrize("cut", [False, True], ids=["complete", "cut"])
-def test_grouped_composition_law_matches_the_per_pair_loop(base_gx3, pool4, monkeypatch, cut):
-    composition_law = search._composition_law
-    categories = []
-    monkeypatch.setattr(search, "_composition_law", lambda source, target, tally: categories.append((source, target)))
-    verify_equivalence(base_gx3, pool4)
-    source, target = categories[-1]
-    assert source.label == "covering"
-    # a class of parallel morphisms: one target j, map ids c1 and image, several sources
-    classes = {}
-    for (i, j, c1), img1 in source.images.items():
-        classes.setdefault((j, c1, img1), []).append(i)
-    (j, c1, img1), members = next((key, members) for key, members in classes.items() if len(members) > 2)
-    # the image of one member corrupted to the zero map
-    i = members[0]
-    zero = target.maps.ids((0,) * source.objects[i].total.B.order)
-    assert zero != img1
-    source.images[i, j, c1] = zero
-    # the composite m2 o m1 of another member with some m2 out of j deleted
-    k, c2 = next((k, c2) for (j2, k, c2) in source.images if j2 == j)
-    del source.images[members[1], k, source.maps[c2, c1]]
-    source.cut = cut
-
-    grouped, per_pair = search._Tally(), search._Tally()
-    composition_law(source, target, grouped)
-    _per_pair_composition_law(source, target, per_pair)
-    assert grouped["functor_law", False] > 0 and grouped["functor_law", True] > 0
-    assert grouped == per_pair
-    assert Counter(grouped.failures) == Counter(per_pair.failures)
-    assert ("functor law: composite of covering morphisms not enumerated" in grouped.failures) is not cut
-
-
-@lru_cache(maxsize=None)
-def _checked_categories(fixture, bound):
-    """The (source, target) _Category pairs verify_equivalence hands to the
-    composition law for fixture's base, images stored: liftings first."""
-    categories = []
-    composition_law = search._composition_law
-    search._composition_law = lambda source, target, tally: categories.append((source, target))
-    try:
-        verify_equivalence(fixture(), standard_pool(bound))
-    finally:
-        search._composition_law = composition_law
-    return tuple(categories)
-
-
-def _classes_with_a_wrong_image(source, target):
-    """The classes of source's morphisms (target j, map ids, image) -> their
-    sources, each with another image of the same shape: every component of
-    the image sent to the identity 0.  Classes whose image is that already
-    are left out."""
-    classes = {}
-    for (i, j, c), img in source.images.items():
-        wrong = target.maps.ids(*((0,) * len(target.maps._maps[m]) for m in img))
-        if wrong != img:
-            classes.setdefault((j, c, img, wrong), []).append(i)
-    return sorted(classes.items())
-
-
-def _corrupt_a_class(source, target, rng):
-    """Every member of one class gets a wrong image."""
-    (j, c, _, wrong), members = rng.choice(_classes_with_a_wrong_image(source, target))
-    for i in members:
-        source.images[i, j, c] = wrong
-
-
-def _corrupt_a_member(source, target, rng):
-    """One morphism whose map ids another morphism has too gets a wrong
-    image, so the image is no longer a function of the map ids."""
-    shared = Counter(c for _, _, c in source.images)
-    classes = _classes_with_a_wrong_image(source, target)
-    (j, c, _, wrong), members = rng.choice([item for item in classes if shared[item[0][1]] > 1])
-    source.images[rng.choice(members), j, c] = wrong
-
-
-def _delete_a_composite(source, target, rng):
-    """The composite m2 o m1 of some composable pair, neither of them, is no
-    longer a morphism."""
-    keys = sorted(source.images)
-    while True:
-        i, j, c1 = rng.choice(keys)
-        j2, k, c2 = rng.choice([key for key in keys if key[0] == j])
-        composite = (i, k, source.maps[c2, c1])
-        if composite in source.images and composite not in ((i, j, c1), (j2, k, c2)):
-            del source.images[composite]
-            return
-
-
-@pytest.mark.parametrize("cut", [False, True], ids=["complete", "cut"])
-@pytest.mark.parametrize("fault", [_corrupt_a_class, _corrupt_a_member, _delete_a_composite])
-@pytest.mark.parametrize("side", [0, 1], ids=["liftings", "coverings"])
-@pytest.mark.parametrize("fixture, bound", [(gx1, 4), (gx3, 4), (a3_s3, 4)], ids=["gx1-4", "gx3-4", "a3s3-4"])
-def test_composition_law_matches_the_per_pair_loop_under_seeded_faults(fixture, bound, side, fault, cut):
-    # the bitmask law against the law one composable pair at a time, on a
-    # copy of one side's stored images with a fault seeded in it
-    checked, target = _checked_categories(fixture, bound)[side]
-    source = copy.copy(checked)
-    source.images = dict(checked.images)
-    source.cut = cut
-    fault(source, target, random.Random(f"{fixture.__name__}/{bound}/{side}/{fault.__name__}"))
-
-    grouped, per_pair = search._Tally(), search._Tally()
-    search._composition_law(source, target, grouped)
-    _per_pair_composition_law(source, target, per_pair)
-    assert grouped["functor_law", True] > 0
-    assert grouped["functor_law", False] > 0 or (cut and fault is _delete_a_composite)
-    assert grouped == per_pair
-    assert Counter(grouped.failures) == Counter(per_pair.failures)
 
 
 # a group with self-action that no object enumerated at bound 4 is built on
@@ -919,8 +791,28 @@ _SHAPE_FAULT = pytest.param(
 )
 
 
+def _one_copy_over_z5(functor):
+    """lifting_to_covering with the image of gx1/4's lifting 7, the first
+    lifting that is not the first of its shape, and of it only, over Z5."""
+    liftings = enumerate_liftings(gx1(), standard_pool(4))
+    shape = _SHAPES["lifting"]
+    copy = liftings[7]
+    assert shape(copy) in {shape(o) for o in liftings[:7]}
+    return lambda o: _covering_over_z5(functor(o)) if o == copy else functor(o)
+
+
+# the checks of each shape read the images of its first object, so an
+# object whose image has another shape than its first object's is reported
+_IMAGE_SHAPE_FAULT = pytest.param(
+    "lifting_to_covering", _one_copy_over_z5,
+    "lifting 7: functor image shape differs within its shape", "functor_law",
+    id="lifting 7: functor image shape differs within its shape",
+)
+
+
 @pytest.mark.parametrize(
-    "name, make_fault, message, counter", [*(pytest.param(*f, id=f[2]) for f in _FAULTS), _SHAPE_FAULT]
+    "name, make_fault, message, counter",
+    [*(pytest.param(*f, id=f[2]) for f in _FAULTS), _SHAPE_FAULT, _IMAGE_SHAPE_FAULT],
 )
 def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch, name, make_fault, message, counter):
     # one faulty function that verify_equivalence looks up through search; the
@@ -934,8 +826,8 @@ def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch
 
 def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monkeypatch):
     # each hom-set search runs once per ordered pair of object shapes, and
-    # each image is validated once per pair of endpoint shapes and map ids;
-    # every morphism is still counted
+    # each morphism-level check once per morphism of those hom-sets; every
+    # morphism between objects is still counted
     searches = Counter()
 
     def count(name):
@@ -963,13 +855,16 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     inputs = {(c1.total.A, c2.total.A, c1.f.map, c2.f.map) for c1 in rep.coverings for c2 in rep.coverings}
     assert len(inputs) == 4
     # 54 coverings of 18 shapes and 27 liftings of 9
+    assert (len(set(rep.covering_shapes)), len(set(rep.lifting_shapes))) == (18, 9)
     assert searches["covering_morphisms_between"] == 18 * 18
     assert searches["lifting_morphisms_between"] == 9 * 9
-    # the 5020 covering morphisms have 1255 distinct images, and the images
-    # of either side 103 distinct (shape, shape, map ids); the covering side
-    # also validates its 54 round-trip witnesses
+    # the 5020 covering morphisms between objects are 412 between the first
+    # objects of each pair of shapes, and the 1255 lifting morphisms 103: the
+    # lifting side validates the images of those 412, the covering side
+    # those of the 103 and its 54 round-trip witnesses
     assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
-    assert validated["lifting"] == 103
+    assert (sum(map(len, rep.covering_homs.values())), sum(map(len, rep.lifting_homs.values()))) == (412, 103)
+    assert validated["lifting"] == 412
     assert validated["covering"] == 103 + 54
     assert rep.ok
     assert (rep.morphism_checks_passed, rep.functor_law_checks_passed, rep.naturality_checks_passed) == (
@@ -979,57 +874,76 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
 
 @pytest.mark.parametrize("base, bound", [("base_gx1", 4), ("base_gx3", 4), ("base_a3s3", 4)])
 def test_hom_sets_searched_per_shape_equal_the_direct_search(base, bound, request):
-    # a hom-set is searched once per pair of object shapes and rebuilt on the
-    # other pairs; each must equal the search on that very pair, endpoints
-    # and maps, so no law may read what the shape leaves out
+    # a hom-set is searched once per pair of object shapes, on the first
+    # objects with them; the morphisms listed between any two objects must
+    # have the maps of the search on that very pair, so no law may read what
+    # the shape leaves out
     rep = verify_equivalence(request.getfixturevalue(base), standard_pool(bound))
     assert not rep.truncated
-    for objects, homs, between in (
-        (rep.liftings, rep.lifting_homs, search.lifting_morphisms_between),
-        (rep.coverings, rep.covering_homs, search.covering_morphisms_between),
+    for side, objects, shapes, rows, between in (
+        ("lifting", rep.liftings, rep.lifting_shapes, rep.lifting_morphisms(), search.lifting_morphisms_between),
+        ("covering", rep.coverings, rep.covering_shapes, rep.covering_morphisms(), search.covering_morphisms_between),
     ):
+        maps = _MAPS[side]
+        first = {}
+        for o, s in zip(objects, shapes):
+            first.setdefault(s, o)
+        listed = {}
+        for i, j, m in rows:
+            assert m.source is first[shapes[i]] and m.target is first[shapes[j]]
+            listed.setdefault((i, j), []).append(maps(m))
         for i, o1 in enumerate(objects):
             for j, o2 in enumerate(objects):
-                found = homs.get((i, j), ())
-                assert found == between(o1, o2), (i, j)
-                assert all(m.source is o1 and m.target is o2 for m in found)
+                assert listed.get((i, j), []) == [maps(m) for m in between(o1, o2)], (side, i, j)
 
 
-@pytest.mark.parametrize(
-    "base, bound", [("base_gx1", 4), ("base_gx3", 4), ("base_a3s3", 4)], ids=["gx1-4", "gx3-4", "a3s3-4"]
-)
-def test_image_verdicts_per_shape_equal_the_direct_check(base, bound, request, monkeypatch):
-    # an image is validated once per pair of endpoint shapes and map ids; each
-    # morphism's counted verdict must equal the check run on its own image,
-    # so no morphism law may read what the shape leaves out
-    verdicts = {"lifting": [], "covering": []}
-    check = search._Tally.check
+def _zeroed(m):
+    """m with every map sent to the identity."""
+    return _zero_g(_zero_f(m)) if isinstance(m, CoveringMorphism) else _zero_f(m)
 
-    def recorded(tally, kind, passed, message):
-        side = message.removesuffix(" morphism: functor image invalid")
-        if side in verdicts:
-            verdicts[side].append(passed)
-        check(tally, kind, passed, message)
 
-    sides = []
-    morphism_images = search._morphism_images
+def _with_maps_of(m, other):
+    """m with the maps of other, a morphism of the same kind."""
+    if isinstance(m, CoveringMorphism):
+        return replace(m, f=other.f, g=other.g)
+    return replace(m, f=other.f)
 
-    def kept(source, target, *args):
-        sides.append((source, target))
-        morphism_images(source, target, *args)
 
-    monkeypatch.setattr(search._Tally, "check", recorded)
-    monkeypatch.setattr(search, "_morphism_images", kept)
-    rep = verify_equivalence(request.getfixturevalue(base), standard_pool(bound))
-    assert not rep.truncated and len(sides) == 2
-    for source, target in sides:
-        direct = [target.is_valid(source.functor_on_morphism(m)) for homs in source.homs.values() for m in homs]
-        assert verdicts[source.label] == direct, source.label
+@pytest.mark.parametrize("fixture, bound", [(gx1, 4), (gx3, 4), (a3_s3, 4)], ids=["gx1-4", "gx3-4", "a3s3-4"])
+def test_functor_images_depend_only_on_shapes_and_maps(fixture, bound):
+    # the morphism-side companion of the hom-set pin above: a morphism between
+    # any two objects, built on them, has the image maps of the morphism with
+    # its maps between the first objects of their shapes, and each object's
+    # image has the shape of the image of its shape's first object
+    rep = verify_equivalence(fixture(), standard_pool(bound))
+    assert not rep.failures
+    for side, other, objects, rows_of, homs, functor, on_morphism in (
+        ("lifting", "covering", rep.liftings, rep.lifting_morphisms, rep.lifting_homs,
+         search.lifting_to_covering, search.functor_on_lifting_morphism),
+        ("covering", "lifting", rep.coverings, rep.covering_morphisms, rep.covering_homs,
+         search.covering_to_lifting, search.functor_on_covering_morphism),
+    ):
+        shape, image_shape, image_maps = _SHAPES[side], _SHAPES[other], _MAPS[other]
+        image_shapes = {}
+        for o in objects:
+            assert image_shapes.setdefault(shape(o), image_shape(functor(o))) == image_shape(functor(o))
+        copies = 0
+        for i, j, m in rows_of():
+            image = on_morphism(replace(m, source=objects[i], target=objects[j]))
+            first = on_morphism(m)
+            assert [h.map for h in image_maps(image)] == [h.map for h in image_maps(first)]
+            assert image_shape(image.source) == image_shape(first.source)
+            assert image_shape(image.target) == image_shape(first.target)
+            copies += m.source is not objects[i] or m.target is not objects[j]
+        # every morphism but those between the first objects of their shapes is a copy
+        assert copies == len(list(rows_of())) - sum(map(len, homs.values()))
 
 
 def test_each_distinct_morphism_image_is_mapped_back_once(base_gx3, pool4, monkeypatch):
-    # the way back of a covering morphism's image is taken once per distinct
-    # image, next to its validation, not once per covering morphism
+    # the lifting functor runs once per morphism of the hom-sets between the
+    # first objects of each pair of shapes: on each lifting morphism there,
+    # and on the image of each covering morphism there to map it back; and
+    # once per lifting for the identity law
     calls = Counter()
     functor = search.functor_on_lifting_morphism
 
@@ -1040,11 +954,264 @@ def test_each_distinct_morphism_image_is_mapped_back_once(base_gx3, pool4, monke
     monkeypatch.setattr(search, "functor_on_lifting_morphism", counted)
     rep = verify_equivalence(base_gx3, pool4)
     assert rep.ok
-    # one image per lifting morphism, one way back per distinct covering
-    # morphism image (at most one per lifting morphism), one identity per lifting
-    assert calls["functor_on_lifting_morphism"] <= 2 * rep.lifting_morphism_count + rep.lifting_count
+    shape_level = sum(map(len, rep.lifting_homs.values())) + sum(map(len, rep.covering_homs.values()))
+    assert calls["functor_on_lifting_morphism"] == shape_level + rep.lifting_count == 103 + 412 + 27
 
 
+# ---------------------------------------------------------------------------
+# the object-level reference.  verify_equivalence runs each morphism-level
+# check once per morphism between the first objects of a pair of shapes, and
+# counts it for every pair of objects with those shapes.  The reference runs
+# the same checks object by object: every hom-set searched on its own pair
+# of objects and capped in object order, every morphism's image validated
+# and mapped back, and every composable pair of morphisms between objects
+# composed.  A category cut by
+# the cap runs no morphism-level check.  Functions are looked up through
+# search on each call, so a fault patched in there reaches both verifiers.
+
+
+class _ReferenceCategory:
+    """One side of the equivalence, object by object."""
+
+    def __init__(self, label, objects, between, cap, components, groups, law, identity, functor, on_morphism):
+        self.label, self.objects = label, objects
+        self.index = {o: i for i, o in enumerate(objects)}
+        self.components, self.groups, self.law = components, groups, law
+        self.identity, self.functor, self.on_morphism = identity, functor, on_morphism
+        self.homs, self.cut = {}, False
+        room = cap
+        for i, o1 in enumerate(objects):
+            for j, o2 in enumerate(objects):
+                found = between(o1, o2)
+                if found[:room]:
+                    self.homs[i, j] = found[:room]
+                if len(found) > room:
+                    self.cut = True
+                    return
+                room -= len(found)
+
+    def maps(self, m):
+        return tuple(h.map for h in self.components(m))
+
+    def is_valid(self, m):
+        maps = self.maps(m)
+        for fm, src, tgt in zip(maps, self.groups(m.source), self.groups(m.target)):
+            if len(fm) != src.order or min(fm) < 0 or max(fm) >= tgt.order:
+                return False
+        return holds(self.law(m.source, m.target, *maps))
+
+
+class _Numbering(dict):
+    """Ids for map tuples, and the ids of their composites: self[outer, inner]
+    is the id of outer o inner, component by component."""
+
+    def __init__(self):
+        super().__init__()
+        self.ids, self.maps = {}, []
+
+    def number(self, maps):
+        if maps not in self.ids:
+            self.ids[maps] = len(self.maps)
+            self.maps.append(maps)
+        return self.ids[maps]
+
+    def __missing__(self, key):
+        outer, inner = (self.maps[i] for i in key)
+        self[key] = c = self.number(tuple(tuple(map(o.__getitem__, i)) for o, i in zip(outer, inner)))
+        return c
+
+
+_COUNTERS = [(kind, passed) for kind in ("morphism", "functor_law", "naturality") for passed in (True, False)]
+
+
+def _reference_summary(base, pool, cap=search.DEFAULT_MAX_MORPHISMS):
+    """_summary of the report verify_equivalence(base, pool, cap) must give,
+    checked object by object."""
+    counters, failures = Counter(), []
+
+    def check(kind, passed, message):
+        counters[kind, passed] += 1
+        if not passed:
+            failures.append(message)
+
+    liftings = _ReferenceCategory(
+        "lifting", search.enumerate_liftings(base, pool), search.lifting_morphisms_between, cap,
+        lambda m: (m.f,), lambda o: (o.X.group,), search.lifting_morphism_violations,
+        search.identity_lifting_morphism, search.lifting_to_covering, search.functor_on_lifting_morphism,
+    )
+    coverings = _ReferenceCategory(
+        "covering", search.enumerate_coverings(base, pool), search.covering_morphisms_between, cap,
+        lambda m: (m.f, m.g), lambda o: (o.total.A.group, o.total.B.group), search.covering_morphism_violations,
+        search.identity_covering_morphism, search.covering_to_lifting, search.functor_on_covering_morphism,
+    )
+    sides = ((liftings, coverings), (coverings, liftings))
+    indices, exact, witnesses = [], True, []
+    for source, target in sides:
+        positions = []
+        for i, o in enumerate(source.objects):
+            image = source.functor(o)
+            positions.append(target.index.get(image, -1))
+            if positions[-1] < 0:
+                failures.append(f"{source.label} {i}: functor image not among enumerated {target.label}s")
+            if source is liftings and search.covering_to_lifting(image) != o:
+                exact = False
+                failures.append(f"lifting {i}: round trip is not table-identical")
+            if source is coverings:
+                witness = CoveringMorphism(o, search.lifting_to_covering(image), o.f, identity_hom(o.total.B.group))
+                if coverings.is_valid(witness) and witness.f.is_bijective() and witness.g.is_bijective():
+                    witnesses.append(coverings.maps(witness))
+                else:
+                    failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
+        indices.append(tuple(positions))
+    images, numbering = {}, _Numbering()
+    for source, target in sides:
+        found = images[source.label] = {}
+        for (i, j), homs in source.homs.items() if not source.cut else ():
+            for m in homs:
+                image = source.on_morphism(m)
+                found[i, j, numbering.number(source.maps(m))] = numbering.number(target.maps(image))
+                check("morphism", target.is_valid(image), f"{source.label} morphism: functor image invalid")
+                back = target.on_morphism(image)
+                if source is liftings:
+                    exact_back = back.f == m.f and back.source == m.source and back.target == m.target
+                    check("morphism", exact_back, "lifting morphism: round trip not exact")
+                else:
+                    lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
+                    natural = lhs_f == m.source.f.map and m.g.map == back.g.map
+                    check("naturality", natural, "covering morphism: naturality square broken")
+    for source, target in sides:
+        for o in source.objects:
+            image = source.on_morphism(source.identity(o))
+            expected = target.identity(source.functor(o))
+            preserved = target.components(image) == target.components(expected)
+            check("functor_law", preserved, f"functor law: identity {source.label} morphism not preserved")
+    for source, _ in sides:
+        found = images[source.label]
+        out_of = {}
+        for (j, k, c2), img2 in found.items():
+            out_of.setdefault(j, []).append((k, c2, img2))
+        for (i, j, c1), img1 in found.items():
+            for k, c2, img2 in out_of.get(j, ()):
+                img = found.get((i, k, numbering[c2, c1]))
+                if img is None:
+                    check("functor_law", False, f"functor law: composite of {source.label} morphisms not enumerated")
+                elif img == numbering[img2, img1]:
+                    counters["functor_law", True] += 1
+                else:
+                    check("functor_law", False, f"functor law: composition of {source.label} morphisms not preserved")
+    rows = tuple(
+        [(i, j, side.maps(m)) for (i, j), homs in side.homs.items() for m in homs] for side in (liftings, coverings)
+    )
+    return {
+        "objects": (len(liftings.objects), len(coverings.objects)),
+        "indices": tuple(indices),
+        "round trips": (exact, witnesses),
+        "morphism counts": tuple(map(len, rows)),
+        "morphisms": rows,
+        "truncated": liftings.cut or coverings.cut,
+        "counters": {key: counters[key] for key in _COUNTERS},
+        "failures": set(failures),
+    }
+
+
+def _summary(rep):
+    """What of rep the reference states: counts, counters, listed morphisms
+    and the set of failure messages."""
+    return {
+        "objects": (rep.lifting_count, rep.covering_count),
+        "indices": (rep.lifting_to_covering_index, rep.covering_to_lifting_index),
+        "round trips": (
+            rep.roundtrip_lifting_exact, [(w.f.map, w.g.map) for w in rep.roundtrip_covering_witnesses]
+        ),
+        "morphism counts": (rep.lifting_morphism_count, rep.covering_morphism_count),
+        "morphisms": (
+            [(i, j, (m.f.map,)) for i, j, m in rep.lifting_morphisms()],
+            [(i, j, (m.f.map, m.g.map)) for i, j, m in rep.covering_morphisms()],
+        ),
+        "truncated": rep.truncated,
+        "counters": {
+            (kind, passed): getattr(rep, f"{kind}_checks_{'passed' if passed else 'failed'}")
+            for kind, passed in _COUNTERS
+        },
+        "failures": set(rep.failures),
+    }
+
+
+@pytest.mark.parametrize(
+    "base, bound",
+    [*((x, 4) for x in fixture_gxmods()), (a3_s3(), 6)],
+    ids=[*(f"{x.name}-4" for x in fixture_gxmods()), "A3S3-6"],
+)
+def test_verifier_matches_the_object_level_reference(base, bound):
+    pool = standard_pool(bound)
+    assert _summary(verify_equivalence(base, pool)) == _reference_summary(base, pool)
+
+
+@pytest.mark.parametrize("name, make_fault, message, counter", [pytest.param(*f, id=f[2]) for f in _FAULTS])
+def test_verifier_matches_the_reference_under_each_fault(base_gx1, pool4, monkeypatch, name, make_fault, message, counter):
+    monkeypatch.setattr(search, name, make_fault(getattr(search, name)))
+    summary = _summary(verify_equivalence(base_gx1, pool4))
+    assert summary == _reference_summary(base_gx1, pool4)
+    assert message in summary["failures"]
+
+
+def _seeded_fault(kind, fixture, bound, side):
+    """(the name of a function of search, a faulty replacement) that breaks
+    the composition law of side's category over fixture's base, seeded at
+    the two parallel morphisms a, b of _parallel_morphisms.  Each fault is
+    the same on every pair of objects with the shapes of their endpoints:
+    - "map tuple": every morphism with b's maps, on any objects, gets the
+      image with every map sent to the identity;
+    - "shape pair": only those with the shapes of b's endpoints do, so the
+      image is not a function of the maps alone;
+    - "swap": the morphisms with a's maps and with b's maps there get each
+      other's image maps;
+    - "no composite": the morphisms with b's maps there are dropped from
+      their hom-sets.
+    """
+    if kind == "no composite":
+        name = f"{side}_morphisms_between"
+        return name, _without_a_parallel_morphism(side, fixture, bound)(getattr(search, name))
+    o1, o2, (a, b) = _parallel_morphisms(fixture(), standard_pool(bound), side)
+    maps, shape = _MAPS[side], _SHAPES[side]
+    ends = shape(o1), shape(o2)
+    name = f"functor_on_{side}_morphism"
+    functor = getattr(search, name)
+
+    def at(m, seed):
+        return maps(m) == maps(seed) and (kind == "map tuple" or (shape(m.source), shape(m.target)) == ends)
+
+    def faulty(m):
+        image = functor(m)
+        if kind == "swap":
+            for x, y in ((a, b), (b, a)):
+                if at(m, x):
+                    return _with_maps_of(image, functor(y))
+            return image
+        return _zeroed(image) if at(m, b) else image
+
+    return name, faulty
+
+
+@pytest.mark.parametrize("kind", ["map tuple", "shape pair", "swap", "no composite"])
+@pytest.mark.parametrize("side", ["lifting", "covering"])
+@pytest.mark.parametrize("fixture, bound", [(gx1, 4), (gx3, 4)], ids=["gx1-4", "gx3-4"])
+def test_composition_law_matches_the_reference_under_seeded_faults(monkeypatch, fixture, bound, side, kind):
+    base, pool = fixture(), standard_pool(bound)
+    monkeypatch.setattr(search, *_seeded_fault(kind, fixture, bound, side))
+    summary = _summary(verify_equivalence(base, pool))
+    assert summary == _reference_summary(base, pool)
+    assert summary["counters"]["functor_law", False] > 0
+
+
+@pytest.mark.parametrize(
+    "fixture, cap", [(gx1, 5), (gx1, 100), (gx1, 1000), (gx3, 5), (gx3, 100), (gx3, 1000), (gx3, 3000)]
+)
+def test_a_cut_category_lists_its_first_morphisms_and_checks_none(fixture, cap, pool4):
+    base = fixture()
+    summary = _summary(verify_equivalence(base, pool4, cap))
+    assert summary == _reference_summary(base, pool4, cap)
+    assert summary["truncated"] and summary["morphism counts"][1] == cap
 def test_the_library_cap_ignores_the_environment(monkeypatch):
     # GXMOD_MAX_MORPHISMS is read by the command line only
     monkeypatch.setenv("GXMOD_MAX_MORPHISMS", "3")
@@ -1126,3 +1293,29 @@ def test_equivalence_report_counts_survive_relabelling(fixture, bound, seed):
     counts = _report_counts(moved, bound)
     assert counts == _shipped_report_counts(fixture, bound)
     assert counts["ok"] is True and counts["truncated"] is False
+
+
+def test_canonical_liftings_are_looked_for_once_per_object_shape(monkeypatch):
+    # a relabelled S3 base's canonical liftings are in the pool only up to
+    # isomorphism: each is looked for on the first object of each shape,
+    # not on every object, and found as the scan over every object finds it
+    moved = _relabelled_gxmod(a3_s3(), random.Random(1))
+    pool = standard_pool(6)
+    liftings = enumerate_liftings(moved, pool)
+    enumerated = set(liftings)
+    between = search.lifting_morphisms_between
+    calls = Counter()
+
+    def counted(source, target):
+        if source not in enumerated:
+            calls[source] += 1
+        return between(source, target)
+
+    monkeypatch.setattr(search, "lifting_morphisms_between", counted)
+    rep = verify_equivalence(moved, pool)
+    assert not rep.incomplete
+    looked_for = [w for w in (natural_lifting(moved), image_lifting(moved), self_lifting(moved)) if w not in enumerated]
+    assert looked_for
+    for wanted in looked_for:
+        assert 0 < calls[wanted] <= len(set(rep.lifting_shapes)) < len(liftings)
+        assert any(m.f.is_bijective() for o in liftings for m in between(wanted, o))
