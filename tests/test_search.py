@@ -861,15 +861,50 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     # the 5020 covering morphisms between objects are 412 between the first
     # objects of each pair of shapes, and the 1255 lifting morphisms 103: the
     # lifting side validates the images of those 412, the covering side
-    # those of the 103 and its 54 round-trip witnesses
+    # those of the 103 and one round-trip witness per pair of shapes of a
+    # covering and its round-trip image, 18 for the 54 coverings
     assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
     assert (sum(map(len, rep.covering_homs.values())), sum(map(len, rep.lifting_homs.values()))) == (412, 103)
     assert validated["lifting"] == 412
-    assert validated["covering"] == 103 + 54
+    assert validated["covering"] == 103 + 18
+    assert len(rep.roundtrip_covering_witnesses) == 54
     assert rep.ok
     assert (rep.morphism_checks_passed, rep.functor_law_checks_passed, rep.naturality_checks_passed) == (
         7530, 546912, 5020
     )
+
+
+def test_composites_are_built_once_per_distinct_pair_of_maps(base_gx3, pool4, monkeypatch):
+    # the composition law composes each distinct pair of maps once, of the
+    # morphisms and of their images, however many composable pairs of
+    # shape-level morphisms carry it; every pair is still counted
+    side = []
+    composed = Counter()
+    law, composite = search._composition_law, search._composite
+
+    def counted_law(source, *args):
+        side.append(source.label)
+        return law(source, *args)
+
+    def counted_composite(outer, inner):
+        # a covering morphism has two maps and a lifting morphism one, so the
+        # length tells the morphisms' composites from the images'
+        composed[side[-1], {2: "covering", 1: "lifting"}[len(outer)]] += 1
+        return composite(outer, inner)
+
+    monkeypatch.setattr(search, "_composition_law", counted_law)
+    monkeypatch.setattr(search, "_composite", counted_composite)
+    rep = verify_equivalence(base_gx3, pool4)
+    assert side == ["lifting", "covering"]
+    # 10 152 composable covering pairs and 1269 lifting pairs at shape level
+    assert composed == {
+        ("covering", "covering"): 984,
+        ("covering", "lifting"): 246,
+        ("lifting", "lifting"): 246,
+        ("lifting", "covering"): 246,
+    }
+    assert rep.ok
+    assert rep.functor_law_checks_passed == 546912
 
 
 @pytest.mark.parametrize("base, bound", [("base_gx1", 4), ("base_gx3", 4), ("base_a3s3", 4)])
@@ -1212,6 +1247,24 @@ def test_a_cut_category_lists_its_first_morphisms_and_checks_none(fixture, cap, 
     summary = _summary(verify_equivalence(base, pool4, cap))
     assert summary == _reference_summary(base, pool4, cap)
     assert summary["truncated"] and summary["morphism counts"][1] == cap
+
+
+@pytest.mark.slow
+def test_the_uncapped_bound_8_check_on_gx1():
+    # with the cap lifted the library checks gx1/8 in full: 6625 objects a
+    # side, 51 shapes each
+    rep = verify_equivalence(gx1(), standard_pool(8), max_morphisms=10**12)
+    assert rep.ok and not rep.truncated
+    assert (rep.lifting_count, rep.covering_count) == (6625, 6625)
+    assert (len(set(rep.lifting_shapes)), len(set(rep.covering_shapes))) == (51, 51)
+    assert (rep.lifting_morphism_count, rep.covering_morphism_count) == (681_561_681, 681_561_681)
+    assert rep.functor_law_checks_passed == 141_839_233_731_652
+    assert rep.morphism_checks_passed == 2_044_685_043
+    assert rep.naturality_checks_passed == 681_561_681
+    assert (rep.functor_law_checks_failed, rep.morphism_checks_failed, rep.naturality_checks_failed) == (0, 0, 0)
+    assert rep.failures == ()
+
+
 def test_the_library_cap_ignores_the_environment(monkeypatch):
     # GXMOD_MAX_MORPHISMS is read by the command line only
     monkeypatch.setenv("GXMOD_MAX_MORPHISMS", "3")
