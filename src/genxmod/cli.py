@@ -5,7 +5,8 @@ Commands: validate, construct, enumerate, equivalence, catalog; plus
 
     0  all checks passed
     1  an axiom or precondition failure, in an input or in the output of a
-       construction
+       construction; enumerate and equivalence run the full check of
+       validate on each input first
     2  a parse or structural failure: malformed JSON (not UTF-8, invalid or
        nested too deeply) or a malformed document, an unreadable input, an
        unwritable --out or --seed-fixtures target, a malformed
@@ -15,7 +16,8 @@ Commands: validate, construct, enumerate, equivalence, catalog; plus
 
 main maps the failures of every command to codes 1, 2 and 3; validate
 alone reports a file's structural error itself and goes on to the next
-file.  Each prints one line on stderr and no traceback.
+file.  Each prints one line on stderr, or a failed check's violations one
+per line, and no traceback.
 
 JSON output is canonical (sorted keys, compact separators), so repeated runs
 on the same inputs produce byte-identical files.
@@ -130,6 +132,23 @@ def _validate_loaded(kind: str, obj) -> ValidationReport:
     return report.merged(validate_gwa(obj.X), "X").merged(validate_lifting(obj))
 
 
+def _checked_gwa(path: str):
+    """The gwa in the file at path, after the full check that validate runs on
+    a gwa file."""
+    gw = load_gwa_doc(_read_doc(path))[0]
+    _require_ok(_validate_loaded("gwa", gw))
+    return gw
+
+
+def _checked_gxmod(path: str):
+    """The gxmod in the file at path, after the full check that validate runs
+    on a gxmod file: the enumerations and the equivalence check are defined
+    on bases that satisfy the laws only."""
+    x = load_gxmod_doc(_read_doc(path))
+    _require_ok(_validate_loaded("gxmod", x))
+    return x
+
+
 def cmd_validate(args) -> int:
     worst = EXIT_OK
     results = []
@@ -238,13 +257,13 @@ def cmd_construct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.what == "self-actions":
-        gw = load_gwa_doc(_read_doc(args.input))[0]
+        gw = _checked_gwa(args.input)
         docs = [gwa_doc(g) for g in gwa_objects_for(gw.group)]
     elif args.what == "ext-actions":
         if not args.second:
             raise StructuralError("ext-actions needs --in2 with the acted-on group")
-        actor = load_gwa_doc(_read_doc(args.input))[0]
-        space = load_gwa_doc(_read_doc(args.second))[0]
+        actor = _checked_gwa(args.input)
+        space = _checked_gwa(args.second)
         docs = [
             {"actor": actor.name, "space": space.name, "act": [list(r) for r in e.act]}
             for e in enumerate_ext_actions(actor, space)
@@ -252,22 +271,21 @@ def cmd_enumerate(args) -> int:
     elif args.what == "gxmods":
         if not args.second:
             raise StructuralError("gxmods needs --in2 with the codomain group")
-        a = load_gwa_doc(_read_doc(args.input))[0]
-        b = load_gwa_doc(_read_doc(args.second))[0]
+        a = _checked_gwa(args.input)
+        b = _checked_gwa(args.second)
         docs = [gxmod_doc(x) for x in enumerate_gxmods(a, b)]
     elif args.what == "liftings":
-        base = load_gxmod_doc(_read_doc(args.input))
+        base = _checked_gxmod(args.input)
         docs = lifting_docs(enumerate_liftings(base, standard_pool(args.bound)))
     else:
-        base = load_gxmod_doc(_read_doc(args.input))
+        base = _checked_gxmod(args.input)
         docs = covering_docs(enumerate_coverings(base, standard_pool(args.bound)))
     _write("".join(dumps(d) for d in docs), args.out)
     return EXIT_OK
 
 
 def cmd_equivalence(args) -> int:
-    base = load_gxmod_doc(_read_doc(args.input))
-    _require_ok(validate_gxmod_full(base))
+    base = _checked_gxmod(args.input)
     pool = standard_pool(args.bound)
     cap = morphism_cap()
     report = verify_equivalence(base, pool, cap)

@@ -157,30 +157,37 @@ def _action_table_lines(actor: GroupTable, space: GroupTable, columns: bool) -> 
     return tuple(lines)
 
 
-def _tables_with(lines: _Lines, pinned: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator[int]:
-    """The positions, ascending, of the tables whose k-th line is line for
-    every (k, line) in pinned, which holds at least one pair.
+def _tables_with(lines: _Lines, pinned: Iterable[tuple[int, tuple[int, ...]]]) -> int:
+    """The positions of the tables whose k-th line is line for every
+    (k, line) in pinned, which holds at least one pair, as a bitmask.
 
     Looking up the lines a law pins gives the tables that agree with them
-    without testing the others; the caller still runs the law on those.  Two
-    lines pinned at one k leave no table.
+    without testing the others.  Two lines pinned at one k leave no table.
+    A law that reads nothing but the pinned lines gives every table found
+    the same verdict, so it runs once per lookup, on one of them; a law that
+    reads any other entry still runs on each table found.
     """
     allowed = -1
     for k, line in pinned:
         allowed &= lines[k].get(line, 0)
         if not allowed:
-            return iter(())
-    return _bits(allowed)
+            return 0
+    return allowed
 
 
-def _equivariant_self_actions(columns: _Lines, alpha: Map, act: Table) -> Iterator[int]:
+def _equivariant_self_actions(columns: _Lines, alpha: Map, act: Table) -> int:
     """The positions in gwa_objects_for(g) of the self-actions sb of g that
-    agree with alpha(b . a) = ^b alpha(a), b acting by act, where columns is
-    _action_table_lines(g, g, True).
+    agree with alpha(b . a) = ^b alpha(a), b acting by act, as a bitmask,
+    where columns is _action_table_lines(g, g, True).
 
     The law pins column alpha(a) of sb to (alpha(b . a) for each b of g), so
     sb is fixed on g x im(alpha); when two a with one image pin different
-    columns, no self-action passes.
+    columns, no self-action passes.  The law reads no other entry of sb, so
+    it gives every self-action found the same verdict: the caller runs it
+    once per lookup, on the lowest position found, and that verdict holds
+    for all of them.  This holds only because the law reads nothing but the
+    pinned columns; a law that read any other entry would have to run on
+    each self-action found.
     """
     return _tables_with(columns, ((alpha[a], tuple([alpha[row[a]] for row in act])) for a in range(len(alpha))))
 
@@ -233,7 +240,7 @@ def enumerate_gxmods(a: GwaObject, b: GwaObject) -> tuple[GXMod, ...]:
     out = []
     for alpha in all_homs(a.group, b.group):
         am = alpha.map
-        for i in _tables_with(rows, zip(am, sa)):
+        for i in _bits(_tables_with(rows, zip(am, sa))):
             act = tables[i]
             if holds(gxmod_violations(am, act, sa, sb)):
                 out.append(GXMod(a, b, alpha, ExtAction(b, a, act)))
@@ -250,9 +257,12 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     omega) read only the group of X.  So each group of the pool collects once
     the pairs (omega, phi) passing the factorization and Peiffer.
     Equivariance pins the self-action of X on X x im(phi), so each pair looks
-    up the self-actions that agree there (_equivariant_self_actions) and joins
-    their buckets; each self-action then runs equivariance on its bucket.
-    The liftings come out by group, then self-action, then omega, then phi.
+    up the self-actions that agree there (_equivariant_self_actions).  The
+    law reads nothing but those pinned columns, so it runs once per pair, on
+    the first self-action found, and the pair joins the buckets of all of
+    them or of none.  Each self-action then builds the liftings of its
+    bucket.  The liftings come out by group, then self-action, then omega,
+    then phi.
 
     The homomorphism laws are not run: phi and omega come from all_homs,
     which returns only maps that pass them.  Peiffer is run, as it follows
@@ -264,6 +274,7 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     out: list[Lifting] = []
     for x_group in pool.groups:
         x_gwas = gwa_objects_for(x_group)
+        tables = _action_tables(x_group, x_group)
         columns = _action_table_lines(x_group, x_group, True)
         buckets: list[list] = [[] for _ in x_gwas]
         for omega in all_homs(x_group, b_group):
@@ -272,15 +283,12 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
             for phi in all_homs(a_group, x_group):
                 pm = phi.map
                 if holds(factorization_violations(base, pm, om)) and holds(peiffer_violations(pm, act, sa)):
-                    for i in _equivariant_self_actions(columns, pm, act):
-                        buckets[i].append((phi, omega, act))
+                    found = _equivariant_self_actions(columns, pm, act)
+                    if found and holds(equivariance_violations(pm, act, tables[_lowest_bit(found)])):
+                        for i in _bits(found):
+                            buckets[i].append((phi, omega))
         for x_gwa, bucket in zip(x_gwas, buckets):
-            sx = x_gwa.self_action.act
-            out.extend(
-                Lifting(base, x_gwa, phi, omega)
-                for phi, omega, act in bucket
-                if holds(equivariance_violations(phi.map, act, sx))
-            )
+            out.extend(Lifting(base, x_gwa, phi, omega) for phi, omega in bucket)
     return tuple(out)
 
 
@@ -305,10 +313,12 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
     the pool the pairs (g, alpha~) passing those laws are collected once,
     the forced action built only for a g with some alpha~ past the square.
     Equivariance pins the self-action of B~ on B~ x im(alpha~), so each pair
-    looks up the self-actions that agree there (_equivariant_self_actions)
-    and joins their buckets; each self-action then runs equivariance on its
-    bucket.  The coverings come out by f, then group, then self-action, then
-    g, then alpha~.
+    looks up the self-actions that agree there (_equivariant_self_actions).
+    The law reads nothing but those pinned columns, so it runs once per
+    pair, on the first self-action found, and the pair joins the buckets of
+    all of them or of none.  Each self-action then builds the coverings of
+    its bucket.  The coverings come out by f, then group, then self-action,
+    then g, then alpha~.
 
     The other laws of a covering hold by construction, so they are not run:
     f is an automorphism; g and alpha~ come from all_homs; the square is the
@@ -329,6 +339,7 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
         f = Hom(a_group, a_group, f_map)
         for b_group in pool.groups:
             b_gwas = gwa_objects_for(b_group)
+            tables = _action_tables(b_group, b_group)
             columns = _action_table_lines(b_group, b_group, True)
             buckets: list[list] = [[] for _ in b_gwas]
             for g in all_homs(b_group, base.B.group):
@@ -340,15 +351,16 @@ def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
                         continue
                     if forced is None:
                         forced = restrict_table(base_act, gm, f_map, f_inv, "forced action")
-                    if holds(peiffer_violations(atm, forced, sa_tilde)):
-                        for i in _equivariant_self_actions(columns, atm, forced):
+                    if not holds(peiffer_violations(atm, forced, sa_tilde)):
+                        continue
+                    found = _equivariant_self_actions(columns, atm, forced)
+                    if found and holds(equivariance_violations(atm, forced, tables[_lowest_bit(found)])):
+                        for i in _bits(found):
                             buckets[i].append((g, alpha_t, forced))
             for b_gwa, bucket in zip(b_gwas, buckets):
-                sb = b_gwa.self_action.act
                 for g, alpha_t, forced in bucket:
-                    if holds(equivariance_violations(alpha_t.map, forced, sb)):
-                        total = GXMod(a_tilde, b_gwa, alpha_t, ExtAction(b_gwa, a_tilde, forced))
-                        out.append(Covering(total, base, f, g))
+                    total = GXMod(a_tilde, b_gwa, alpha_t, ExtAction(b_gwa, a_tilde, forced))
+                    out.append(Covering(total, base, f, g))
     return tuple(out)
 
 
@@ -1030,6 +1042,11 @@ def _composition_law(source: _Category, numbered: tuple[dict, dict, dict], tally
 def _composite(outer: tuple[Map, ...], inner: tuple[Map, ...]) -> tuple[Map, ...]:
     """The maps of outer o inner, component by component."""
     return tuple(tuple(map(o.__getitem__, i)) for o, i in zip(outer, inner))
+
+
+def _lowest_bit(mask: int) -> int:
+    """The position of the lowest set bit of mask, which is not 0."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _bits(mask: int):

@@ -360,6 +360,54 @@ def test_enumerate_gxmods_keeps_each_files_names(fixture_dir, tmp_path):
         assert docs and {(d["A"]["name"], d["B"]["name"]) for d in docs} == {(name, name)}
 
 
+@pytest.mark.parametrize("what", ["liftings", "coverings"])
+def test_enumerate_checks_its_base(fixture_dir, tmp_path, capsys, what):
+    # gx3 with alpha sent to the identity breaks Peiffer: validate and
+    # equivalence exit 1 on it, and so does enumerate, before any output
+    doc = json.loads((fixture_dir / "gx3.gxmod.json").read_text())
+    doc["alpha"] = [0] * len(doc["alpha"])
+    path, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
+    path.write_text(dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert main(["equivalence", "--in", str(path), "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert main(["enumerate", what, "--in", str(path), "--bound", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "GX3: 4 violation(s)" in err and "peiffer at (1, 1)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["self-actions", "--in", "{bad}"],
+        ["ext-actions", "--in", "{bad}", "--in2", "{good}"],
+        ["ext-actions", "--in", "{good}", "--in2", "{bad}"],
+        ["gxmods", "--in", "{bad}", "--in2", "{good}"],
+        ["gxmods", "--in", "{good}", "--in2", "{bad}"],
+    ],
+    ids=["self-actions", "ext-actions-in", "ext-actions-in2", "gxmods-in", "gxmods-in2"],
+)
+def test_enumerate_checks_each_gwa_input(fixture_dir, tmp_path, capsys, argv):
+    # S3 with row 1 of its self-action zeroed breaks compatibility: enumerate
+    # exits 1 on it as validate does, whichever input it is
+    doc = json.loads((fixture_dir / "s3_conjugation.gwa.json").read_text())
+    doc["self_action"][1] = [0] * doc["order"]
+    bad, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
+    bad.write_text(dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    capsys.readouterr()
+    good = fixture_dir / "s3_conjugation.gwa.json"
+
+    def run(first):
+        return main(["enumerate", *[arg.format(bad=first, good=good) for arg in argv], "--out", str(out)])
+
+    assert run(bad) == 1
+    assert "action_compatibility at (1, 1, 1)" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(good) == 0
+
+
 def test_equivalence_exit_codes_and_determinism(fixture_dir, tmp_path):
     out1, out2 = tmp_path / "eq1.json", tmp_path / "eq2.json"
     rc1 = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4", "--out", str(out1)])

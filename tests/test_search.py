@@ -305,11 +305,10 @@ def test_enumerators_match_the_single_loop_filter(make_base, bound):
     assert enumerate_coverings(base, pool) == _single_loop_coverings(base, pool)
 
 
-def _per_self_action_liftings(base, pool):
-    """The liftings as each group's candidates past the factorization and
-    Peiffer, run through equivariance for every self-action of the group."""
+def _lifting_candidates(base, pool):
+    """Each group X of the pool with its candidates (phi, omega, act), those
+    past the factorization and Peiffer."""
     sa = base.A.self_action.act
-    out = []
     for x_group in pool.groups:
         candidates = []
         for omega in all_homs(x_group, base.B.group):
@@ -319,20 +318,13 @@ def _per_self_action_liftings(base, pool):
                     peiffer_violations(phi.map, act, sa)
                 ):
                     candidates.append((phi, omega, act))
-        for x in search.gwa_objects_for(x_group):
-            out.extend(
-                Lifting(base, x, phi, omega)
-                for phi, omega, act in candidates
-                if holds(equivariance_violations(phi.map, act, x.self_action.act))
-            )
-    return tuple(out)
+        yield x_group, candidates
 
 
-def _per_self_action_coverings(base, pool):
-    """The coverings as the candidates past the square and Peiffer of each f
-    and group, run through equivariance for every self-action of the group."""
+def _covering_candidates(base, pool):
+    """Each automorphism f, A~ and group B~ of the pool with the candidates
+    (g, alpha~, forced action), those past the square and Peiffer."""
     a_group, n = base.A.group, base.A.order
-    out = []
     for f in automorphisms(a_group):
         f_inv = inverse_hom(f).map
         a_tilde = GwaObject(a_group, search._pullback_self_action(base.A, f.map, f_inv))
@@ -348,10 +340,32 @@ def _per_self_action_coverings(base, pool):
                         peiffer_violations(alpha_t.map, forced, a_tilde.self_action.act)
                     ):
                         candidates.append((g, alpha_t, forced))
-            for b in search.gwa_objects_for(b_group):
-                for g, alpha_t, forced in candidates:
-                    if holds(equivariance_violations(alpha_t.map, forced, b.self_action.act)):
-                        out.append(Covering(GXMod(a_tilde, b, alpha_t, ExtAction(b, a_tilde, forced)), base, f, g))
+            yield f, a_tilde, b_group, candidates
+
+
+def _per_self_action_liftings(base, pool):
+    """The liftings as each group's candidates past the factorization and
+    Peiffer, run through equivariance for every self-action of the group."""
+    out = []
+    for x_group, candidates in _lifting_candidates(base, pool):
+        for x in search.gwa_objects_for(x_group):
+            out.extend(
+                Lifting(base, x, phi, omega)
+                for phi, omega, act in candidates
+                if holds(equivariance_violations(phi.map, act, x.self_action.act))
+            )
+    return tuple(out)
+
+
+def _per_self_action_coverings(base, pool):
+    """The coverings as the candidates past the square and Peiffer of each f
+    and group, run through equivariance for every self-action of the group."""
+    out = []
+    for f, a_tilde, b_group, candidates in _covering_candidates(base, pool):
+        for b in search.gwa_objects_for(b_group):
+            for g, alpha_t, forced in candidates:
+                if holds(equivariance_violations(alpha_t.map, forced, b.self_action.act)):
+                    out.append(Covering(GXMod(a_tilde, b, alpha_t, ExtAction(b, a_tilde, forced)), base, f, g))
     return tuple(out)
 
 
@@ -376,6 +390,94 @@ def test_enumerators_match_the_per_self_action_filter_at_bound_8(make_base):
     base, pool = make_base(), standard_pool(8)
     assert enumerate_liftings(base, pool) == _per_self_action_liftings(base, pool)
     assert enumerate_coverings(base, pool) == _per_self_action_coverings(base, pool)
+
+
+def _equivariance_runs(monkeypatch, base, pool):
+    """How many times enumerate_liftings and enumerate_coverings each run
+    equivariance on base over pool."""
+    runs = Counter()
+    law = search.equivariance_violations
+
+    def counted(side):
+        def run(*args):
+            runs[side] += 1
+            return law(*args)
+
+        return run
+
+    monkeypatch.setattr(search, "equivariance_violations", counted("lifting"))
+    enumerate_liftings(base, pool)
+    monkeypatch.setattr(search, "equivariance_violations", counted("covering"))
+    enumerate_coverings(base, pool)
+    return runs["lifting"], runs["covering"]
+
+
+@pytest.mark.parametrize("bound", [4, 6])
+@pytest.mark.parametrize("make_base", [gx1, gx3, a3_s3], ids=["gx1", "gx3", "a3s3"])
+def test_equivariance_runs_once_per_shape(monkeypatch, make_base, bound):
+    # a shape is an object without the self-action of its varying group: one
+    # candidate past the other laws, run through equivariance once
+    base, pool = make_base(), standard_pool(bound)
+    rep = verify_equivalence(base, pool)
+    shapes = len(set(rep.lifting_shapes)), len(set(rep.covering_shapes))
+    assert _equivariance_runs(monkeypatch, base, pool) == shapes
+
+
+@pytest.mark.parametrize(
+    "make_base, runs", [(gx1, (51, 51)), (gx3, (77, 154)), (a3_s3, (10, 20))], ids=["gx1", "gx3", "a3s3"]
+)
+def test_equivariance_runs_once_per_shape_at_bound_8(monkeypatch, make_base, runs):
+    # 363 runs in all, where a run per object was 33 785 (6625 + 6625,
+    # 6787 + 13 574, 58 + 116)
+    assert _equivariance_runs(monkeypatch, make_base(), standard_pool(8)) == runs
+
+
+class _ReadRow:
+    """A row of a table that records, in read, the entries (b, y) read from it."""
+
+    def __init__(self, row, b, read):
+        self.row, self.b, self.read = row, b, read
+
+    def __getitem__(self, y):
+        self.read.add((self.b, y))
+        return self.row[y]
+
+
+def _entries_equivariance_reads(alpha, act, sb):
+    """The entries (b, y) of sb that equivariance_violations reads, run to the end."""
+    read = set()
+    list(equivariance_violations(alpha, act, [_ReadRow(row, b, read) for b, row in enumerate(sb)]))
+    return read
+
+
+@pytest.mark.parametrize(
+    "make_base",
+    [gx1, gx3, a3_s3, lambda: _relabelled_gxmod(a3_s3(), random.Random(1))],
+    ids=["gx1", "gx3", "a3s3", "a3s3-relabelled"],
+)
+def test_the_equivariance_lookup_finds_one_verdict_per_candidate(make_base):
+    # the enumerators run equivariance once per candidate, on the first
+    # self-action the lookup finds, and share the verdict: this holds when
+    # the lookup finds exactly the self-actions that pass the law, run on
+    # every self-action, and those agree on every entry the law reads
+    base, pool = make_base(), standard_pool(8)
+    candidates = [(x_group, phi.map, act) for x_group, found in _lifting_candidates(base, pool) for phi, _, act in found]
+    candidates += [
+        (b_group, alpha_t.map, forced)
+        for _, _, b_group, found in _covering_candidates(base, pool)
+        for _, alpha_t, forced in found
+    ]
+    largest = 0
+    for group, alpha, act in candidates:
+        tables = [x.self_action.act for x in search.gwa_objects_for(group)]
+        columns = search._action_table_lines(group, group, True)
+        found = list(search._bits(search._equivariant_self_actions(columns, alpha, act)))
+        assert found == [i for i, sb in enumerate(tables) if holds(equivariance_violations(alpha, act, sb))]
+        read = sorted(_entries_equivariance_reads(alpha, act, tables[0]))
+        assert len({tuple(tables[i][b][y] for b, y in read) for i in found}) <= 1
+        largest = max(largest, len(found))
+    # some lookup finds several self-actions, so the verdict is shared
+    assert largest > 1
 
 
 def test_gxmods_match_the_per_table_filter():
