@@ -5,8 +5,8 @@ Commands: validate, construct, enumerate, equivalence, catalog; plus
 
     0  all checks passed
     1  an axiom or precondition failure, in an input or in the output of a
-       construction; enumerate and equivalence run the full check of
-       validate on each input first
+       construction: every command except validate runs validate's full
+       check on each input first, and writes nothing if it fails
     2  a parse or structural failure: malformed JSON (not UTF-8, invalid or
        nested too deeply) or a malformed document, an unreadable input, an
        unwritable --out or --seed-fixtures target, a malformed
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -51,13 +52,12 @@ from .crossed import (
 from .groups import subgroup, validate_group
 from .gwa import validate_gwa
 from .search import (
-    MAX_MORPHISMS_ENV,
+    DEFAULT_MAX_MORPHISMS,
     enumerate_coverings,
     enumerate_ext_actions,
     enumerate_gxmods,
     enumerate_liftings,
     gwa_objects_for,
-    morphism_cap,
     standard_pool,
     verify_equivalence,
 )
@@ -71,9 +71,7 @@ from .serialize import (
     gxmod_doc,
     lifting_docs,
     load_any,
-    load_gwa_doc,
-    load_gxmod_doc,
-    load_transport_docs,
+    load_transport_homs,
 )
 from .validation import PreconditionError, StructuralError, ValidationReport
 
@@ -81,6 +79,8 @@ EXIT_OK = 0
 EXIT_AXIOM = 1
 EXIT_PARSE = 2
 EXIT_INCOMPLETE = 3
+
+MAX_MORPHISMS_ENV = "GXMOD_MAX_MORPHISMS"
 
 
 class _ChecksFailed(Exception):
@@ -121,32 +121,31 @@ def _validate_loaded(kind: str, obj) -> ValidationReport:
         return validate_group(obj.group).merged(validate_gwa(obj))
     if kind == "gxmod":
         return validate_gxmod_full(obj)
+    # the report of a composite object is named after it, not its first part
+    report = ValidationReport(obj.name or kind)
     if kind == "cat1":
-        report = ValidationReport().merged(validate_group(obj.G.group), "G.group")
+        report = report.merged(validate_group(obj.G.group), "G.group")
         return report.merged(validate_gwa(obj.G)).merged(validate_gcat1(obj))
     if kind == "covering":
-        report = validate_gxmod_full(obj.total).merged(validate_gxmod_full(obj.base), "base")
+        report = report.merged(validate_gxmod_full(obj.total)).merged(validate_gxmod_full(obj.base), "base")
         return report.merged(validate_covering(obj))
     # a lifting
-    report = validate_gxmod_full(obj.base).merged(validate_group(obj.X.group), "X.group")
+    report = report.merged(validate_gxmod_full(obj.base)).merged(validate_group(obj.X.group), "X.group")
     return report.merged(validate_gwa(obj.X), "X").merged(validate_lifting(obj))
 
 
-def _checked_gwa(path: str):
-    """The gwa in the file at path, after the full check that validate runs on
-    a gwa file."""
-    gw = load_gwa_doc(_read_doc(path))[0]
-    _require_ok(_validate_loaded("gwa", gw))
-    return gw
-
-
-def _checked_gxmod(path: str):
-    """The gxmod in the file at path, after the full check that validate runs
-    on a gxmod file: the enumerations and the equivalence check are defined
-    on bases that satisfy the laws only."""
-    x = load_gxmod_doc(_read_doc(path))
-    _require_ok(_validate_loaded("gxmod", x))
-    return x
+def _input(path: str, kind: str) -> tuple[dict, object]:
+    """The document in the file at path and the object of the kind it holds,
+    after the full check that validate runs on a file of that kind: every
+    construction, enumeration and equivalence check is defined on inputs
+    that satisfy the laws only."""
+    doc = _read_doc(path)
+    found = detect_kind(doc)
+    if found != kind:
+        raise StructuralError(f"expected a {kind} document, got {found}")
+    obj = load_any(doc)[1]
+    _require_ok(_validate_loaded(kind, obj))
+    return doc, obj
 
 
 def cmd_validate(args) -> int:
@@ -190,24 +189,7 @@ def _hom_file(path: str | None) -> tuple[dict, str] | None:
     return path and (_read_doc(path), path)
 
 
-def _loaded(construction):
-    """construction run on the object its input document holds."""
-    return lambda doc, args: construction(load_any(doc)[1])
-
-
-def _checked(construction, check):
-    """construction, run only on an input that passes check: it is defined
-    on objects that satisfy the laws only."""
-
-    def build(obj):
-        _require_ok(check(obj))
-        return construction(obj)
-
-    return build
-
-
-def _quotient_lifting(doc: dict, args):
-    x = load_gxmod_doc(doc)
+def _quotient_lifting(x, doc: dict, args):
     if not args.ideal:
         raise StructuralError("quotient-lifting needs --ideal with member indices")
     try:
@@ -217,9 +199,9 @@ def _quotient_lifting(doc: dict, args):
     return quotient_lifting(x, subgroup(x.A.group, members))
 
 
-def _transport(doc: dict, args):
-    # the isomorphisms are read in the gxmod file's numbering
-    x, codomain, domain = load_transport_docs(doc, _hom_file(args.codomain_iso), _hom_file(args.domain_iso))
+def _transport(x, doc: dict, args):
+    # the isomorphisms are read in the numbering of x's document
+    codomain, domain = load_transport_homs(doc, _hom_file(args.codomain_iso), _hom_file(args.domain_iso))
     if codomain and domain:
         return transport_both(x, *codomain, *domain)[0]
     if codomain:
@@ -229,26 +211,25 @@ def _transport(doc: dict, args):
     raise StructuralError("transport needs --codomain-iso and/or --domain-iso")
 
 
-# construction -> (the kind of document it takes, its build from that
-# document and the parsed arguments)
+# construction -> (the kind of document it takes, its build from the checked
+# input object, that object's document and the parsed arguments)
 CONSTRUCTIONS = {
-    "kernel-gxmod": ("gxmod", _loaded(_checked(kernel_gxmod, validate_gxmod_full))),
-    "image-gxmod": ("gxmod", _loaded(_checked(image_gxmod, validate_gxmod_full))),
+    "kernel-gxmod": ("gxmod", lambda x, doc, args: kernel_gxmod(x)),
+    "image-gxmod": ("gxmod", lambda x, doc, args: image_gxmod(x)),
     "transport": ("gxmod", _transport),
-    "cat1-to-gxmod": ("cat1", _loaded(_checked(cat1_to_gxmod, validate_gcat1))),
-    "natural-lifting": ("gxmod", _loaded(natural_lifting)),
+    "cat1-to-gxmod": ("cat1", lambda c, doc, args: cat1_to_gxmod(c)),
+    "natural-lifting": ("gxmod", lambda x, doc, args: natural_lifting(x)),
     "quotient-lifting": ("gxmod", _quotient_lifting),
-    "lift-to-cover": ("lifting", _loaded(lifting_to_covering)),
-    "cover-to-lift": ("covering", _loaded(covering_to_lifting)),
+    "lift-to-cover": ("lifting", lambda l, doc, args: lifting_to_covering(l)),
+    "cover-to-lift": ("covering", lambda c, doc, args: covering_to_lifting(c)),
 }
 
 
 def cmd_construct(args) -> int:
     kind, build = CONSTRUCTIONS[args.construction]
-    doc = _read_doc(args.input)
-    _require_kind(detect_kind(doc), kind)
-    result = build(doc, args)
-    # the output gets the check that validate runs on a file of its kind
+    doc, obj = _input(args.input, kind)
+    result = build(obj, doc, args)
+    # the output gets the check that validate runs on a file of its kind too
     out_doc = doc_for(result)
     _require_ok(_validate_loaded(detect_kind(out_doc), result))
     _write(dumps(out_doc), args.out)
@@ -257,13 +238,13 @@ def cmd_construct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.what == "self-actions":
-        gw = _checked_gwa(args.input)
+        _, gw = _input(args.input, "gwa")
         docs = [gwa_doc(g) for g in gwa_objects_for(gw.group)]
     elif args.what == "ext-actions":
         if not args.second:
             raise StructuralError("ext-actions needs --in2 with the acted-on group")
-        actor = _checked_gwa(args.input)
-        space = _checked_gwa(args.second)
+        _, actor = _input(args.input, "gwa")
+        _, space = _input(args.second, "gwa")
         docs = [
             {"actor": actor.name, "space": space.name, "act": [list(r) for r in e.act]}
             for e in enumerate_ext_actions(actor, space)
@@ -271,21 +252,41 @@ def cmd_enumerate(args) -> int:
     elif args.what == "gxmods":
         if not args.second:
             raise StructuralError("gxmods needs --in2 with the codomain group")
-        a = _checked_gwa(args.input)
-        b = _checked_gwa(args.second)
+        _, a = _input(args.input, "gwa")
+        _, b = _input(args.second, "gwa")
         docs = [gxmod_doc(x) for x in enumerate_gxmods(a, b)]
     elif args.what == "liftings":
-        base = _checked_gxmod(args.input)
+        _, base = _input(args.input, "gxmod")
         docs = lifting_docs(enumerate_liftings(base, standard_pool(args.bound)))
     else:
-        base = _checked_gxmod(args.input)
+        _, base = _input(args.input, "gxmod")
         docs = covering_docs(enumerate_coverings(base, standard_pool(args.bound)))
     _write("".join(dumps(d) for d in docs), args.out)
     return EXIT_OK
 
 
+def morphism_cap() -> int:
+    """The morphism cap of an equivalence run: GXMOD_MAX_MORPHISMS, else the
+    library's default.  The library never reads the variable;
+    verify_equivalence takes its cap as an argument.
+
+    An environment value that is not an integer, or is below 1, raises
+    StructuralError.
+    """
+    env = os.environ.get(MAX_MORPHISMS_ENV)
+    if not env:
+        return DEFAULT_MAX_MORPHISMS
+    try:
+        cap = int(env)
+    except ValueError:
+        raise StructuralError(f"{MAX_MORPHISMS_ENV} must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise StructuralError(f"{MAX_MORPHISMS_ENV} must be at least 1, got {env!r}")
+    return cap
+
+
 def cmd_equivalence(args) -> int:
-    base = _checked_gxmod(args.input)
+    _, base = _input(args.input, "gxmod")
     pool = standard_pool(args.bound)
     cap = morphism_cap()
     report = verify_equivalence(base, pool, cap)
@@ -371,11 +372,6 @@ def seed_fixtures(directory: str) -> int:
         _write(dumps(build()), str(target / name))
     print(f"wrote {len(FIXTURE_FILES)} fixture files to {target}")
     return EXIT_OK
-
-
-def _require_kind(kind: str, wanted: str) -> None:
-    if kind != wanted:
-        raise StructuralError(f"expected a {wanted} document, got {kind}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -509,12 +509,15 @@ def extend_morphism_through_lifting(
 def _kept_on_object(functor):
     """functor(o), built on the first call and kept on o for o's lifetime.
 
-    The equivalence check asks for the image of each endpoint of every
-    morphism, so an object's image is asked for thousands of times.  It is
-    kept in o's __dict__, which a frozen dataclass leaves out of eq, hash
-    and repr: o compares and hashes as before.  Only the image of o itself
-    is kept, never seeded from elsewhere, so the image of an image is built
-    fresh on its own object and a round trip yields a new object equal to o.
+    The equivalence check asks for each object's image in its object and
+    identity checks, and for the images of the endpoints of every
+    shape-level morphism and of its image, so the first object of a shape
+    has its image asked for once per morphism into or out of its shape.
+    The image is kept in o's __dict__, which a frozen dataclass leaves out
+    of eq, hash and repr: o compares and hashes as before.  Only the image
+    of o itself is kept, never seeded from elsewhere, so the image of an
+    image is built fresh on its own object and a round trip yields a new
+    object equal to o.
     """
     slot = f"_{functor.__name__}"
 

@@ -13,7 +13,6 @@ the JSON reports built from them) are deterministic.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -85,7 +84,6 @@ from .groups import (
 from .gwa import GwaObject, SelfAction, action_preserved_violations, is_gwa_morphism, kernel_action_violations
 from .validation import PreconditionError, StructuralError, holds
 
-MAX_MORPHISMS_ENV = "GXMOD_MAX_MORPHISMS"
 DEFAULT_MAX_MORPHISMS = 20000
 MAX_CATALOG_ORDER = 8
 
@@ -605,26 +603,6 @@ class EquivalenceReport:
         return True
 
 
-def morphism_cap() -> int:
-    """The morphism cap the command line runs with: GXMOD_MAX_MORPHISMS, else
-    the default.  The library never reads the variable; verify_equivalence
-    takes its cap as an argument.
-
-    An environment value that is not an integer, or is below 1, raises
-    StructuralError.
-    """
-    env = os.environ.get(MAX_MORPHISMS_ENV)
-    if not env:
-        return DEFAULT_MAX_MORPHISMS
-    try:
-        cap = int(env)
-    except ValueError:
-        raise StructuralError(f"{MAX_MORPHISMS_ENV} must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise StructuralError(f"{MAX_MORPHISMS_ENV} must be at least 1, got {env!r}")
-    return cap
-
-
 def verify_equivalence(
     base: GXMod, pool: SearchPool, max_morphisms: int = DEFAULT_MAX_MORPHISMS
 ) -> EquivalenceReport:
@@ -671,10 +649,13 @@ def verify_equivalence(
     # covering morphism <u, v> is a gxmod morphism plus the f- and
     # g-triangles, where crossed.gxmod_morphism_violations does not ask v to
     # preserve the self-action of B~.  If it ever has to, the covering shape
-    # must keep that self-action.
+    # must keep that self-action.  The shape holds the raw maps, not their
+    # Hom wrappers, and leaves out the base: every object and image of one
+    # check shares it, and each Hom's groups are those the shape holds, so
+    # hashing a shape walks no table twice.
     liftings = _Category(
         "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, max_morphisms,
-        shape=lambda o: (o.base, o.X.group, o.phi, o.omega),
+        shape=lambda o: (o.X.group, o.phi.map, o.omega.map),
         components=lambda m: (m.f,),
         groups=lambda o: (o.X.group,),
         identity=identity_lifting_morphism,
@@ -684,7 +665,7 @@ def verify_equivalence(
     )
     coverings = _Category(
         "covering", enumerate_coverings(base, pool), covering_morphisms_between, max_morphisms,
-        shape=lambda o: (o.base, o.total.A, o.total.B.group, o.total.alpha, o.total.action.act, o.f, o.g),
+        shape=lambda o: (o.total.A, o.total.B.group, o.total.alpha.map, o.total.action.act, o.f.map, o.g.map),
         components=lambda m: (m.f, m.g),
         groups=lambda o: (o.total.A.group, o.total.B.group),
         identity=identity_covering_morphism,

@@ -327,8 +327,8 @@ def load_lifting_doc(doc: dict, label: str = "lifting") -> Lifting:
     )
 
 
-def load_transport_docs(doc: dict, codomain=None, domain=None) -> tuple[GXMod, tuple | None, tuple | None]:
-    """The crossed module of doc and the isomorphisms read against it.
+def load_transport_homs(doc: dict, codomain=None, domain=None) -> tuple[tuple | None, tuple | None]:
+    """The isomorphisms read against the crossed module of doc, in doc's numbering.
 
     codomain and domain are each None or a pair (hom document, label).  The
     hom document {"map": [...], "target": gwa} gives f: B -> target, and
@@ -337,7 +337,6 @@ def load_transport_docs(doc: dict, codomain=None, domain=None) -> tuple[GXMod, t
     """
     x, perm_a, perm_b = _load_gxmod(doc, "gxmod")
     return (
-        x,
         codomain and _load_hom(*codomain, "target", x.B, perm_b),
         domain and _load_hom(*domain, "source", x.A, perm_a),
     )

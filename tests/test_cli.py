@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from genxmod import cli, search
 from genxmod.cli import CONSTRUCTIONS, main
-from genxmod.serialize import dumps
+from genxmod.coverlift import lifting_to_covering
+from genxmod.serialize import dumps, load_gxmod_doc
 
 
 @pytest.fixture()
@@ -246,26 +248,75 @@ def test_transport_with_domain_iso(fixture_dir, tmp_path):
     assert rc == 0
 
 
-def test_construct_output_gets_the_full_check(fixture_dir, tmp_path, capsys):
-    # the covering's base is the lifting's base, whose action validate rejects
-    doc = json.loads((fixture_dir / "gx3_natural.lifting.json").read_text())
-    doc["base"]["action"][1][1] = 1
-    path, out = tmp_path / "lift.json", tmp_path / "cover.json"
-    path.write_text(dumps(doc))
-    assert main(["construct", "lift-to-cover", "--in", str(path), "--out", str(out)]) == 1
+def test_construct_output_gets_the_full_check(fixture_dir, tmp_path, monkeypatch, capsys):
+    # a lift-to-cover that gives a lawful lifting's covering the base gx3
+    # with an action validate rejects: the output check stops it
+    doc = json.loads((fixture_dir / "gx3.gxmod.json").read_text())
+    doc["action"][1][1] = 1
+    base = load_gxmod_doc(doc)
+
+    def broken(lift, lift_doc, args):
+        return replace(lifting_to_covering(lift), base=base)
+
+    monkeypatch.setitem(CONSTRUCTIONS, "lift-to-cover", ("lifting", broken))
+    out = tmp_path / "cover.json"
+    source = fixture_dir / "gx3_natural.lifting.json"
+    assert main(["construct", "lift-to-cover", "--in", str(source), "--out", str(out)]) == 1
     assert "base.action.action_compatibility at (" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("construction", ["kernel-gxmod", "image-gxmod"])
-def test_construct_checks_its_gxmod_input(fixture_dir, tmp_path, capsys, construction):
-    # the kernel and the image of this gxmod pass the output check; the input does not
-    doc = json.loads((fixture_dir / "gx3.gxmod.json").read_text())
-    doc["action"][1][1] = 1
-    path, out = tmp_path / "bad.json", tmp_path / "out.json"
-    path.write_text(dumps(doc))
-    assert main(["construct", construction, "--in", str(path), "--out", str(out)]) == 1
-    assert "action.action_compatibility at (1, 1, 3)" in capsys.readouterr().err
+def _broken_gx3_action(doc):
+    doc["action"][1][1] = 1  # 1 . 1 should be 3 under inversion
+    return doc
+
+
+def _cat1_with_a_broken_z3_self_action(z3):
+    # s = t = identity satisfy every cat1 law; the self-action breaks
+    # compatibility, which validate_gcat1 alone does not check
+    return {"G": {**z3, "self_action": [[0, 1, 2], [0, 2, 1], [0, 1, 2]]}, "s": [0, 1, 2], "t": [0, 1, 2]}
+
+
+# construction -> (a shipped fixture, the change that makes it a lawless
+# input, extra arguments, a violation validate reports on that input)
+LAWLESS_INPUTS = {
+    "kernel-gxmod": ("gx3.gxmod.json", _broken_gx3_action, [], "action.action_compatibility at (1, 1, 3)"),
+    "image-gxmod": ("gx3.gxmod.json", _broken_gx3_action, [], "action.action_compatibility at (1, 1, 3)"),
+    "transport": (
+        "gx3.gxmod.json", _broken_gx3_action, ["--domain-iso", "{iso}"], "action.action_compatibility at (1, 1, 3)"
+    ),
+    # the output's check would name its B's action_compatibility
+    "cat1-to-gxmod": ("z3.group.json", _cat1_with_a_broken_z3_self_action, [], "action_compatibility at (1, 2, 1)"),
+    # alpha is no hom: the construction would exit 2 on the preimage of a non-subgroup
+    "natural-lifting": ("gx2.gxmod.json", lambda doc: {**doc, "alpha": [0, 0, 1, 1]}, [], "alpha.homomorphism at (1, 1)"),
+    "quotient-lifting": (
+        "gx3.gxmod.json", _broken_gx3_action, ["--ideal", "0,2"], "action.action_compatibility at (1, 1, 3)"
+    ),
+    "lift-to-cover": (
+        "gx3_natural.lifting.json",
+        lambda doc: {**doc, "base": _broken_gx3_action(doc["base"])},
+        [],
+        "action.action_compatibility at (1, 1, 3)",
+    ),
+    # the output's check would name its omega, which is this g
+    "cover-to-lift": ("gx1_identity.covering.json", lambda doc: {**doc, "g": [1, 0]}, [], "g.identity_preserved at (0,)"),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(LAWLESS_INPUTS))
+def test_construct_checks_its_input(fixture_dir, tmp_path, capsys, construction):
+    source, lawless, extra, violation = LAWLESS_INPUTS[construction]
+    path, out, iso = tmp_path / "bad.json", tmp_path / "out.json", tmp_path / "iso.json"
+    path.write_text(dumps(lawless(json.loads((fixture_dir / source).read_text()))))
+    # the inversion automorphism of (Z4, inversion action), gx3's A
+    z4 = json.loads((fixture_dir / "z4_inversion.gwa.json").read_text())
+    iso.write_text(dumps({"map": [0, 3, 2, 1], "source": z4}))
+    assert main(["validate", str(path)]) == 1
+    assert violation in capsys.readouterr().out
+    argv = ["construct", construction, "--in", str(path), *[arg.format(iso=iso) for arg in extra], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.strip().startswith(violation) for line in err), err
     assert not out.exists()
 
 
@@ -283,7 +334,8 @@ CONSTRUCTION_INPUTS = {
 
 
 def test_every_construction_has_its_input_kind_pinned():
-    assert set(CONSTRUCTION_INPUTS) == set(CONSTRUCTIONS)
+    # and a lawless input of that kind
+    assert set(CONSTRUCTION_INPUTS) == set(CONSTRUCTIONS) == set(LAWLESS_INPUTS)
 
 
 @pytest.mark.parametrize("construction", sorted(CONSTRUCTION_INPUTS))
@@ -406,6 +458,14 @@ def test_enumerate_checks_each_gwa_input(fixture_dir, tmp_path, capsys, argv):
     assert "action_compatibility at (1, 1, 1)" in capsys.readouterr().err
     assert not out.exists()
     assert run(good) == 0
+
+
+def test_enumerate_on_a_document_of_another_kind_exit_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    argv = ["enumerate", "self-actions", "--in", str(fixture_dir / "v4_projection.cat1.json"), "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: expected a gwa document, got cat1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_equivalence_exit_codes_and_determinism(fixture_dir, tmp_path):
