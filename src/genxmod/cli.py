@@ -66,7 +66,7 @@ from .serialize import (
     detect_kind,
     doc_for,
     dumps,
-    equivalence_report_doc,
+    equivalence_report_json,
     gwa_doc,
     gxmod_doc,
     lifting_docs,
@@ -130,7 +130,7 @@ def _validate_loaded(kind: str, obj) -> ValidationReport:
         report = report.merged(validate_gxmod_full(obj.total)).merged(validate_gxmod_full(obj.base), "base")
         return report.merged(validate_covering(obj))
     # a lifting
-    report = report.merged(validate_gxmod_full(obj.base)).merged(validate_group(obj.X.group), "X.group")
+    report = report.merged(validate_gxmod_full(obj.base), "base").merged(validate_group(obj.X.group), "X.group")
     return report.merged(validate_gwa(obj.X), "X").merged(validate_lifting(obj))
 
 
@@ -313,7 +313,7 @@ def cmd_equivalence(args) -> int:
         lines.append("ok" if report.ok else "NOT OK")
         _write("\n".join(lines) + "\n", args.out)
     else:
-        _write(dumps(equivalence_report_doc(report)), args.out)
+        _write(equivalence_report_json(report), args.out)
     if report.incomplete or report.truncated:
         return EXIT_INCOMPLETE
     if report.failures:

@@ -27,7 +27,7 @@ from .coverlift import Covering, Lifting
 from .crossed import ExtAction, GXMod
 from .groups import GroupTable, Hom, Map, Table, _cached_per_identity, group_from_op
 from .gwa import GwaObject, SelfAction, trivial_self_action
-from .search import EquivalenceReport
+from .search import EquivalenceReport, _object_level
 from .validation import StructuralError
 
 
@@ -136,6 +136,37 @@ def _shared_part_docs():
 
 
 def equivalence_report_doc(rep: EquivalenceReport) -> dict:
+    """The equivalence report as a document: equivalence_report_json's
+    bytes, parsed.
+
+    Every key but the two morphism lists is built as the other documents
+    are, the liftings and coverings sharing their part documents (see
+    _shared_part_docs); the morphism lists are parsed back from the text
+    that equivalence_report_json writes, so the two cannot disagree.
+    """
+    doc = _report_fields(rep)
+    for key, text in _morphism_list_texts(rep).items():
+        doc[key] = json.loads(text)
+    return doc
+
+
+def equivalence_report_json(rep: EquivalenceReport) -> str:
+    """dumps(equivalence_report_doc(rep)), written per shape-level morphism.
+
+    The morphism lists are not built as object-level documents: each
+    distinct map gets its JSON text once, each shape-level morphism its
+    entry template once, and each object-level entry is that template with
+    its source and target filled in (_morphism_list_texts).  The other keys
+    are encoded as dumps encodes them, and all are joined in sorted key
+    order.
+    """
+    texts = {key: dumps(value)[:-1] for key, value in _report_fields(rep).items()}
+    texts.update(_morphism_list_texts(rep))
+    return "{" + ",".join(f'"{key}":{texts[key]}' for key in sorted(texts)) + "}\n"
+
+
+def _report_fields(rep: EquivalenceReport) -> dict:
+    """Every key of the equivalence report but the two morphism lists."""
     gxmod, gwa = _shared_part_docs()
     return {
         "base": rep.base_name,
@@ -151,14 +182,6 @@ def equivalence_report_doc(rep: EquivalenceReport) -> dict:
         "roundtrip_covering_witnesses": [
             {"covering": i, "f": list(w.f.map), "g": list(w.g.map)}
             for i, w in enumerate(rep.roundtrip_covering_witnesses)
-        ],
-        "lifting_morphisms": [
-            {"source": i, "target": j, "f": list(m.f.map)}
-            for i, j, m in rep.lifting_morphisms()
-        ],
-        "covering_morphisms": [
-            {"source": i, "target": j, "f": list(m.f.map), "g": list(m.g.map)}
-            for i, j, m in rep.covering_morphisms()
         ],
         "lifting_morphism_count": rep.lifting_morphism_count,
         "covering_morphism_count": rep.covering_morphism_count,
@@ -178,6 +201,40 @@ def equivalence_report_doc(rep: EquivalenceReport) -> dict:
         "incomplete": list(rep.incomplete),
         "failures": list(rep.failures),
         "ok": rep.ok,
+    }
+
+
+def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
+    """The JSON texts of the lifting_morphisms and covering_morphisms lists.
+
+    An entry is {"f": [...], "g": [...], "source": i, "target": j}, without
+    "g" for a lifting morphism.  Each shape-level morphism's entry is
+    written once as a template with i and j left open; search._object_level
+    walks the templates of each shape pair in the (source, target) order
+    and cut that the report lists the morphisms in.
+    """
+    map_texts: dict[Map, str] = {}
+
+    def text(h: Hom) -> str:
+        found = map_texts.get(h.map)
+        if found is None:
+            found = map_texts[h.map] = dumps(list(h.map))[:-1]
+        return found
+
+    def listed(shapes, homs, count, template) -> str:
+        templates = {pair: tuple(map(template, found)) for pair, found in homs.items()}
+        return "[" + ",".join(t % (i, j) for i, j, t in _object_level(shapes, templates, count)) + "]"
+
+    # a map text holds digits, brackets and commas only, so no % in a template
+    return {
+        "lifting_morphisms": listed(
+            rep.lifting_shapes, rep.lifting_homs, rep.lifting_morphism_count,
+            lambda m: '{"f":' + text(m.f) + ',"source":%d,"target":%d}',
+        ),
+        "covering_morphisms": listed(
+            rep.covering_shapes, rep.covering_homs, rep.covering_morphism_count,
+            lambda m: '{"f":' + text(m.f) + ',"g":' + text(m.g) + ',"source":%d,"target":%d}',
+        ),
     }
 
 

@@ -102,6 +102,18 @@ def test_validate_takes_only_json_integers_exit_2(tmp_path, capsys, doc, message
     assert f"structural error: {message}" in capsys.readouterr().out
 
 
+def test_validate_names_a_liftings_base_laws_as_a_coverings(fixture_dir, tmp_path, capsys):
+    # a lifting's base laws carry the prefix base., as a covering's do
+    doc = json.loads((fixture_dir / "gx3_natural.lifting.json").read_text())
+    doc["base"]["action"][1][1] = 1  # 1 . 1 should be 3 under inversion
+    bad = tmp_path / "bad.lifting.json"
+    bad.write_text(dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert any(line.startswith("base.action.action_compatibility at (1, 1, 3)") for line in lines), lines
+    assert not any(line.startswith("action.") for line in lines), lines
+
+
 def test_validate_json_format(fixture_dir, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["validate", str(fixture_dir / "gx1.gxmod.json"), "--format", "json", "--out", str(out)])
@@ -296,7 +308,7 @@ LAWLESS_INPUTS = {
         "gx3_natural.lifting.json",
         lambda doc: {**doc, "base": _broken_gx3_action(doc["base"])},
         [],
-        "action.action_compatibility at (1, 1, 3)",
+        "base.action.action_compatibility at (1, 1, 3)",
     ),
     # the output's check would name its omega, which is this g
     "cover-to-lift": ("gx1_identity.covering.json", lambda doc: {**doc, "g": [1, 0]}, [], "g.identity_preserved at (0,)"),

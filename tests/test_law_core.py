@@ -330,8 +330,10 @@ CORRUPTIBLE = ("op", "self_action", "alpha", "action", "s", "t", "f", "g", "phi"
 # sha256 of `genxmod validate --format json` over corruption_corpus(), measured
 # on the validators as they were before the law core replaced them, except that
 # s3_identity.cat1.G.op.json also lists the G.group.associativity witnesses now
-# that validate checks a cat1-group's G for the group axioms
-CORPUS_SHA256 = "dcd78ba10bf594e54e6538acff33fab78e0e63c6ce44e0658638677a4fdbbf95"
+# that validate checks a cat1-group's G for the group axioms, and the laws of
+# gx3_natural.lifting.base.{A.self_action,alpha,action}.json carry the prefix
+# base. as a covering's base laws do
+CORPUS_SHA256 = "5b86587e07842df01f4bf34532ce826abd645d69d4d148d67d1a859bd977e729"
 
 
 def _table_paths(doc, path=()):

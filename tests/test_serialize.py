@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,7 @@ from genxmod.serialize import (
     doc_for,
     dumps,
     equivalence_report_doc,
+    equivalence_report_json,
     gwa_doc,
     gxmod_doc,
     lifting_doc,
@@ -36,7 +38,9 @@ from genxmod.serialize import (
     load_gxmod_doc,
     load_lifting_doc,
 )
+from genxmod import search, serialize
 from genxmod.search import (
+    EquivalenceReport,
     enumerate_coverings,
     enumerate_gcat1s,
     enumerate_gxmods,
@@ -46,6 +50,7 @@ from genxmod.search import (
     verify_equivalence,
 )
 from genxmod.validation import StructuralError
+from test_search import _seeded_fault
 
 
 def test_gwa_roundtrip():
@@ -91,6 +96,96 @@ def test_docs_of_an_enumeration_equal_the_docs_one_by_one(base_gx3, pool4):
     assert cached(gw) is cached(gw)
     assert cached(twin) is not cached(gw) and cached(twin) == cached(gw)
     assert cached.cache_info().misses == 2
+
+
+def _reference_report_json(rep) -> str:
+    """The report as it was written before the per-shape writer: one dict
+    per object-level morphism, then dumps."""
+    doc = equivalence_report_doc(rep)
+    doc["lifting_morphisms"] = [
+        {"source": i, "target": j, "f": list(m.f.map)} for i, j, m in rep.lifting_morphisms()
+    ]
+    doc["covering_morphisms"] = [
+        {"source": i, "target": j, "f": list(m.f.map), "g": list(m.g.map)} for i, j, m in rep.covering_morphisms()
+    ]
+    return dumps(doc)
+
+
+def _assert_same_text(text, reference):
+    # a failure shows the first difference: pytest's diff of two reports of
+    # up to 1 MB would take minutes
+    if text != reference:
+        at = next((k for k, (x, y) in enumerate(zip(text, reference)) if x != y), min(len(text), len(reference)))
+        around = slice(max(0, at - 80), at + 80)
+        pytest.fail(f"first difference at {at}: {text[around]!r} != {reference[around]!r}")
+
+
+def _assert_written_as_the_reference(rep):
+    text = equivalence_report_json(rep)
+    _assert_same_text(text, _reference_report_json(rep))
+    doc, parsed = equivalence_report_doc(rep), json.loads(text)
+    if doc != parsed:
+        pytest.fail(f"keys that differ: {sorted(k for k in doc.keys() | parsed.keys() if doc.get(k) != parsed.get(k))}")
+
+
+@pytest.mark.parametrize(
+    "fixture, bound, cap",
+    [
+        (gx1, 4, None), (gx3, 4, None), (a3_s3, 6, None),
+        *((fixture, 4, cap) for fixture in (gx1, gx3) for cap in (5, 100, 1000, 3000)),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_equivalence_report_json_writes_the_object_level_report(fixture, bound, cap):
+    args = () if cap is None else (cap,)
+    rep = verify_equivalence(fixture(), standard_pool(bound), *args)
+    assert rep.lifting_morphism_count and rep.covering_morphism_count
+    _assert_written_as_the_reference(rep)
+
+
+@pytest.mark.parametrize("side", ["lifting", "covering"])
+def test_equivalence_report_json_writes_a_report_with_failures(monkeypatch, side):
+    monkeypatch.setattr(search, *_seeded_fault("shape pair", gx1, 4, side))
+    rep = verify_equivalence(gx1(), standard_pool(4))
+    assert rep.failures
+    _assert_written_as_the_reference(rep)
+
+
+def test_equivalence_report_json_escapes_the_base_name(pool4):
+    name = 'q"uo\\te \u00e9'
+    rep = verify_equivalence(replace(gx1(), name=name), pool4)
+    text = equivalence_report_json(rep)
+    assert json.loads(text)["base"] == name and '"q\\"uo\\\\te \\u00e9"' in text
+    _assert_written_as_the_reference(rep)
+
+
+def test_equivalence_report_json_encodes_each_map_and_shape_level_morphism_once(base_gx3, pool4, monkeypatch):
+    rep = verify_equivalence(base_gx3, pool4)
+    reference = _reference_report_json(rep)
+    # the writer never walks the object-level morphisms
+    for name in ("lifting_morphisms", "covering_morphisms"):
+        monkeypatch.setattr(EquivalenceReport, name, None)
+    encoded, templates = [], []
+
+    def counted_dumps(doc):
+        encoded.append(doc)
+        return dumps(doc)
+
+    def counted_object_level(shapes, homs, count):
+        templates.append(homs)
+        return search._object_level(shapes, homs, count)
+
+    monkeypatch.setattr(serialize, "dumps", counted_dumps)
+    monkeypatch.setattr(serialize, "_object_level", counted_object_level)
+    _assert_same_text(equivalence_report_json(rep), reference)
+    # one template per shape-level morphism, one text per distinct map, and
+    # one per key of the report but the two morphism lists
+    homs = (rep.lifting_homs, rep.covering_homs)
+    assert [{pair: len(t) for pair, t in found.items()} for found in templates] == [
+        {pair: len(ms) for pair, ms in found.items()} for found in homs
+    ]
+    maps = {h.map for found in homs for ms in found.values() for m in ms for h in (m.f, getattr(m, "g", m.f))}
+    assert len(encoded) == len(json.loads(reference)) - 2 + len(maps)
 
 
 def test_gxmod_roundtrip():
