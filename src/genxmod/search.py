@@ -33,6 +33,7 @@ from .crossed import (
     morphism_equivariance_violations,
     peiffer_violations,
     square_violations,
+    transport_domain,
 )
 from .coverlift import (
     Covering,
@@ -74,6 +75,7 @@ from .groups import (
     hom_violations,
     homs_by_composite,
     identity_hom,
+    inverse_hom,
     kernel,
     klein_four_group,
     quaternion_group,
@@ -173,23 +175,6 @@ def _tables_with(lines: _Lines, pinned: Iterable[tuple[int, tuple[int, ...]]]) -
     return allowed
 
 
-def _equivariant_self_actions(columns: _Lines, alpha: Map, act: Table) -> int:
-    """The positions in gwa_objects_for(g) of the self-actions sb of g that
-    agree with alpha(b . a) = ^b alpha(a), b acting by act, as a bitmask,
-    where columns is _action_table_lines(g, g, True).
-
-    The law pins column alpha(a) of sb to (alpha(b . a) for each b of g), so
-    sb is fixed on g x im(alpha); when two a with one image pin different
-    columns, no self-action passes.  The law reads no other entry of sb, so
-    it gives every self-action found the same verdict: the caller runs it
-    once per lookup, on the lowest position found, and that verdict holds
-    for all of them.  This holds only because the law reads nothing but the
-    pinned columns; a law that read any other entry would have to run on
-    each self-action found.
-    """
-    return _tables_with(columns, ((alpha[a], tuple([alpha[row[a]] for row in act])) for a in range(len(alpha))))
-
-
 def enumerate_self_actions(g: GroupTable) -> tuple[SelfAction, ...]:
     """All self-action tables on g, via homomorphisms into Aut(g).
 
@@ -245,8 +230,9 @@ def enumerate_gxmods(a: GwaObject, b: GwaObject) -> tuple[GXMod, ...]:
     return tuple(out)
 
 
-def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
-    """All liftings of base whose middle object is drawn from the pool.
+def _lifting_parts(base: GXMod, pool: SearchPool) -> Iterator[tuple[GwaObject, Hom, Hom, Table]]:
+    """The liftings of base whose middle object X is drawn from the pool, as
+    (X, phi, omega, act), act the action x . a = omega(x) . a of X on A.
 
     Of the laws of a lifting (A, X, phi) over omega, only the equivariance of
     phi, phi(x . a) = ^x phi(a), reads the self-action of X: the
@@ -254,22 +240,32 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
     and the Peiffer condition alpha(a) . a1 = ^a a1 (with x acting through
     omega) read only the group of X.  So each group of the pool collects once
     the pairs (omega, phi) passing the factorization and Peiffer.
-    Equivariance pins the self-action of X on X x im(phi), so each pair looks
-    up the self-actions that agree there (_equivariant_self_actions).  The
-    law reads nothing but those pinned columns, so it runs once per pair, on
-    the first self-action found, and the pair joins the buckets of all of
-    them or of none.  Each self-action then builds the liftings of its
-    bucket.  The liftings come out by group, then self-action, then omega,
-    then phi.
+    Equivariance pins column phi(a) of the self-action of X to
+    (phi(x . a) for each x), so it is fixed on X x im(phi), and each pair
+    looks up the self-actions with those columns (_tables_with); when two a
+    with one image pin different columns, none has them.  The law reads
+    nothing but the pinned columns, so every self-action found gets the same
+    verdict: the law runs once per pair, on the first self-action found, and
+    the pair joins the buckets of all of them or of none.  Each self-action
+    then yields the parts of its bucket.  The parts come out by group, then
+    self-action, then omega, then phi.
 
     The homomorphism laws are not run: phi and omega come from all_homs,
     which returns only maps that pass them.  Peiffer is run, as it follows
     from the factorization only for a valid base, and base is not validated
     here.
+
+    A covering <f, g> of a base by (A~, B~, alpha~) is the same data as the
+    lifting (B~, phi = alpha~, omega = g) of the base transported along f
+    onto A~ (crossed.transport_domain), whose alpha is alpha o f and whose
+    action is b . a = f^-1(b . f(a)); A~ is A with its self-action pulled
+    back through f.  Its factorization g o alpha~ = alpha o f is the
+    covering's square, its induced action f^-1(g(b) . f(a)) is the action
+    the covering forces on A~, and Peiffer and equivariance are the same
+    laws.  So enumerate_coverings runs this search once per automorphism f.
     """
     a_group, b_group = base.A.group, base.B.group
     sa = base.A.self_action.act
-    out: list[Lifting] = []
     for x_group in pool.groups:
         x_gwas = gwa_objects_for(x_group)
         tables = _action_tables(x_group, x_group)
@@ -281,13 +277,20 @@ def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
             for phi in all_homs(a_group, x_group):
                 pm = phi.map
                 if holds(factorization_violations(base, pm, om)) and holds(peiffer_violations(pm, act, sa)):
-                    found = _equivariant_self_actions(columns, pm, act)
+                    pinned = ((pm[a], tuple([pm[row[a]] for row in act])) for a in range(len(pm)))
+                    found = _tables_with(columns, pinned)
                     if found and holds(equivariance_violations(pm, act, tables[_lowest_bit(found)])):
                         for i in _bits(found):
-                            buckets[i].append((phi, omega))
+                            buckets[i].append((phi, omega, act))
         for x_gwa, bucket in zip(x_gwas, buckets):
-            out.extend(Lifting(base, x_gwa, phi, omega) for phi, omega in bucket)
-    return tuple(out)
+            for phi, omega, act in bucket:
+                yield x_gwa, phi, omega, act
+
+
+def enumerate_liftings(base: GXMod, pool: SearchPool) -> tuple[Lifting, ...]:
+    """All liftings of base whose middle object is drawn from the pool, by
+    group, then self-action, then omega, then phi (_lifting_parts)."""
+    return tuple(Lifting(base, x, phi, omega) for x, phi, omega, _ in _lifting_parts(base, pool))
 
 
 def _pullback_self_action(a: GwaObject, f_map: tuple[int, ...], f_inv: tuple[int, ...]) -> SelfAction:
@@ -299,66 +302,27 @@ def _pullback_self_action(a: GwaObject, f_map: tuple[int, ...], f_inv: tuple[int
 def enumerate_coverings(base: GXMod, pool: SearchPool) -> tuple[Covering, ...]:
     """All coverings of base with the top-right group drawn from the pool.
 
-    The covering's A-component shares the underlying group of base.A, with f
-    ranging over its automorphisms; the self-action upstairs and the action
-    of the top-right group are both forced by the morphism conditions, so
-    only the structure map upstairs is searched.
-
-    Of the laws of a covering <f, g> by (A~, B~, alpha~), only the
-    equivariance of alpha~, alpha~(b . a) = ^b alpha~(a), reads the
-    self-action of B~: the square g o alpha~ = alpha o f and the Peiffer
-    condition read only the group of B~.  So for each f and each group of
-    the pool the pairs (g, alpha~) passing those laws are collected once,
-    the forced action built only for a g with some alpha~ past the square.
-    Equivariance pins the self-action of B~ on B~ x im(alpha~), so each pair
-    looks up the self-actions that agree there (_equivariant_self_actions).
-    The law reads nothing but those pinned columns, so it runs once per
-    pair, on the first self-action found, and the pair joins the buckets of
-    all of them or of none.  Each self-action then builds the coverings of
-    its bucket.  The coverings come out by f, then group, then self-action,
+    The covering's A-component A~ is the group of base.A with its
+    self-action pulled back through f, for each automorphism f of it; the
+    action of B~ on A~ is forced by the morphism conditions.  The coverings
+    over f are the liftings of base transported along f onto A~
+    (_lifting_parts), so they come out by f, then group, then self-action,
     then g, then alpha~.
 
-    The other laws of a covering hold by construction, so they are not run:
-    f is an automorphism; g and alpha~ come from all_homs; the square is the
-    one checked; the forced action b . a = f^-1(g(b) . f(a)) makes
-    f(b . a) = g(b) . f(a); and f preserves the self-action of A~, pulled
-    back through f.  Peiffer is run, as it follows only from a valid base,
-    and base is not validated here.
+    The laws of a covering that no lifting law stands for hold by
+    construction, so they are not run: f is an automorphism; the forced
+    action makes f(b . a) = g(b) . f(a); and f preserves the self-action of
+    A~, pulled back through f.
     """
     a_group = base.A.group
-    na = a_group.order
-    base_act = base.action.act
     out: list[Covering] = []
-    for f0 in automorphisms(a_group):
-        f_map = f0.map
-        f_inv = tuple(f_map.index(i) for i in range(na))
-        a_tilde = GwaObject(a_group, _pullback_self_action(base.A, f_map, f_inv))
-        sa_tilde = a_tilde.self_action.act
-        f = Hom(a_group, a_group, f_map)
-        for b_group in pool.groups:
-            b_gwas = gwa_objects_for(b_group)
-            tables = _action_tables(b_group, b_group)
-            columns = _action_table_lines(b_group, b_group, True)
-            buckets: list[list] = [[] for _ in b_gwas]
-            for g in all_homs(b_group, base.B.group):
-                gm = g.map
-                forced = None
-                for alpha_t in all_homs(a_group, b_group):
-                    atm = alpha_t.map
-                    if not holds(square_violations(atm, base.alpha.map, f_map, gm)):
-                        continue
-                    if forced is None:
-                        forced = restrict_table(base_act, gm, f_map, f_inv, "forced action")
-                    if not holds(peiffer_violations(atm, forced, sa_tilde)):
-                        continue
-                    found = _equivariant_self_actions(columns, atm, forced)
-                    if found and holds(equivariance_violations(atm, forced, tables[_lowest_bit(found)])):
-                        for i in _bits(found):
-                            buckets[i].append((g, alpha_t, forced))
-            for b_gwa, bucket in zip(b_gwas, buckets):
-                for g, alpha_t, forced in bucket:
-                    total = GXMod(a_tilde, b_gwa, alpha_t, ExtAction(b_gwa, a_tilde, forced))
-                    out.append(Covering(total, base, f, g))
+    for f in automorphisms(a_group):
+        a_tilde = GwaObject(a_group, _pullback_self_action(base.A, f.map, inverse_hom(f).map))
+        moved, _ = transport_domain(base, f, a_tilde)
+        out.extend(
+            Covering(GXMod(a_tilde, b_gwa, alpha_t, ExtAction(b_gwa, a_tilde, act)), base, f, g)
+            for b_gwa, alpha_t, g, act in _lifting_parts(moved, pool)
+        )
     return tuple(out)
 
 
@@ -928,10 +892,14 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
 
 
 def _morphism_images(source: _Category, target: _Category, unit_square, tally: _Tally) -> tuple[dict, dict, dict]:
-    """Each morphism of source.homs has a valid morphism of target as image,
-    and unit_square(m, back, weight) checks the image's way back,
-    back = target.functor_on_morphism(image), against m.  Each check stands
-    for the n(s1) * n(s2) morphisms of Hom(s1, s2) between objects.
+    """Each morphism of source.homs has as image a valid morphism of target
+    whose maps are among those of the target hom-set between the shapes of
+    the image's endpoints, and unit_square(m, back, weight) checks the
+    image's way back, back = target.functor_on_morphism(image), against m.
+    Each check stands for the n(s1) * n(s2) morphisms of Hom(s1, s2) between
+    objects.  An endpoint that is not an enumerated object has no shape, so
+    no image with it is enumerated; a cut target lists only some of its
+    morphisms, so there an image is checked for validity alone.
 
     Returns (images, source_ids, image_ids): each distinct maps tuple of a
     morphism is numbered in source_ids, and of an image in image_ids, and
@@ -939,18 +907,39 @@ def _morphism_images(source: _Category, target: _Category, unit_square, tally: _
     category runs no morphism-level check, and has no images.
     """
     invalid = f"{source.label} morphism: functor image invalid"
+    unlisted = f"{source.label} morphism: functor image not among enumerated {target.label} morphisms"
     images: dict[tuple[int, int], dict[int, int]] = {}
     source_ids: dict[tuple[Map, ...], int] = {}
     image_ids: dict[tuple[Map, ...], int] = {}
+    # an image endpoint's shape id, -1 when it is not enumerated, keyed by
+    # the endpoint's identity: the functor keeps each object's image on the
+    # object, so the endpoints are a few objects, and each entry holds its
+    # endpoint, so its id cannot pass to another object
+    end_shapes: dict[int, tuple[object, int]] = {}
+    listed: dict[tuple[int, int], set[tuple[Map, ...]]] = {}
+
+    def shape_id(o) -> int:
+        end = end_shapes.get(id(o))
+        if end is None:
+            j = target.index.get(o, -1)
+            end = end_shapes[id(o)] = (o, target.shapes[j] if j >= 0 else -1)
+        return end[1]
+
     for (s1, s2), homs in () if source.cut else source.homs.items():
         weight = source.counts[s1] * source.counts[s2]
         found = images[s1, s2] = {}
         for m in homs:
             image = source.functor_on_morphism(m)
-            found[source_ids.setdefault(source.maps(m), len(source_ids))] = image_ids.setdefault(
-                target.maps(image), len(image_ids)
-            )
-            tally.check("morphism", target.is_valid(image), invalid, weight)
+            maps = target.maps(image)
+            found[source_ids.setdefault(source.maps(m), len(source_ids))] = image_ids.setdefault(maps, len(image_ids))
+            valid = target.is_valid(image)
+            if valid and not target.cut:
+                ends = shape_id(image.source), shape_id(image.target)
+                if ends not in listed:
+                    listed[ends] = {target.maps(x) for x in target.homs.get(ends, ())}
+                tally.check("morphism", maps in listed[ends], unlisted, weight)
+            else:
+                tally.check("morphism", valid, invalid, weight)
             unit_square(m, target.functor_on_morphism(image), weight)
     return images, source_ids, image_ids
 

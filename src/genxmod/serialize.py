@@ -135,23 +135,8 @@ def _shared_part_docs():
     return gxmod, gwa
 
 
-def equivalence_report_doc(rep: EquivalenceReport) -> dict:
-    """The equivalence report as a document: equivalence_report_json's
-    bytes, parsed.
-
-    Every key but the two morphism lists is built as the other documents
-    are, the liftings and coverings sharing their part documents (see
-    _shared_part_docs); the morphism lists are parsed back from the text
-    that equivalence_report_json writes, so the two cannot disagree.
-    """
-    doc = _report_fields(rep)
-    for key, text in _morphism_list_texts(rep).items():
-        doc[key] = json.loads(text)
-    return doc
-
-
 def equivalence_report_json(rep: EquivalenceReport) -> str:
-    """dumps(equivalence_report_doc(rep)), written per shape-level morphism.
+    """The equivalence report as canonical JSON, written per shape-level morphism.
 
     The morphism lists are not built as object-level documents: each
     distinct map gets its JSON text once, each shape-level morphism its

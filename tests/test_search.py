@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -290,11 +291,27 @@ def _single_loop_coverings(base, pool):
     return tuple(out)
 
 
+def _v4_over_z2(i, alpha):
+    """The gxmod V4#sa<i> -> Z2#sa0 with structure map alpha, as
+    enumerate_gxmods finds it.  These are the only gxmods with |A| * |B| <= 8
+    whose A has a self-action some automorphism of A moves, so the only ones
+    with a covering whose A~ is not A."""
+    v4, z2 = search.gwa_objects_for(klein_four_group())[i], search.gwa_objects_for(cyclic_group(2))[0]
+    [x] = [x for x in enumerate_gxmods(v4, z2) if x.alpha.map == alpha]
+    return x
+
+
+_MOVED_SELF_ACTIONS = [(1, (0, 0, 1, 1)), (7, (0, 1, 1, 0)), (8, (0, 1, 0, 1))]
+
+
 @pytest.mark.parametrize("bound", [4, 6])
 @pytest.mark.parametrize(
     "make_base",
-    [gx1, gx2, gx3, a3_s3, lambda: _relabelled_gxmod(a3_s3(), random.Random(1))],
-    ids=["gx1", "gx2", "gx3", "a3s3", "a3s3-relabelled"],
+    [
+        gx1, gx2, gx3, a3_s3, lambda: _relabelled_gxmod(a3_s3(), random.Random(1)),
+        *(lambda i=i, alpha=alpha: _v4_over_z2(i, alpha) for i, alpha in _MOVED_SELF_ACTIONS),
+    ],
+    ids=["gx1", "gx2", "gx3", "a3s3", "a3s3-relabelled", *(f"V4#sa{i}-Z2#sa0" for i, _ in _MOVED_SELF_ACTIONS)],
 )
 def test_enumerators_match_the_single_loop_filter(make_base, bound):
     # each law that ignores the self-action runs once per group, equivariance
@@ -471,7 +488,9 @@ def test_the_equivariance_lookup_finds_one_verdict_per_candidate(make_base):
     for group, alpha, act in candidates:
         tables = [x.self_action.act for x in search.gwa_objects_for(group)]
         columns = search._action_table_lines(group, group, True)
-        found = list(search._bits(search._equivariant_self_actions(columns, alpha, act)))
+        # equivariance pins column alpha(a) to (alpha(b . a) for each b)
+        pinned = ((alpha[a], tuple(alpha[row[a]] for row in act)) for a in range(len(alpha)))
+        found = list(search._bits(search._tables_with(columns, pinned)))
         assert found == [i for i, sb in enumerate(tables) if holds(equivariance_violations(alpha, act, sb))]
         read = sorted(_entries_equivariance_reads(alpha, act, tables[0]))
         assert len({tuple(tables[i][b][y] for b, y in read) for i in found}) <= 1
@@ -572,7 +591,7 @@ _ENUMERATOR_LAWS = [
     for law in ("factorization_violations", "peiffer_violations", "equivariance_violations")
 ] + [
     ("enumerate_coverings", _enumeration(enumerate_coverings), law)
-    for law in ("square_violations", "peiffer_violations", "equivariance_violations")
+    for law in ("factorization_violations", "peiffer_violations", "equivariance_violations")
 ] + [
     ("covering_morphisms_between", _covering_hom_sets, law)
     for law in (
@@ -880,6 +899,10 @@ _FAULTS = [
      "functor law: identity covering morphism not preserved", "functor_law"),
     ("lifting_morphisms_between", _without_a_parallel_morphism("lifting"),
      "functor law: composite of lifting morphisms not enumerated", "functor_law"),
+    ("lifting_morphisms_between", _faulty(lambda found: ()),
+     "covering morphism: functor image not among enumerated lifting morphisms", "morphism"),
+    ("covering_morphisms_between", _faulty(lambda found: ()),
+     "lifting morphism: functor image not among enumerated covering morphisms", "morphism"),
 ]
 
 
@@ -1100,10 +1123,11 @@ def test_each_distinct_morphism_image_is_mapped_back_once(base_gx3, pool4, monke
 # check once per morphism between the first objects of a pair of shapes, and
 # counts it for every pair of objects with those shapes.  The reference runs
 # the same checks object by object: every hom-set searched on its own pair
-# of objects and capped in object order, every morphism's image validated
-# and mapped back, and every composable pair of morphisms between objects
-# composed.  A category cut by
-# the cap runs no morphism-level check.  Functions are looked up through
+# of objects and capped in object order, every morphism's image validated,
+# looked up in the hom-set between its endpoints unless the image's category
+# is cut, and mapped back, and every composable pair of morphisms between
+# objects composed.  A category cut by the cap runs no morphism-level check
+# of its own morphisms.  Functions are looked up through
 # search on each call, so a fault patched in there reaches both verifiers.
 
 
@@ -1207,7 +1231,17 @@ def _reference_summary(base, pool, cap=search.DEFAULT_MAX_MORPHISMS):
             for m in homs:
                 image = source.on_morphism(m)
                 found[i, j, numbering.number(source.maps(m))] = numbering.number(target.maps(image))
-                check("morphism", target.is_valid(image), f"{source.label} morphism: functor image invalid")
+                valid = target.is_valid(image)
+                if valid and not target.cut:
+                    ends = target.index.get(image.source, -1), target.index.get(image.target, -1)
+                    listed = [target.maps(x) for x in target.homs.get(ends, ())]
+                    check(
+                        "morphism",
+                        target.maps(image) in listed,
+                        f"{source.label} morphism: functor image not among enumerated {target.label} morphisms",
+                    )
+                else:
+                    check("morphism", valid, f"{source.label} morphism: functor image invalid")
                 back = target.on_morphism(image)
                 if source is liftings:
                     exact_back = back.f == m.f and back.source == m.source and back.target == m.target
@@ -1427,7 +1461,7 @@ def _relabelled_gxmod(x, rng):
 
 def _report_counts(x, bound):
     """Every scalar of x's equivalence report, and the length of every list in it."""
-    doc = serialize.equivalence_report_doc(verify_equivalence(x, standard_pool(bound)))
+    doc = json.loads(serialize.equivalence_report_json(verify_equivalence(x, standard_pool(bound))))
     return {key: len(value) if isinstance(value, list) else value for key, value in doc.items()}
 
 
