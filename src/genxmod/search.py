@@ -620,6 +620,7 @@ def verify_equivalence(
     liftings = _Category(
         "lifting", enumerate_liftings(base, pool), lifting_morphisms_between, max_morphisms,
         shape=lambda o: (o.X.group, o.phi.map, o.omega.map),
+        varying=lambda o: o.X.self_action.act,
         components=lambda m: (m.f,),
         groups=lambda o: (o.X.group,),
         identity=identity_lifting_morphism,
@@ -630,6 +631,7 @@ def verify_equivalence(
     coverings = _Category(
         "covering", enumerate_coverings(base, pool), covering_morphisms_between, max_morphisms,
         shape=lambda o: (o.total.A, o.total.B.group, o.total.alpha.map, o.total.action.act, o.f.map, o.g.map),
+        varying=lambda o: o.total.B.self_action.act,
         components=lambda m: (m.f, m.g),
         groups=lambda o: (o.total.A.group, o.total.B.group),
         identity=identity_covering_morphism,
@@ -697,8 +699,8 @@ def verify_equivalence(
 
     l2c = _object_images(liftings, coverings, lifting_round_trip, tally)
     c2l = _object_images(coverings, liftings, covering_round_trip, tally)
-    lifting_images = _morphism_images(liftings, coverings, lifting_unit_square, tally)
-    covering_images = _morphism_images(coverings, liftings, covering_unit_square, tally)
+    lifting_images = _morphism_images(liftings, coverings, l2c, lifting_unit_square, tally)
+    covering_images = _morphism_images(coverings, liftings, c2l, covering_unit_square, tally)
     for source, target in ((liftings, coverings), (coverings, liftings)):
         _identity_law(source, target, tally)
     _composition_law(liftings, lifting_images, tally)
@@ -753,39 +755,56 @@ class _Category:
     functor out of it, and its morphisms by shape.
 
     between enumerates Hom(o1, o2), shape gives what of an object between
-    and law read, components gives a morphism's maps, (f) or (f, g), groups
-    an object's groups those maps run between, law their violations, and
-    identity an object's identity morphism.  shapes numbers each object's
-    shape, in object order; reps holds the first object of each shape and
-    counts the number of objects with it.  homs holds between(reps[s1],
-    reps[s2]) keyed by (s1, s2), count the number of morphisms between
-    objects it lists, and cut says there were more than the cap
-    (_shape_homs).
+    and law read, varying the self-action the shape leaves out, components
+    gives a morphism's maps, (f) or (f, g), groups an object's groups those
+    maps run between, law their violations, and identity an object's
+    identity morphism.  shapes numbers each object's shape, in object order
+    (shape_ids), and positions gives each object's position by its shape id
+    and varying self-action (find); firsts and reps hold the position and
+    the object of the first object of each shape, and counts the number of
+    objects with it.  homs holds between(reps[s1], reps[s2]) keyed by
+    (s1, s2), count the number of morphisms between objects it lists, and
+    cut says there were more than the cap (_shape_homs).
     """
 
     def __init__(
         self, label: str, objects: tuple, between, cap: int, *,
-        shape, components, groups, identity, law, functor, functor_on_morphism,
+        shape, varying, components, groups, identity, law, functor, functor_on_morphism,
     ) -> None:
         self.label = label
         self.objects = objects
-        self.index = {o: i for i, o in enumerate(objects)}
         self.between = between
         self.shape = shape
+        self.varying = varying
         self.components = components
         self.groups = groups
         self.identity = identity
         self.law = law
         self.functor = functor
         self.functor_on_morphism = functor_on_morphism
-        shape_ids: dict = {}
-        self.shapes = tuple(shape_ids.setdefault(shape(o), len(shape_ids)) for o in objects)
-        reps: dict[int, object] = {}
-        for s, o in zip(self.shapes, objects):
-            reps.setdefault(s, o)
-        self.reps = tuple(reps.values())
+        self.shape_ids: dict = {}
+        self.shapes = tuple(self.shape_ids.setdefault(shape(o), len(self.shape_ids)) for o in objects)
+        self.positions = {(s, varying(o)): i for i, (s, o) in enumerate(zip(self.shapes, objects))}
+        firsts: dict[int, int] = {}
+        for i, s in enumerate(self.shapes):
+            firsts.setdefault(s, i)
+        self.firsts = tuple(firsts.values())
+        self.reps = tuple(objects[i] for i in self.firsts)
         self.counts = tuple(Counter(self.shapes).values())
         self.homs, self.count, self.cut = _shape_homs(self.shapes, self.reps, between, cap)
+
+    def find(self, o, shape=None) -> int:
+        """o's position among the objects, -1 when it is none of them; shape
+        is self.shape(o), when the caller has it.
+
+        The position is looked up by o's shape id and varying self-action,
+        and the object there is compared with o: a key that is too coarse
+        can only miss, never find another object.  No whole object is
+        hashed.
+        """
+        key = self.shape_ids.get(self.shape(o) if shape is None else shape), self.varying(o)
+        i = self.positions.get(key, -1)
+        return i if i >= 0 and self.objects[i] == o else -1
 
     def maps(self, m) -> tuple[Map, ...]:
         return tuple(h.map for h in self.components(m))
@@ -814,7 +833,7 @@ class _Category:
         between reads only the target's shape, so the first object of each
         shape stands for all of them.
         """
-        if wanted in self.index:
+        if self.find(wanted) >= 0:
             return True
         return any(self.is_iso(m) for rep in self.reps for m in self.between(wanted, rep))
 
@@ -880,10 +899,10 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
     image_shapes: dict[int, object] = {}
     for i, (o, s) in enumerate(zip(source.objects, source.shapes)):
         image = source.functor(o)
-        j = target.index.get(image, -1)
+        image_shape = target.shape(image)
+        j = target.find(image, image_shape)
         if j < 0:
             tally.failures.append(f"{source.label} {i}: functor image not among enumerated {target.label}s")
-        image_shape = target.shape(image)
         if image_shapes.setdefault(s, image_shape) != image_shape:
             tally.failures.append(f"{source.label} {i}: functor image shape differs within its shape")
         positions.append(j)
@@ -891,15 +910,19 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
     return tuple(positions)
 
 
-def _morphism_images(source: _Category, target: _Category, unit_square, tally: _Tally) -> tuple[dict, dict, dict]:
+def _morphism_images(
+    source: _Category, target: _Category, image_positions: tuple[int, ...], unit_square, tally: _Tally
+) -> tuple[dict, dict, dict]:
     """Each morphism of source.homs has as image a valid morphism of target
     whose maps are among those of the target hom-set between the shapes of
     the image's endpoints, and unit_square(m, back, weight) checks the
     image's way back, back = target.functor_on_morphism(image), against m.
     Each check stands for the n(s1) * n(s2) morphisms of Hom(s1, s2) between
-    objects.  An endpoint that is not an enumerated object has no shape, so
-    no image with it is enumerated; a cut target lists only some of its
-    morphisms, so there an image is checked for validity alone.
+    objects.  image_positions gives each source object's image's position
+    in target, as _object_images returns them.  An endpoint that is not an
+    enumerated object has no shape, so no image with it is enumerated; a
+    cut target lists only some of its morphisms, so there an image is
+    checked for validity alone.
 
     Returns (images, source_ids, image_ids): each distinct maps tuple of a
     morphism is numbered in source_ids, and of an image in image_ids, and
@@ -911,19 +934,20 @@ def _morphism_images(source: _Category, target: _Category, unit_square, tally: _
     images: dict[tuple[int, int], dict[int, int]] = {}
     source_ids: dict[tuple[Map, ...], int] = {}
     image_ids: dict[tuple[Map, ...], int] = {}
-    # an image endpoint's shape id, -1 when it is not enumerated, keyed by
-    # the endpoint's identity: the functor keeps each object's image on the
-    # object, so the endpoints are a few objects, and each entry holds its
-    # endpoint, so its id cannot pass to another object
-    end_shapes: dict[int, tuple[object, int]] = {}
     listed: dict[tuple[int, int], set[tuple[Map, ...]]] = {}
+    # the endpoints of each morphism of source.homs are the first objects of
+    # their shapes, and the functor keeps each object's image on the object:
+    # an image endpoint that is the kept image of the first object of shape
+    # s has the shape of the position _object_images found for it, and any
+    # other endpoint is looked up
+    kept = tuple(source.functor(o) for o in source.reps)
+    kept_shapes = tuple(target.shapes[j] if (j := image_positions[i]) >= 0 else -1 for i in source.firsts)
 
-    def shape_id(o) -> int:
-        end = end_shapes.get(id(o))
-        if end is None:
-            j = target.index.get(o, -1)
-            end = end_shapes[id(o)] = (o, target.shapes[j] if j >= 0 else -1)
-        return end[1]
+    def shape_id(end, s: int) -> int:
+        if end is kept[s]:
+            return kept_shapes[s]
+        j = target.find(end)
+        return target.shapes[j] if j >= 0 else -1
 
     for (s1, s2), homs in () if source.cut else source.homs.items():
         weight = source.counts[s1] * source.counts[s2]
@@ -934,7 +958,7 @@ def _morphism_images(source: _Category, target: _Category, unit_square, tally: _
             found[source_ids.setdefault(source.maps(m), len(source_ids))] = image_ids.setdefault(maps, len(image_ids))
             valid = target.is_valid(image)
             if valid and not target.cut:
-                ends = shape_id(image.source), shape_id(image.target)
+                ends = shape_id(image.source, s1), shape_id(image.target, s2)
                 if ends not in listed:
                     listed[ends] = {target.maps(x) for x in target.homs.get(ends, ())}
                 tally.check("morphism", maps in listed[ends], unlisted, weight)

@@ -27,7 +27,7 @@ from .coverlift import Covering, Lifting
 from .crossed import ExtAction, GXMod
 from .groups import GroupTable, Hom, Map, Table, _cached_per_identity, group_from_op
 from .gwa import GwaObject, SelfAction, trivial_self_action
-from .search import EquivalenceReport, _object_level
+from .search import EquivalenceReport
 from .validation import StructuralError
 
 
@@ -140,10 +140,10 @@ def equivalence_report_json(rep: EquivalenceReport) -> str:
 
     The morphism lists are not built as object-level documents: each
     distinct map gets its JSON text once, each shape-level morphism its
-    entry template once, and each object-level entry is that template with
-    its source and target filled in (_morphism_list_texts).  The other keys
-    are encoded as dumps encodes them, and all are joined in sorted key
-    order.
+    entry template once, and each source shape its row of entries once,
+    which each object of the shape fills in with its own position
+    (_morphism_list_texts).  The other keys are encoded as dumps encodes
+    them, and all are joined in sorted key order.
     """
     texts = {key: dumps(value)[:-1] for key, value in _report_fields(rep).items()}
     texts.update(_morphism_list_texts(rep))
@@ -193,10 +193,13 @@ def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
     """The JSON texts of the lifting_morphisms and covering_morphisms lists.
 
     An entry is {"f": [...], "g": [...], "source": i, "target": j}, without
-    "g" for a lifting morphism.  Each shape-level morphism's entry is
-    written once as a template with i and j left open; search._object_level
-    walks the templates of each shape pair in the (source, target) order
-    and cut that the report lists the morphisms in.
+    "g" for a lifting morphism, listed in (i, j) order and cut after the
+    category's count.  Every object of one shape has the same row of
+    entries but for i, so each source shape's row is written once, with
+    every target j filled in and i left open, and each object's row is that
+    text with its own i filled in.  Only a cut splits a row: the last one
+    listed.  _shape_homs searched every hom-set of each listed row, and of
+    the cut row those its listed entries lie in.
     """
     map_texts: dict[Map, str] = {}
 
@@ -208,17 +211,35 @@ def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
 
     def listed(shapes, homs, count, template) -> str:
         templates = {pair: tuple(map(template, found)) for pair, found in homs.items()}
-        return "[" + ",".join(t % (i, j) for i, j, t in _object_level(shapes, templates, count)) + "]"
+        # per source shape: its row's entries with source %d left open, and their text
+        rows: dict[int, tuple[list[str], str]] = {}
+        texts = []
+        room = count
+        for i, s1 in enumerate(shapes):
+            if not room:
+                break
+            row = rows.get(s1)
+            if row is None:
+                entries = [t % j for j, s2 in enumerate(shapes) for t in templates.get((s1, s2), ())]
+                row = rows[s1] = entries, ",".join(entries)
+            entries, row_text = row
+            if len(entries) > room:
+                entries, row_text = entries[:room], ",".join(entries[:room])
+            if entries:
+                texts.append(row_text.replace("%d", str(i)))
+            room -= len(entries)
+        return "[" + ",".join(texts) + "]"
 
-    # a map text holds digits, brackets and commas only, so no % in a template
+    # a map text holds digits, brackets and commas only, so no % in a
+    # template but its own: %%d, for the source, outlives filling in the target
     return {
         "lifting_morphisms": listed(
             rep.lifting_shapes, rep.lifting_homs, rep.lifting_morphism_count,
-            lambda m: '{"f":' + text(m.f) + ',"source":%d,"target":%d}',
+            lambda m: '{"f":' + text(m.f) + ',"source":%%d,"target":%d}',
         ),
         "covering_morphisms": listed(
             rep.covering_shapes, rep.covering_homs, rep.covering_morphism_count,
-            lambda m: '{"f":' + text(m.f) + ',"g":' + text(m.g) + ',"source":%d,"target":%d}',
+            lambda m: '{"f":' + text(m.f) + ',"g":' + text(m.g) + ',"source":%%d,"target":%d}',
         ),
     }
 

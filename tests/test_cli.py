@@ -617,6 +617,10 @@ def test_a_cut_run_at_bound_8_lists_the_cap_and_runs_no_morphism_check(fixture_d
     rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "8", "--out", str(out)])
     doc = json.loads(out.read_text())
     assert rc == 3
+    # the lookups and the writer on two 6625-object categories
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8957ba6a007ef6108c06e3861ce4721eaa122ea9849a3f9ce5fe4ce5c311bd5e"
+    )
     assert doc["truncated"] is True and doc["ok"] is False
     assert (doc["lifting_count"], doc["covering_count"]) == (6625, 6625)
     assert doc["lifting_morphism_count"] == doc["covering_morphism_count"] == 20000
@@ -630,6 +634,19 @@ def test_a_cut_run_at_bound_8_lists_the_cap_and_runs_no_morphism_check(fixture_d
     assert built["LiftingMorphism"] == searched["lifting"] < 20000
     assert built["CoveringMorphism"] == searched["covering"] + 6625
     assert searched["covering"] < 20000
+
+
+@pytest.mark.slow
+def test_a_cut_run_at_bound_8_on_gx3_is_pinned(fixture_dir, tmp_path, monkeypatch):
+    # gx3 at bound 8 has 6787 liftings and 13 574 coverings, and both
+    # categories are cut at the default cap
+    monkeypatch.delenv("GXMOD_MAX_MORPHISMS", raising=False)
+    out = tmp_path / "eq.json"
+    rc = main(["equivalence", "--in", str(fixture_dir / "gx3.gxmod.json"), "--bound", "8", "--out", str(out)])
+    assert rc == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8e1deaff7da73416a03203b81346487bef2ebe79f72a1d5d3a37840363e3f7aa"
+    )
 
 
 def test_out_of_memory_exits_3_without_a_traceback(fixture_dir, monkeypatch, capsys):

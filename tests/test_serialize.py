@@ -37,7 +37,7 @@ from genxmod.serialize import (
     load_gxmod_doc,
     load_lifting_doc,
 )
-from genxmod import search, serialize
+from genxmod import coverlift, search, serialize
 from genxmod.search import (
     EquivalenceReport,
     enumerate_coverings,
@@ -124,19 +124,66 @@ def _assert_written_as_the_reference(rep):
     _assert_same_text(text, _reference_report_json(rep))
 
 
+def _row_cap(side, where):
+    """The cap, read off the uncut report, that cuts side's morphism list
+    at the end of the first row, or one before or after the row boundary
+    half way down the objects; a row is the morphisms out of one object."""
+
+    def cap(rep):
+        shapes, homs = getattr(rep, f"{side}_shapes"), getattr(rep, f"{side}_homs")
+        totals = [sum(len(homs.get((s1, s2), ())) for s2 in shapes) for s1 in shapes]
+        boundary = sum(totals[: len(totals) // 2])
+        return {"first-row": totals[0], "before-mid-row": boundary - 1, "after-mid-row": boundary + 1}[where]
+
+    cap.__name__ = f"{side}-{where}"
+    return cap
+
+
 @pytest.mark.parametrize(
     "fixture, bound, cap",
     [
         (gx1, 4, None), (gx3, 4, None), (a3_s3, 6, None),
         *((fixture, 4, cap) for fixture in (gx1, gx3) for cap in (5, 100, 1000, 3000)),
+        # the writer fills in one row text per source shape and splits only
+        # the row a cut falls in
+        *(
+            (fixture, 4, cap)
+            for fixture in (gx1, gx3)
+            for cap in (
+                *(_row_cap(side, where) for side in ("lifting", "covering")
+                  for where in ("first-row", "before-mid-row", "after-mid-row")),
+                1,
+            )
+        ),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_equivalence_report_json_writes_the_object_level_report(fixture, bound, cap):
+    if callable(cap):
+        cap = cap(verify_equivalence(fixture(), standard_pool(bound)))
     args = () if cap is None else (cap,)
     rep = verify_equivalence(fixture(), standard_pool(bound), *args)
     assert rep.lifting_morphism_count and rep.covering_morphism_count
     _assert_written_as_the_reference(rep)
+
+
+def test_the_equivalence_check_hashes_no_whole_lifting_or_covering(monkeypatch):
+    # hashing a frozen dataclass walks every nested table: the check finds
+    # objects and images by shape id and varying self-action, confirmed by
+    # equality, and the writer reads positions
+    runs = ((gx1, 4), (gx3, 4), (a3_s3, 6))
+
+    def reports():
+        return [equivalence_report_json(verify_equivalence(fixture(), standard_pool(bound))) for fixture, bound in runs]
+
+    expected = reports()
+
+    def unhashable(o):
+        raise AssertionError(f"a whole {type(o).__name__} was hashed")
+
+    for cls in (coverlift.Lifting, coverlift.Covering):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    assert reports() == expected
 
 
 @pytest.mark.parametrize("side", ["lifting", "covering"])
@@ -158,28 +205,27 @@ def test_equivalence_report_json_escapes_the_base_name(pool4):
 def test_equivalence_report_json_encodes_each_map_and_shape_level_morphism_once(base_gx3, pool4, monkeypatch):
     rep = verify_equivalence(base_gx3, pool4)
     reference = _reference_report_json(rep)
-    # the writer never walks the object-level morphisms
+    # the writer never walks the object-level morphisms: it writes one row
+    # per source shape and fills in each object's position
     for name in ("lifting_morphisms", "covering_morphisms"):
         monkeypatch.setattr(EquivalenceReport, name, None)
-    encoded, templates = [], []
+
+    def walked(*args):
+        raise AssertionError("the writer walked the object-level morphisms")
+
+    monkeypatch.setattr(search, "_object_level", walked)
+    monkeypatch.setattr(serialize, "_object_level", walked, raising=False)
+    encoded = []
 
     def counted_dumps(doc):
         encoded.append(doc)
         return dumps(doc)
 
-    def counted_object_level(shapes, homs, count):
-        templates.append(homs)
-        return search._object_level(shapes, homs, count)
-
     monkeypatch.setattr(serialize, "dumps", counted_dumps)
-    monkeypatch.setattr(serialize, "_object_level", counted_object_level)
     _assert_same_text(equivalence_report_json(rep), reference)
-    # one template per shape-level morphism, one text per distinct map, and
-    # one per key of the report but the two morphism lists
+    # one text per distinct map, and one per key of the report but the two
+    # morphism lists
     homs = (rep.lifting_homs, rep.covering_homs)
-    assert [{pair: len(t) for pair, t in found.items()} for found in templates] == [
-        {pair: len(ms) for pair, ms in found.items()} for found in homs
-    ]
     maps = {h.map for found in homs for ms in found.values() for m in ms for h in (m.f, getattr(m, "g", m.f))}
     assert len(encoded) == len(json.loads(reference)) - 2 + len(maps)
 
