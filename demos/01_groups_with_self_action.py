@@ -46,8 +46,8 @@ print("\n{0,2} invariant in Z4-inv:", is_subobject(subgroup(z4, [0, 2]), z4_inv)
 print("A3 invariant in S3-conj:", is_subobject(subgroup(s3, a3_members()), s3_conj))
 
 # ideals add normality and the displacement condition (^n g) * g^-1 in N
-print("\n{0,2} ideal in Z4-inv:", is_ideal(subgroup(z4, [0, 2]), z4_inv).is_ideal)
-print("A3 ideal in S3-conj:", is_ideal(subgroup(s3, a3_members()), s3_conj).is_ideal)
+print("\n{0,2} ideal in Z4-inv:", is_ideal(subgroup(z4, [0, 2]), z4_inv))
+print("A3 ideal in S3-conj:", is_ideal(subgroup(s3, a3_members()), s3_conj))
 
 # quotients inherit a self-action; the projection preserves it
 q, proj = quotient_gwa(z4_inv, subgroup(z4, [0, 2]))

@@ -38,9 +38,9 @@ from .gwa import (
     action_violations,
     intertwining_violations,
     is_gwa_morphism,
-    is_subobject,
     kernel_action_violations,
     sub_gwa,
+    subobject_violations,
     validate_gwa,
 )
 from .validation import (
@@ -65,9 +65,6 @@ class ExtAction:
     actor: GwaObject
     space: GwaObject
     act: Table
-
-    def __call__(self, b: int, a: int) -> int:
-        return self.act[b][a]
 
 
 def validate_ext_action(
@@ -102,12 +99,6 @@ class GXMod:
 
     def __repr__(self) -> str:
         return f"GXMod({self.name or (self.A.group.name + '->' + self.B.group.name)})"
-
-
-def gxmod(A: GwaObject, B: GwaObject, alpha: Hom, action: ExtAction, name: str = "") -> GXMod:
-    x = GXMod(A, B, alpha, action, name)
-    _check_gxmod_wiring(x)
-    return x
 
 
 def _check_gxmod_wiring(x: GXMod) -> None:
@@ -276,11 +267,10 @@ def _inclusion_gxmod(outer: GwaObject, members, name: str) -> GXMod:
 
 def from_invariant_subgroup(g: GwaObject, h: Subgroup) -> GXMod:
     """(H, G, incl) for a subgroup invariant under the whole ambient self-action."""
-    if not is_subobject(h, g):
-        act = g.self_action.act
-        wit = next((x, n) for x in range(g.order) for n in h.members if act[x][n] not in h)
+    violation = next(subobject_violations(h, g), None)
+    if violation is not None:
         raise PreconditionError(
-            "subobject", f"subgroup is not invariant under the ambient action at {wit}"
+            "subobject", f"subgroup is not invariant under the ambient action at {violation[1]}"
         )
     x = _inclusion_gxmod(g, h.members, "")
     return replace(x, name=f"({x.A.group.name},{g.group.name},incl)")

@@ -308,17 +308,14 @@ def quaternion_group() -> GroupTable:
 class Hom:
     """A map between two GroupTables, given elementwise.
 
-    Use validate_hom to check the homomorphism property; constructors here do
-    only structural checks.
+    Use validate_hom to check the homomorphism property and check_hom_shape
+    to check that the map fits the two groups.
     """
 
     source: GroupTable
     target: GroupTable
     map: tuple[int, ...]
     name: str = field(default="", compare=False)
-
-    def __call__(self, g: int) -> int:
-        return self.map[g]
 
     def is_bijective(self) -> bool:
         return self.source.order == self.target.order and len(set(self.map)) == self.source.order
@@ -331,12 +328,6 @@ class Hom:
 
     def __repr__(self) -> str:
         return f"Hom({self.source.name}->{self.target.name}, {list(self.map)})"
-
-
-def hom(source: GroupTable, target: GroupTable, mapping, name: str = "") -> Hom:
-    f = Hom(source, target, tuple(int(x) for x in mapping), name)
-    check_hom_shape(f)
-    return f
 
 
 def check_hom_shape(*homs: Hom) -> None:

@@ -39,9 +39,6 @@ class SelfAction:
     group: GroupTable
     act: Table
 
-    def __call__(self, g: int, h: int) -> int:
-        return self.act[g][h]
-
 
 @dataclass(frozen=True)
 class GwaObject:
@@ -209,67 +206,63 @@ def is_subobject(h: Subgroup, g: GwaObject) -> bool:
     This is the stronger of the two readings of closure under the ambient
     action; it is the one required for ideals and quotients.
     """
+    return holds(subobject_violations(h, g))
+
+
+def subobject_violations(h: Subgroup, g: GwaObject) -> Iterator[RawViolation]:
+    """The invariance of h under g's self-action, witnessed by (x, n)."""
     if h.parent != g.group:
         raise StructuralError("subgroup parent is not the gwa object's group")
-    act = g.self_action.act
-    members = set(h.members)
-    return all(act[x][n] in members for x in range(g.order) for n in h.members)
+    return invariance_violations("subobject", "^{0} {1} = {2} is not in the subgroup", g.self_action.act, h.members)
 
 
-@dataclass(frozen=True)
-class IdealReport:
-    """The three ideal conditions for a subgroup N of a group with action G.
+def invariance_violations(law: str, template: str, act: Table, members) -> Iterator[RawViolation]:
+    """^x n lies in N for every row x of act and every n in N = members, witnessed by (x, n)."""
+    inside = set(members)
+    for x, row in enumerate(act):
+        for n in members:
+            if row[n] not in inside:
+                yield law, (x, n), template, (row[n],)
 
-    normal:             N is a normal subgroup of G
-    action_closed:      ^g n lies in N for every g in G, n in N
-    displacement_closed: (^n g) * g^-1 lies in N for every n in N, g in G
+
+def displacement_violations(g: GwaObject, members) -> Iterator[RawViolation]:
+    """(^n x) * x^-1 lies in N = members for every n in N and x in g, witnessed by (n, x)."""
+    op, inv = g.group.op, g.group.inv
+    inside = set(members)
+    for n in members:
+        for x, nx in enumerate(g.self_action.act[n]):
+            displacement = op[nx][inv[x]]
+            if displacement not in inside:
+                yield "displacement_closed", (n, x), "(^{0} {1}) * {1}^-1 = {2} is not in N", (displacement,)
+
+
+def ideal_violations(g: GwaObject, members) -> Iterator[RawViolation]:
+    """The three ideal laws of N = members in g, each in turn.
+
+    normal:              x * n * x^-1 lies in N for every x in g, n in N
+    action_closed:       ^x n lies in N for every x in g, n in N
+    displacement_closed: (^n x) * x^-1 lies in N for every n in N, x in g
     """
-
-    normal: bool
-    action_closed: bool
-    displacement_closed: bool
-    witness: tuple[int, ...] = ()
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.normal and self.action_closed and self.displacement_closed
-
-    def failed_condition(self) -> str | None:
-        if not self.normal:
-            return "normal"
-        if not self.action_closed:
-            return "action_closed"
-        if not self.displacement_closed:
-            return "displacement_closed"
-        return None
+    conjugation = conjugation_self_action(g.group).act
+    yield from invariance_violations("normal", "{0} * {1} * {0}^-1 = {2} is not in N", conjugation, members)
+    yield from invariance_violations("action_closed", "^{0} {1} = {2} is not in N", g.self_action.act, members)
+    yield from displacement_violations(g, members)
 
 
-def is_ideal(n: Subgroup, g: GwaObject) -> IdealReport:
+def _ideal_candidate(n: Subgroup, g: GwaObject) -> tuple[int, ...]:
+    """n's members; raises StructuralError unless n is a subgroup of g's group."""
     if n.parent != g.group:
         raise StructuralError("subgroup parent is not the gwa object's group")
-    subgroup(g.group, n.members)  # raises StructuralError when not a subgroup
-    members = set(n.members)
-    op, inv, act = g.group.op, g.group.inv, g.self_action.act
-    normal = True
-    action_closed = True
-    displacement_closed = True
-    witness: tuple[int, ...] = ()
-    for x in range(g.order):
-        for m in n.members:
-            if g.group.conjugate(x, m) not in members:
-                if normal:
-                    witness = witness or (x, m)
-                normal = False
-            if act[x][m] not in members:
-                action_closed = False
-                witness = witness or (x, m)
-    for m in n.members:
-        row = act[m]
-        for x in range(g.order):
-            if op[row[x]][inv[x]] not in members:
-                displacement_closed = False
-                witness = witness or (m, x)
-    return IdealReport(normal, action_closed, displacement_closed, witness)
+    return subgroup(g.group, n.members).members
+
+
+def validate_ideal(n: Subgroup, g: GwaObject, max_violations: int = DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
+    """Check the three ideal laws of n in g with witnesses."""
+    return report(f"{g.name} ideal", ideal_violations(g, _ideal_candidate(n, g)), max_violations)
+
+
+def is_ideal(n: Subgroup, g: GwaObject) -> bool:
+    return holds(ideal_violations(g, _ideal_candidate(n, g)))
 
 
 def quotient_gwa(g: GwaObject, n: Subgroup) -> tuple[GwaObject, Hom]:
@@ -280,12 +273,10 @@ def quotient_gwa(g: GwaObject, n: Subgroup) -> tuple[GwaObject, Hom]:
     operation, self-action and inverses are those of the minimal members,
     renumbered through the projection (groups.restrict_table).
     """
-    ideal = is_ideal(n, g)
-    if not ideal.is_ideal:
-        raise PreconditionError(
-            ideal.failed_condition() or "ideal",
-            f"subgroup is not an ideal: {ideal.failed_condition()} fails at {ideal.witness}",
-        )
+    violation = next(ideal_violations(g, _ideal_candidate(n, g)), None)
+    if violation is not None:
+        law, witness, _, _ = violation
+        raise PreconditionError(law, f"subgroup is not an ideal: {law} fails at {witness}")
     op = g.group.op
     members = n.members
     coset_of: dict[int, frozenset] = {}

@@ -12,7 +12,9 @@ import pytest
 from genxmod import cli, search
 from genxmod.cli import CONSTRUCTIONS, main
 from genxmod.coverlift import lifting_to_covering
-from genxmod.serialize import dumps, load_gxmod_doc
+from genxmod.crossed import transport_both
+from genxmod.serialize import doc_for, dumps, load_gxmod_doc, load_transport_homs
+from test_search import _FAULTS, _NOT_FOUND
 
 
 @pytest.fixture()
@@ -258,6 +260,25 @@ def test_transport_with_domain_iso(fixture_dir, tmp_path):
     assert rc == 0
     rc = main(["validate", str(out)])
     assert rc == 0
+
+
+def test_transport_with_both_isos(fixture_dir, tmp_path):
+    # gx3's A along the inversion automorphism of (Z4, inversion action), its
+    # B onto a Z2 written with the identity at 1
+    gx = json.loads((fixture_dir / "gx3.gxmod.json").read_text())
+    codomain = {"map": [1, 0], "target": {**gx["B"], "op": [[1, 0], [0, 1]]}}
+    domain = {"map": [0, 3, 2, 1], "source": gx["A"]}
+    codomain_file, domain_file, out = tmp_path / "cod.json", tmp_path / "dom.json", tmp_path / "both.json"
+    codomain_file.write_text(dumps(codomain))
+    domain_file.write_text(dumps(domain))
+    rc = main([
+        "construct", "transport", "--in", str(fixture_dir / "gx3.gxmod.json"),
+        "--codomain-iso", str(codomain_file), "--domain-iso", str(domain_file), "--out", str(out),
+    ])
+    assert rc == 0
+    isos = load_transport_homs(gx, (codomain, "codomain"), (domain, "domain"))
+    assert out.read_text() == dumps(doc_for(transport_both(load_gxmod_doc(gx), *isos[0], *isos[1])[0]))
+    assert main(["validate", str(out)]) == 0
 
 
 def test_construct_output_gets_the_full_check(fixture_dir, tmp_path, monkeypatch, capsys):
@@ -659,6 +680,32 @@ def test_out_of_memory_exits_3_without_a_traceback(fixture_dir, monkeypatch, cap
     assert rc == 3
     assert captured.err.startswith("error: out of memory")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name, make_fault, labels", _NOT_FOUND)
+def test_missing_canonical_objects_are_reported_in_human_format(fixture_dir, monkeypatch, capsys, name, make_fault, labels):
+    monkeypatch.setattr(search, name, make_fault(getattr(search, name)))
+    rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4", "--format", "human"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    incomplete = [line for line in out.splitlines() if line.startswith("incomplete: ")]
+    assert incomplete == [f"incomplete: {label}: not found in the enumerated pool" for label in labels]
+    assert out.rstrip().endswith("NOT OK")
+
+
+def test_failures_without_a_cut_exit_1(fixture_dir, tmp_path, monkeypatch, capsys):
+    # one faulty functor image: the run is complete and untruncated, and fails
+    name, make_fault, message, _ = next(f for f in _FAULTS if f[2] == "lifting morphism: functor image invalid")
+    monkeypatch.setattr(search, name, make_fault(getattr(search, name)))
+    args = ["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "4"]
+    assert main([*args, "--out", str(tmp_path / "eq.json")]) == 1
+    doc = json.loads((tmp_path / "eq.json").read_text())
+    assert doc["ok"] is False and doc["truncated"] is False and doc["incomplete"] == []
+    assert main([*args, "--format", "human"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"FAILURE: {message}" in lines
+    assert not [line for line in lines if line.startswith(("incomplete:", "truncated:"))]
+    assert lines[-1] == "NOT OK"
 
 
 def test_truncated_run_is_reported_in_human_format(fixture_dir, monkeypatch, capsys):

@@ -29,6 +29,7 @@ from genxmod.gwa import (
     trivial_self_action,
     validate_gwa,
     validate_gwa_morphism,
+    validate_ideal,
 )
 from genxmod.fixtures import a3_members, s3_conjugation_gwa, z4_inversion_gwa
 from genxmod.oracles import replay_violation
@@ -107,19 +108,17 @@ def test_transposition_subgroup_not_subobject():
 
 def test_ideal_trivial():
     g = s3_conjugation_gwa()
-    assert is_ideal(subgroup(g.group, [0]), g).is_ideal
+    assert is_ideal(subgroup(g.group, [0]), g)
 
 
 def test_ideal_z4_inversion():
     g = z4_inversion_gwa()
-    report = is_ideal(subgroup(g.group, [0, 2]), g)
-    assert report.normal and report.action_closed and report.displacement_closed
+    assert validate_ideal(subgroup(g.group, [0, 2]), g).ok
 
 
 def test_ideal_a3_in_s3():
     g = s3_conjugation_gwa()
-    report = is_ideal(subgroup(g.group, a3_members()), g)
-    assert report.is_ideal
+    assert validate_ideal(subgroup(g.group, a3_members()), g).ok
 
 
 def test_is_ideal_requires_subgroup():
@@ -241,7 +240,7 @@ def test_every_ideal_quotient_is_valid_over_small_pool():
     checked = 0
     for gw in gwa_objects(standard_pool(6)):
         for n in _all_subgroups(gw.group):
-            if not is_ideal(n, gw).is_ideal:
+            if not is_ideal(n, gw):
                 continue
             q, proj = quotient_gwa(gw, n)
             assert validate_gwa(q).ok
@@ -249,6 +248,57 @@ def test_every_ideal_quotient_is_valid_over_small_pool():
             assert kernel(proj).members == n.members
             checked += 1
     assert checked > 50
+
+
+def _raw_ideal_laws(gw, members):
+    # each ideal law as its check at one witness and its witnesses, read off
+    # the raw tables
+    op, inv, act = gw.group.op, gw.group.inv, gw.self_action.act
+    inside = set(members)
+    x_n = [(x, n) for x in range(gw.order) for n in members]
+    n_x = [(n, x) for n in members for x in range(gw.order)]
+    return {
+        "normal": (lambda x, n: op[op[x][n]][inv[x]] in inside, x_n),
+        "action_closed": (lambda x, n: act[x][n] in inside, x_n),
+        "displacement_closed": (lambda n, x: op[act[n][x]][inv[x]] in inside, n_x),
+    }
+
+
+def test_every_ideal_violation_fails_the_law_it_names():
+    # every proper subgroup N of every gwa object of order <= 8: each reported
+    # witness fails its law, and the reported laws are the failing conditions
+    from genxmod.search import gwa_objects, standard_pool
+
+    proper = {}
+    pairs = non_ideals = 0
+    for gw in gwa_objects(standard_pool(8)):
+        if gw.group.name not in proper:
+            proper[gw.group.name] = [n for n in _all_subgroups(gw.group) if len(n.members) < gw.order]
+        for n in proper[gw.group.name]:
+            laws = _raw_ideal_laws(gw, n.members)
+            failing = {law for law, (check, witnesses) in laws.items() if not all(check(*w) for w in witnesses)}
+            report = validate_ideal(n, gw)
+            assert not any(laws[v.law][0](*v.witness) for v in report.violations), (gw.name, n.members)
+            assert report.laws() == failing
+            assert is_ideal(n, gw) is report.ok is (not failing)
+            pairs += 1
+            non_ideals += not report.ok
+    assert (pairs, non_ideals) == (11964, 8113)
+
+
+def test_quotient_by_a_non_ideal_names_a_failing_witness():
+    # {0, 1} in S3#sa4 fails all three laws, normal first; normality holds
+    # at (1, 1), where action closure fails
+    from genxmod.search import gwa_objects_for
+
+    gw = next(g for g in gwa_objects_for(symmetric_group(3)) if g.name == "S3#sa4")
+    n = subgroup(gw.group, [0, 1])
+    with pytest.raises(PreconditionError) as err:
+        quotient_gwa(gw, n)
+    assert err.value.condition == "normal"
+    witness = validate_ideal(n, gw).first("normal").witness
+    assert f"normal fails at {witness}" in str(err.value)
+    assert not _raw_ideal_laws(gw, n.members)["normal"][0](*witness)
 
 
 def _per_element_action_violations(act, actor, space_op, details):

@@ -966,6 +966,35 @@ def test_every_equivalence_failure_path_is_reported(base_gx1, pool4, monkeypatch
     assert not rep.ok
 
 
+def _dropping(drop):
+    """Replace an enumerator by one that leaves out the objects drop(base, o) picks."""
+    return lambda enumerate_: lambda base, pool: tuple(o for o in enumerate_(base, pool) if not drop(base, o))
+
+
+# (enumerator of search, its fault, the canonical objects on gx1/4 that the
+# fault leaves out of the pool)
+_NOT_FOUND = [
+    pytest.param(
+        "enumerate_coverings", _dropping(lambda base, c: c.g.is_bijective()), ["identity covering"],
+        id="identity covering",
+    ),
+    pytest.param(
+        "enumerate_liftings", _dropping(lambda base, l: l.X.order == natural_lifting(base).X.order),
+        ["natural lifting", "image lifting", "self lifting"],
+        id="natural, image and self liftings",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, make_fault, labels", _NOT_FOUND)
+def test_a_canonical_object_missing_from_the_pool_is_reported(base_gx1, pool4, monkeypatch, name, make_fault, labels):
+    monkeypatch.setattr(search, name, make_fault(getattr(search, name)))
+    rep = verify_equivalence(base_gx1, pool4)
+    assert rep.incomplete == tuple(f"{label}: not found in the enumerated pool" for label in labels)
+    assert not rep.truncated
+    assert not rep.ok
+
+
 def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monkeypatch):
     # each hom-set search runs once per ordered pair of object shapes, and
     # each morphism-level check once per morphism of those hom-sets; every
