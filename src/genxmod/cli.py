@@ -62,14 +62,12 @@ from .search import (
     verify_equivalence,
 )
 from .serialize import (
-    covering_docs,
+    _document,
     detect_kind,
     doc_for,
     dumps,
     equivalence_report_json,
-    gwa_doc,
-    gxmod_doc,
-    lifting_docs,
+    kind_of,
     load_any,
     load_transport_homs,
 )
@@ -168,7 +166,7 @@ def cmd_validate(args) -> int:
                 "kind": kind,
                 "ok": report.ok,
                 "violations": [
-                    {"law": v.law, "witness": list(v.witness), "detail": v.detail}
+                    {"law": v.law, "witness": v.witness, "detail": v.detail}
                     for v in report.violations
                 ],
             }
@@ -230,38 +228,34 @@ def cmd_construct(args) -> int:
     doc, obj = _input(args.input, kind)
     result = build(obj, doc, args)
     # the output gets the check that validate runs on a file of its kind too
-    out_doc = doc_for(result)
-    _require_ok(_validate_loaded(detect_kind(out_doc), result))
-    _write(dumps(out_doc), args.out)
+    _require_ok(_validate_loaded(kind_of(result), result))
+    _write(dumps(result), args.out)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     if args.what == "self-actions":
         _, gw = _input(args.input, "gwa")
-        docs = [gwa_doc(g) for g in gwa_objects_for(gw.group)]
+        found = gwa_objects_for(gw.group)
     elif args.what == "ext-actions":
         if not args.second:
             raise StructuralError("ext-actions needs --in2 with the acted-on group")
         _, actor = _input(args.input, "gwa")
         _, space = _input(args.second, "gwa")
-        docs = [
-            {"actor": actor.name, "space": space.name, "act": [list(r) for r in e.act]}
-            for e in enumerate_ext_actions(actor, space)
-        ]
+        found = [{"actor": actor.name, "space": space.name, "act": e.act} for e in enumerate_ext_actions(actor, space)]
     elif args.what == "gxmods":
         if not args.second:
             raise StructuralError("gxmods needs --in2 with the codomain group")
         _, a = _input(args.input, "gwa")
         _, b = _input(args.second, "gwa")
-        docs = [gxmod_doc(x) for x in enumerate_gxmods(a, b)]
+        found = enumerate_gxmods(a, b)
     elif args.what == "liftings":
         _, base = _input(args.input, "gxmod")
-        docs = lifting_docs(enumerate_liftings(base, standard_pool(args.bound)))
+        found = enumerate_liftings(base, standard_pool(args.bound))
     else:
         _, base = _input(args.input, "gxmod")
-        docs = covering_docs(enumerate_coverings(base, standard_pool(args.bound)))
-    _write("".join(dumps(d) for d in docs), args.out)
+        found = enumerate_coverings(base, standard_pool(args.bound))
+    _write("".join(map(dumps, found)), args.out)
     return EXIT_OK
 
 
@@ -323,14 +317,13 @@ def cmd_equivalence(args) -> int:
 
 def cmd_catalog(args) -> int:
     pool = standard_pool(args.bound)
-    docs = []
+    lines = []
     for g in pool.groups:
         verdict = validate_group(g).ok
         for gw in gwa_objects_for(g):
-            doc = gwa_doc(gw)
-            doc["valid"] = verdict and validate_gwa(gw).ok
-            docs.append(doc)
-    _write("".join(dumps(d) for d in docs), args.out)
+            # a line is gw's document with "valid"
+            lines.append(dumps({**_document(gw), "valid": verdict and validate_gwa(gw).ok}))
+    _write("".join(lines), args.out)
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ every act[g] distributes over the operation, i.e. acts by automorphisms.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .groups import (
@@ -216,8 +216,11 @@ def subobject_violations(h: Subgroup, g: GwaObject) -> Iterator[RawViolation]:
     return invariance_violations("subobject", "^{0} {1} = {2} is not in the subgroup", g.self_action.act, h.members)
 
 
-def invariance_violations(law: str, template: str, act: Table, members) -> Iterator[RawViolation]:
-    """^x n lies in N for every row x of act and every n in N = members, witnessed by (x, n)."""
+def invariance_violations(law: str, template: str, act: Iterable, members) -> Iterator[RawViolation]:
+    """^x n lies in N for every row x of act and every n in N = members, witnessed by (x, n).
+
+    A row need only hold its entries at the members, as a dict keyed by them can.
+    """
     inside = set(members)
     for x, row in enumerate(act):
         for n in members:
@@ -243,7 +246,9 @@ def ideal_violations(g: GwaObject, members) -> Iterator[RawViolation]:
     action_closed:       ^x n lies in N for every x in g, n in N
     displacement_closed: (^n x) * x^-1 lies in N for every n in N, x in g
     """
-    conjugation = conjugation_self_action(g.group).act
+    # the rows of the conjugation table at the members of N only
+    group = g.group
+    conjugation = ({n: group.conjugate(x, n) for n in members} for x in range(group.order))
     yield from invariance_violations("normal", "{0} * {1} * {0}^-1 = {2} is not in N", conjugation, members)
     yield from invariance_violations("action_closed", "^{0} {1} = {2} is not in N", g.self_action.act, members)
     yield from displacement_violations(g, members)

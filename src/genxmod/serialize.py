@@ -13,8 +13,14 @@ Covering:       {"total": gxmod, "base": gxmod, "f": [...], "g": [...]}
 Lifting:        {"base": gxmod, "X": gwa, "phi": [...], "omega": [...]}
 Hom file:       {"map": [...], "target": gwa} or {"map": [...], "source": gwa}
 
-dumps produces canonical bytes: sorted keys, compact separators, trailing
-newline; equal structures serialize identically.
+dumps writes any of these structures, or a JSON value that holds them, as
+canonical bytes: sorted keys, compact separators, trailing newline; equal
+structures serialize identically.  It builds no document: json.dumps asks
+its default hook (_document) for each structure's document one level deep,
+and writes the parts, maps and tables straight from the structures.  Nothing
+is cached, so a part that many objects share is written out in full in each.
+doc_for gives a structure's parsed document, with lists, as the loaders
+read it.
 """
 
 from __future__ import annotations
@@ -25,114 +31,49 @@ from typing import Any
 from .cat1 import GCat1
 from .coverlift import Covering, Lifting
 from .crossed import ExtAction, GXMod
-from .groups import GroupTable, Hom, Map, Table, _cached_per_identity, group_from_op
+from .groups import GroupTable, Hom, Map, Table, group_from_op
 from .gwa import GwaObject, SelfAction, trivial_self_action
 from .search import EquivalenceReport
 from .validation import StructuralError
 
 
-def dumps(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_document) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# building documents
-
-
-def gwa_doc(g: GwaObject) -> dict:
-    doc = {
-        "name": g.name or g.group.name,
-        "order": g.group.order,
-        "op": [list(row) for row in g.group.op],
-    }
+def _gwa_document(g: GwaObject) -> dict:
+    doc = {"name": g.name or g.group.name, "order": g.group.order, "op": g.group.op}
     # a trivial self-action, whose every row is the identity map, is left out
     n = g.group.order
     if g.self_action.act != (tuple(range(n)),) * n:
-        doc["self_action"] = [list(row) for row in g.self_action.act]
+        doc["self_action"] = g.self_action.act
     return doc
 
 
-def group_doc(g: GroupTable) -> dict:
-    return {"name": g.name, "order": g.order, "op": [list(row) for row in g.op]}
+# type -> its document one level deep (see _document); a bare group is
+# written as a gwa document without its self_action
+_DOCUMENTS = {
+    GwaObject: _gwa_document,
+    GroupTable: lambda g: {"name": g.name, "order": g.order, "op": g.op},
+    GXMod: lambda x: {"name": x.name, "A": x.A, "B": x.B, "alpha": x.alpha, "action": x.action.act},
+    GCat1: lambda c: {"name": c.name, "G": c.G, "s": c.s, "t": c.t},
+    Covering: lambda c: {"name": c.name, "total": c.total, "base": c.base, "f": c.f, "g": c.g},
+    Lifting: lambda l: {"name": l.name, "base": l.base, "X": l.X, "phi": l.phi, "omega": l.omega},
+    Hom: lambda h: h.map,
+}
 
 
-def gxmod_doc(x: GXMod) -> dict:
-    return _gxmod_doc(x, gwa_doc)
+def _document(obj):
+    """The default hook of json.dumps in dumps: obj's document one level deep.
 
-
-def _gxmod_doc(x: GXMod, gwa) -> dict:
-    return {
-        "name": x.name,
-        "A": gwa(x.A),
-        "B": gwa(x.B),
-        "alpha": list(x.alpha.map),
-        "action": [list(row) for row in x.action.act],
-    }
-
-
-def cat1_doc(c: GCat1) -> dict:
-    return {
-        "name": c.name,
-        "G": gwa_doc(c.G),
-        "s": list(c.s.map),
-        "t": list(c.t.map),
-    }
-
-
-def covering_doc(c: Covering) -> dict:
-    return _covering_doc(c, gxmod_doc)
-
-
-def _covering_doc(c: Covering, gxmod) -> dict:
-    return {
-        "name": c.name,
-        "total": gxmod(c.total),
-        "base": gxmod(c.base),
-        "f": list(c.f.map),
-        "g": list(c.g.map),
-    }
-
-
-def lifting_doc(l: Lifting) -> dict:
-    return _lifting_doc(l, gxmod_doc, gwa_doc)
-
-
-def _lifting_doc(l: Lifting, gxmod, gwa) -> dict:
-    return {
-        "name": l.name,
-        "base": gxmod(l.base),
-        "X": gwa(l.X),
-        "phi": list(l.phi.map),
-        "omega": list(l.omega.map),
-    }
-
-
-def covering_docs(coverings) -> list[dict]:
-    """covering_doc of each covering; the parts they share are built once (see _shared_part_docs)."""
-    gxmod, _ = _shared_part_docs()
-    return [_covering_doc(c, gxmod) for c in coverings]
-
-
-def lifting_docs(liftings) -> list[dict]:
-    """lifting_doc of each lifting; the parts they share are built once (see _shared_part_docs)."""
-    gxmod, gwa = _shared_part_docs()
-    return [_lifting_doc(l, gxmod, gwa) for l in liftings]
-
-
-def _shared_part_docs():
-    """gxmod_doc and gwa_doc for the objects of one output, each part's
-    document built on first use.
-
-    An enumeration's objects hold few distinct parts between them: the one
-    base, the gwa objects of the pool, one A~ per automorphism of A.  Each
-    part's document is cached by the identity of the part (see
-    groups._cached_per_identity) and appears as one shared dict in every
-    document that holds the part: dumps writes it out in full each time,
-    and no caller mutates it.
+    Its parts stay structures, which json hands back to this hook, and its
+    maps and tables stay tuples, which json writes as lists; a Hom is
+    written as its map.
     """
-    gwa = _cached_per_identity(gwa_doc)
-    gxmod = _cached_per_identity(lambda x: _gxmod_doc(x, gwa))
-    return gxmod, gwa
+    write = _DOCUMENTS.get(type(obj))
+    if write is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return write(obj)
 
 
 def equivalence_report_json(rep: EquivalenceReport) -> str:
@@ -151,22 +92,25 @@ def equivalence_report_json(rep: EquivalenceReport) -> str:
 
 
 def _report_fields(rep: EquivalenceReport) -> dict:
-    """Every key of the equivalence report but the two morphism lists."""
-    gxmod, gwa = _shared_part_docs()
+    """Every key of the equivalence report but the two morphism lists.
+
+    A covering round-trip witness names the position of its own covering,
+    its source: a covering whose witness failed has none listed.
+    """
+    positions = {id(c): i for i, c in enumerate(rep.coverings)}
     return {
         "base": rep.base_name,
         "order_bound": rep.order_bound,
-        "pool_groups": list(rep.pool_groups),
+        "pool_groups": rep.pool_groups,
         "lifting_count": rep.lifting_count,
         "covering_count": rep.covering_count,
-        "liftings": [_lifting_doc(l, gxmod, gwa) for l in rep.liftings],
-        "coverings": [_covering_doc(c, gxmod) for c in rep.coverings],
-        "lifting_to_covering_index": list(rep.lifting_to_covering_index),
-        "covering_to_lifting_index": list(rep.covering_to_lifting_index),
+        "liftings": rep.liftings,
+        "coverings": rep.coverings,
+        "lifting_to_covering_index": rep.lifting_to_covering_index,
+        "covering_to_lifting_index": rep.covering_to_lifting_index,
         "roundtrip_lifting_exact": rep.roundtrip_lifting_exact,
         "roundtrip_covering_witnesses": [
-            {"covering": i, "f": list(w.f.map), "g": list(w.g.map)}
-            for i, w in enumerate(rep.roundtrip_covering_witnesses)
+            {"covering": positions[id(w.source)], "f": w.f, "g": w.g} for w in rep.roundtrip_covering_witnesses
         ],
         "lifting_morphism_count": rep.lifting_morphism_count,
         "covering_morphism_count": rep.covering_morphism_count,
@@ -183,8 +127,8 @@ def _report_fields(rep: EquivalenceReport) -> dict:
             "failed": rep.naturality_checks_failed,
         },
         "truncated": rep.truncated,
-        "incomplete": list(rep.incomplete),
-        "failures": list(rep.failures),
+        "incomplete": rep.incomplete,
+        "failures": rep.failures,
         "ok": rep.ok,
     }
 
@@ -206,7 +150,7 @@ def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
     def text(h: Hom) -> str:
         found = map_texts.get(h.map)
         if found is None:
-            found = map_texts[h.map] = dumps(list(h.map))[:-1]
+            found = map_texts[h.map] = dumps(h.map)[:-1]
         return found
 
     def listed(shapes, homs, count, template) -> str:
@@ -416,15 +360,14 @@ def _load_hom(doc, label: str, side: str, fixed: GwaObject, fixed_perm: Map) -> 
     return Hom(gw.group, fixed.group, _read_map(doc["map"], perm, fixed_perm, f"{label}: map")), gw
 
 
-# kind -> (the keys that mark its documents, its type, loader, document
-# builder), in detection order: a document that holds the keys of two kinds
-# is of the first
+# kind -> (the keys that mark its documents, its type, loader), in
+# detection order: a document that holds the keys of two kinds is of the first
 _KINDS = {
-    "covering": (("total", "base"), Covering, load_covering_doc, covering_doc),
-    "lifting": (("phi", "omega"), Lifting, load_lifting_doc, lifting_doc),
-    "cat1": (("G", "s", "t"), GCat1, load_cat1_doc, cat1_doc),
-    "gxmod": (("alpha", "A", "B"), GXMod, load_gxmod_doc, gxmod_doc),
-    "gwa": (("op",), GwaObject, lambda doc: load_gwa_doc(doc)[0], gwa_doc),
+    "covering": (("total", "base"), Covering, load_covering_doc),
+    "lifting": (("phi", "omega"), Lifting, load_lifting_doc),
+    "cat1": (("G", "s", "t"), GCat1, load_cat1_doc),
+    "gxmod": (("alpha", "A", "B"), GXMod, load_gxmod_doc),
+    "gwa": (("op",), GwaObject, lambda doc: load_gwa_doc(doc)[0]),
 }
 
 
@@ -443,11 +386,18 @@ def load_any(doc: dict):
     return kind, _KINDS[kind][2](doc)
 
 
-def doc_for(obj) -> dict:
-    # a bare group is written as a gwa document without its self_action
+def kind_of(obj) -> str:
+    """The kind detect_kind gives obj's document; a bare group's is a gwa document."""
     if isinstance(obj, GroupTable):
-        return group_doc(obj)
-    for _, cls, _, build in _KINDS.values():
+        return "gwa"
+    for kind, (_, cls, _) in _KINDS.items():
         if isinstance(obj, cls):
-            return build(obj)
+            return kind
     raise StructuralError(f"cannot serialize {type(obj).__name__}")
+
+
+def doc_for(obj) -> dict:
+    """obj's parsed document, its maps and tables as lists, as the loaders
+    read it; a StructuralError unless kind_of knows obj."""
+    kind_of(obj)
+    return json.loads(dumps(obj))

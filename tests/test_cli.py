@@ -579,6 +579,88 @@ def test_bound8_catalog_is_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == "522825daca1e9d866bdfa7e6afbac207a2195a62d47aaae166836a2e585b4f6c"
 
 
+# sha256 of every other written output, run in the seeded fixture directory:
+# the argv, with {iso} the inversion automorphism of (Z4, inversion action)
+# as a --domain-iso file
+PINNED_OUTPUTS = {
+    "self-actions-s3": (
+        ["enumerate", "self-actions", "--in", "s3.group.json"],
+        "6f257d49596dd6e4959600da0b2015f1fc9b7961e3c25c35cfa91d81b6e54869",
+    ),
+    "ext-actions-v4-z4_inversion": (
+        ["enumerate", "ext-actions", "--in", "v4.group.json", "--in2", "z4_inversion.gwa.json"],
+        "ca48cb96ad4714ab27ec126afa09be7a7d7d22984847fc32cbdfb4dca8c1c0c0",
+    ),
+    "gxmods-z4_inversion-v4": (
+        ["enumerate", "gxmods", "--in", "z4_inversion.gwa.json", "--in2", "v4.group.json"],
+        "f8dfd7379b6404fe0432419c67a80a5457977fcdf49385df13763681aa9150a8",
+    ),
+    "gxmods-v4-z4_inversion": (
+        ["enumerate", "gxmods", "--in", "v4.group.json", "--in2", "z4_inversion.gwa.json"],
+        "75cc0b8b45bd139a696d834abbc2595c9f20e4df61d913fb52c6f7a63196c3ef",
+    ),
+    "kernel-gxmod": (
+        ["construct", "kernel-gxmod", "--in", "gx3.gxmod.json"],
+        "ac4e01144174ad6cd87c9af0990b12eb111a30f6dedcacb5f2d829d810c0b033",
+    ),
+    "image-gxmod": (
+        ["construct", "image-gxmod", "--in", "gx3.gxmod.json"],
+        "fdc4f54d4148cdcf41799142e38709b2272bb3bd8ec342b55a7646c74c1d4740",
+    ),
+    "transport": (
+        ["construct", "transport", "--in", "gx3.gxmod.json", "--domain-iso", "{iso}"],
+        "69c253769e62d268dc5f19de779e4bda30f8f9c7881d027ce917978ee6cb238e",
+    ),
+    "cat1-to-gxmod": (
+        ["construct", "cat1-to-gxmod", "--in", "v4_projection.cat1.json"],
+        "f1c1ed47729dacb8d2420c105ba76a2546b20c34512dc8ab54d5dc0929b59dcf",
+    ),
+    "natural-lifting": (
+        ["construct", "natural-lifting", "--in", "gx3.gxmod.json"],
+        "2810b10f47d23ef4bf382fad5d20c8a09abc9f871236e5673f19126b74f6f486",
+    ),
+    "quotient-lifting": (
+        ["construct", "quotient-lifting", "--in", "gx3.gxmod.json", "--ideal", "0,2"],
+        "0fc11adcf15417ad0e590e432c8e72ae67a2ee70b407622eec71886ee240a2fa",
+    ),
+    "lift-to-cover": (
+        ["construct", "lift-to-cover", "--in", "gx3_natural.lifting.json"],
+        "08da2baa98aa715efb341470c5d6cedea3c80d9acd3aac6e84c3b0fc4db2c3a5",
+    ),
+    "cover-to-lift": (
+        ["construct", "cover-to-lift", "--in", "gx1_identity.covering.json"],
+        "dfad9704ecccf9d23f2e2d74159e02ad9cc7b3b2b77e8cc33d42cf7ce8ec983a",
+    ),
+    "validate-fixtures": (
+        ["validate", "--format", "json", *sorted(cli.FIXTURE_FILES)],
+        "73fd70699873b379b9eceb6469fab2d00e4505f6cd0a6d76bf9020e50c20e539",
+    ),
+}
+
+
+def test_every_construction_has_its_output_pinned():
+    assert set(CONSTRUCTIONS) <= set(PINNED_OUTPUTS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_written_output_is_pinned(fixture_dir, tmp_path, monkeypatch, name):
+    argv, sha256 = PINNED_OUTPUTS[name]
+    iso, out = tmp_path / "iso.json", tmp_path / "out.json"
+    z4 = json.loads((fixture_dir / "z4_inversion.gwa.json").read_text())
+    iso.write_text(dumps({"map": [0, 3, 2, 1], "source": z4}))
+    monkeypatch.chdir(fixture_dir)
+    assert main([*(arg.format(iso=iso) for arg in argv), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_seeded_fixture_files_are_pinned(fixture_dir):
+    # sha256 over each --seed-fixtures file's name and bytes, in name order
+    files = sorted(fixture_dir.iterdir())
+    assert [p.name for p in files] == sorted(cli.FIXTURE_FILES)
+    digest = hashlib.sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes() for p in files)).hexdigest()
+    assert digest == "d97cb8bab8c3756ab4120862f4d9cbb5a74f5edf015b199b0403fd8dd2261cc0"
+
+
 def test_equivalence_pool_too_small_exit_3(fixture_dir, tmp_path):
     rc = main(["equivalence", "--in", str(fixture_dir / "gx1.gxmod.json"), "--bound", "1", "--out", str(tmp_path / "eq.json")])
     assert rc == 3

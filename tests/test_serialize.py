@@ -18,26 +18,20 @@ from genxmod.fixtures import (
     v4_projection_cat1,
     z4_inversion_gwa,
 )
-from genxmod.groups import _cached_per_identity
+from genxmod.groups import Hom, _cached_per_identity
 from genxmod.serialize import (
-    cat1_doc,
-    covering_doc,
-    covering_docs,
     detect_kind,
     doc_for,
     dumps,
     equivalence_report_json,
-    gwa_doc,
-    gxmod_doc,
-    lifting_doc,
-    lifting_docs,
+    kind_of,
     load_cat1_doc,
     load_covering_doc,
     load_gwa_doc,
     load_gxmod_doc,
     load_lifting_doc,
 )
-from genxmod import coverlift, search, serialize
+from genxmod import cli, coverlift, search, serialize
 from genxmod.search import (
     EquivalenceReport,
     enumerate_coverings,
@@ -54,7 +48,7 @@ from test_search import _seeded_fault
 
 def test_gwa_roundtrip():
     for gw in (z4_inversion_gwa(), s3_conjugation_gwa()):
-        loaded, perm = load_gwa_doc(gwa_doc(gw))
+        loaded, perm = load_gwa_doc(doc_for(gw))
         assert perm == tuple(range(gw.order))
         assert loaded.group.op == gw.group.op
         assert loaded.self_action.act == gw.self_action.act
@@ -64,7 +58,7 @@ def test_gwa_doc_omits_trivial_action():
     from genxmod.groups import cyclic_group
     from genxmod.gwa import gwa
 
-    doc = gwa_doc(gwa(cyclic_group(3)))
+    doc = doc_for(gwa(cyclic_group(3)))
     assert "self_action" not in doc
     loaded, _ = load_gwa_doc(doc)
     assert loaded.self_action.act == ((0, 1, 2),) * 3
@@ -74,27 +68,58 @@ def test_gwa_doc_keeps_every_nontrivial_self_action():
     # the self-action is left out exactly when it is the trivial one
     for gw in gwa_objects(standard_pool(6)):
         trivial = gw.self_action.act == tuple(tuple(range(gw.order)) for _ in range(gw.order))
-        assert ("self_action" not in gwa_doc(gw)) == trivial
+        assert ("self_action" not in doc_for(gw)) == trivial
 
 
 def test_docs_of_an_enumeration_equal_the_docs_one_by_one(base_gx3, pool4):
-    # the batch shares the documents of common parts, and writes the same bytes
+    # dumps writes a structure straight from it, with the bytes of its document
     liftings = enumerate_liftings(base_gx3, pool4)
     coverings = enumerate_coverings(base_gx3, pool4)
-    assert lifting_docs(liftings) == [lifting_doc(l) for l in liftings]
-    assert covering_docs(coverings) == [covering_doc(c) for c in coverings]
-    assert "".join(map(dumps, covering_docs(coverings))) == "".join(dumps(covering_doc(c)) for c in coverings)
-    # objects with one base hold one base dict
-    report = serialize._report_fields(verify_equivalence(base_gx3, pool4))
-    for docs in (lifting_docs(liftings), covering_docs(coverings), report["liftings"], report["coverings"]):
-        assert len(docs) > 1 and all(d["base"] is docs[0]["base"] for d in docs)
+    fixtures = [build() for build in cli._FIXTURES.values()]
+    for o in (*liftings, *coverings, *fixtures):
+        assert dumps(o) == dumps(doc_for(o))
+    # and so does the report, inside which they are written
+    report = json.loads(equivalence_report_json(verify_equivalence(base_gx3, pool4)))
+    assert report["liftings"] == [doc_for(l) for l in liftings]
+    assert report["coverings"] == [doc_for(c) for c in coverings]
     # the cache is keyed by identity: equal but distinct arguments get their own results
-    cached = _cached_per_identity(gwa_doc)
+    cached = _cached_per_identity(doc_for)
     gw, twin = z4_inversion_gwa(), z4_inversion_gwa()
     assert gw == twin and gw is not twin
     assert cached(gw) is cached(gw)
     assert cached(twin) is not cached(gw) and cached(twin) == cached(gw)
     assert cached.cache_info().misses == 2
+
+
+def test_kind_of_and_doc_for_take_structures_only():
+    for build in cli._FIXTURES.values():
+        assert kind_of(build()) == detect_kind(doc_for(build()))
+    for obj in (Hom(gx1().A.group, gx1().B.group, (0, 1)), 5, [gx1()]):
+        with pytest.raises(StructuralError, match="cannot serialize"):
+            doc_for(obj)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps({"x": object()})
+
+
+def test_each_round_trip_witness_names_its_own_covering(base_gx3, pool4, monkeypatch):
+    # covering 2 comes back over another omega: its witness fails and is not
+    # listed, and every later entry still names its own covering
+    broken = enumerate_coverings(base_gx3, pool4)[2]
+    real = search.covering_to_lifting
+
+    def covering_to_lifting(c):
+        lift = real(c)
+        if c == broken:
+            return replace(lift, omega=Hom(lift.X.group, lift.base.B.group, (0,) * lift.X.order))
+        return lift
+
+    monkeypatch.setattr(search, "covering_to_lifting", covering_to_lifting)
+    rep = verify_equivalence(base_gx3, pool4)
+    assert "covering 2: round-trip witness <f, 1> is not an isomorphism" in rep.failures
+    witnesses = json.loads(equivalence_report_json(rep))["roundtrip_covering_witnesses"]
+    assert [w["covering"] for w in witnesses] == [i for i in range(rep.covering_count) if i != 2]
+    assert all(w["f"] == list(rep.coverings[w["covering"]].f.map) for w in witnesses)
+    _assert_written_as_the_reference(rep)
 
 
 def _reference_report_json(rep) -> str:
@@ -232,7 +257,7 @@ def test_equivalence_report_json_encodes_each_map_and_shape_level_morphism_once(
 
 def test_gxmod_roundtrip():
     for x in (gx1(), gx3(), a3_s3()):
-        loaded = load_gxmod_doc(gxmod_doc(x))
+        loaded = load_gxmod_doc(doc_for(x))
         assert loaded.alpha.map == x.alpha.map
         assert loaded.action.act == x.action.act
         assert loaded.A.self_action.act == x.A.self_action.act
@@ -240,17 +265,17 @@ def test_gxmod_roundtrip():
 
 def test_cat1_roundtrip():
     c = v4_projection_cat1()
-    loaded = load_cat1_doc(cat1_doc(c))
+    loaded = load_cat1_doc(doc_for(c))
     assert loaded.s.map == c.s.map and loaded.t.map == c.t.map
 
 
 def test_covering_lifting_roundtrip():
     c = fixture_covering()
-    loaded = load_covering_doc(covering_doc(c))
+    loaded = load_covering_doc(doc_for(c))
     assert loaded.f.map == c.f.map and loaded.g.map == c.g.map
     assert loaded.total.alpha.map == c.total.alpha.map
     l = fixture_lifting()
-    loaded_l = load_lifting_doc(lifting_doc(l))
+    loaded_l = load_lifting_doc(doc_for(l))
     assert loaded_l.phi.map == l.phi.map and loaded_l.omega.map == l.omega.map
 
 
@@ -288,18 +313,18 @@ def test_identity_normalization_inside_gxmod():
 
 
 def test_detect_kind():
-    assert detect_kind(gxmod_doc(gx1())) == "gxmod"
-    assert detect_kind(gwa_doc(z4_inversion_gwa())) == "gwa"
-    assert detect_kind(cat1_doc(v4_projection_cat1())) == "cat1"
-    assert detect_kind(covering_doc(fixture_covering())) == "covering"
-    assert detect_kind(lifting_doc(fixture_lifting())) == "lifting"
+    assert detect_kind(doc_for(gx1())) == "gxmod"
+    assert detect_kind(doc_for(z4_inversion_gwa())) == "gwa"
+    assert detect_kind(doc_for(v4_projection_cat1())) == "cat1"
+    assert detect_kind(doc_for(fixture_covering())) == "covering"
+    assert detect_kind(doc_for(fixture_lifting())) == "lifting"
     with pytest.raises(StructuralError):
         detect_kind({"foo": 1})
 
 
 def test_dumps_deterministic():
-    a = dumps(gxmod_doc(gx3()))
-    b = dumps(gxmod_doc(gx3()))
+    a = dumps(gx3())
+    b = dumps(gx3())
     assert a == b
     assert a.endswith("\n")
     json.loads(a)
@@ -323,7 +348,7 @@ def test_malformed_docs_raise_structural():
     with pytest.raises(StructuralError):
         load_gwa_doc({"order": 2, "op": [[0, 7], [1, 0]]})  # out of range
     with pytest.raises(StructuralError):
-        load_gxmod_doc({"A": gwa_doc(z4_inversion_gwa())})  # missing keys
+        load_gxmod_doc({"A": doc_for(z4_inversion_gwa())})  # missing keys
     with pytest.raises(StructuralError):
         load_gwa_doc({"order": 2, "op": [[0, 0], [0, 0]]})  # no identity
 
