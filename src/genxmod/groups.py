@@ -618,6 +618,56 @@ def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
     return group_from_op(op, f"Aut({g.name})"), auts
 
 
+class SelfMaps:
+    """The maps of a group's elements to themselves met so far, by number.
+
+    Each map, a tuple m with m[x] the image of x, gets a number once, in
+    the order it is met.  automorphism[n] is whether map n is an
+    automorphism of the group, and composite[n1, n2] the number of the map
+    x -> m1[m2[x]].  Both read only the group's table and the maps, so one
+    SelfMaps serves every caller on that table.  An entry is written only
+    once it is fully computed.
+    """
+
+    __slots__ = ("op", "numbers", "maps", "automorphism", "composite")
+
+    def __init__(self, op: Table) -> None:
+        self.op = op
+        self.numbers: dict[Map, int] = {}
+        self.maps: list[Map] = []
+        self.automorphism: dict[int, bool] = {}
+        self.composite: dict[tuple[int, int], int] = {}
+
+    def number(self, m: Map) -> int:
+        n = self.numbers.setdefault(m, len(self.maps))
+        if n == len(self.maps):
+            self.maps.append(m)
+        return n
+
+    def composite_of(self, n1: int, n2: int) -> int:
+        c = self.composite.get((n1, n2))
+        if c is None:
+            m1 = self.maps[n1]
+            c = self.composite[n1, n2] = self.number(tuple([m1[x] for x in self.maps[n2]]))
+        return c
+
+    def is_automorphism(self, n: int) -> bool:
+        verdict = self.automorphism.get(n)
+        if verdict is None:
+            m, op = self.maps[n], self.op
+            verdict = self.automorphism[n] = all(
+                [m[y] for y in op[x]] == [op[m[x]][y] for y in m] for x in range(len(op))
+            )
+        return verdict
+
+
+@lru_cache(maxsize=None)
+def self_maps(op: Table) -> SelfMaps:
+    """The SelfMaps of the group with table op, a tuple of tuples, kept
+    until self_maps.cache_clear()."""
+    return SelfMaps(op)
+
+
 @_cached_per_name
 def homs_by_composite(src: GroupTable, tgt: GroupTable, outer: Map) -> dict[Map, tuple[Hom, ...]]:
     """The homs h of all_homs(src, tgt) keyed by the composite map outer o h,

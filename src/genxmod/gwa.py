@@ -20,6 +20,7 @@ from .groups import (
     _freeze,
     restrict_map,
     restrict_table,
+    self_maps,
     subgroup,
     subgroup_embedding,
 )
@@ -116,12 +117,16 @@ def action_violations(act: Table, actor: GroupTable, space_op: Table, details) -
     is witnessed for each (x1, x2) and each (x, y1).
 
     The compatibility and automorphism laws read act through its distinct
-    rows, numbered once.  Compatibility compares the number of row x1*x2
-    with that of the composite of rows x1 and x2, each composite built once
-    per pair of distinct rows; the automorphism law runs once per distinct
-    row.  Only a pair or a row that fails is scanned element by element, so
-    every violation, its witness and its order are those of the scan over
-    every element.  Callers check act's shape and range first.
+    rows.  Compatibility compares the number of row x1*x2 with that of the
+    composite of rows x1 and x2; the automorphism law asks whether each
+    distinct row is an automorphism.  Both results read only the space
+    table and the rows, so they come from groups.self_maps, the cache keyed
+    by a tuple-of-tuples copy of space_op: each composite is built and each
+    row's automorphism law run once per space table while the cache lives,
+    until self_maps.cache_clear().  Only a pair or a row that fails is
+    scanned element by element, so every violation, its witness and its
+    order are those of the scan over every element.  Callers check act's
+    shape and range first.
     """
     identity, compatibility, automorphism = details
     op, e = actor.op, actor.identity
@@ -129,10 +134,10 @@ def action_violations(act: Table, actor: GroupTable, space_op: Table, details) -
         if y != h:
             yield "action_identity", (h,), identity, (e, y)
     ns = len(space_op)
-    numbers: dict[tuple[int, ...], int] = {}
-    num = [numbers.setdefault(tuple(row), len(numbers)) for row in act]
-    rows = list(numbers)
-    composite = [[numbers.get(tuple([r1[y] for y in r2]), -1) for r2 in rows] for r1 in rows]
+    maps = self_maps(tuple(map(tuple, space_op)))
+    num = [maps.number(tuple(row)) for row in act]
+    distinct = dict.fromkeys(num)
+    composite = {n1: {n2: maps.composite_of(n1, n2) for n2 in distinct} for n1 in distinct}
     for g1, row1 in enumerate(act):
         expected, op1 = composite[num[g1]], op[g1]
         for g2, row2 in enumerate(act):
@@ -141,11 +146,8 @@ def action_violations(act: Table, actor: GroupTable, space_op: Table, details) -
             row12 = act[op1[g2]]
             h = next(h for h in range(ns) if row12[h] != row1[row2[h]])
             yield "action_compatibility", (g1, g2, h), compatibility, (row12[h], row1[row2[h]])
-    is_automorphism = [
-        all([row[y] for y in space_op[h1]] == [space_op[row[h1]][y] for y in row] for h1 in range(ns)) for row in rows
-    ]
     for a, row in enumerate(act):
-        if is_automorphism[num[a]]:
+        if maps.is_automorphism(num[a]):
             continue
         for h1 in range(ns):
             for h2 in range(ns):

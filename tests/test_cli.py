@@ -13,6 +13,7 @@ from genxmod import cli, search
 from genxmod.cli import CONSTRUCTIONS, main
 from genxmod.coverlift import lifting_to_covering
 from genxmod.crossed import transport_both
+from genxmod.groups import self_maps
 from genxmod.serialize import doc_for, dumps, load_gxmod_doc, load_transport_homs
 from test_search import _FAULTS, _NOT_FOUND
 
@@ -577,6 +578,34 @@ def test_bound8_catalog_is_pinned(tmp_path):
     data = out.read_bytes()
     assert len(data.splitlines()) == 889
     assert hashlib.sha256(data).hexdigest() == "522825daca1e9d866bdfa7e6afbac207a2195a62d47aaae166836a2e585b4f6c"
+
+
+def _clear_genxmod_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("genxmod."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and getattr(value, "__module__", "").startswith("genxmod."):
+                    value.cache_clear()
+
+
+def test_bound8_catalog_decides_each_row_law_once_per_group_table(tmp_path):
+    # a cold catalog keeps 71 automorphism verdicts and 373 row composites
+    # over its 14 group tables, 22 and 148 of them on Z2^3; a warm one
+    # writes the pinned bytes
+    _clear_genxmod_caches()
+    out = tmp_path / "catalog.jsonl"
+    assert main(["catalog", "--bound", "8", "--out", str(out)]) == 0
+    groups = search.standard_pool(8).groups
+    assert self_maps.cache_info().currsize == len(groups) == 14
+    maps = {g.name: self_maps(g.op) for g in groups}
+    assert self_maps.cache_info().currsize == 14
+    assert sum(len(r.automorphism) for r in maps.values()) == 71
+    assert sum(len(r.composite) for r in maps.values()) == 373
+    assert (len(maps["Z2^3"].automorphism), len(maps["Z2^3"].composite)) == (22, 148)
+    assert main(["catalog", "--bound", "8", "--out", str(out)]) == 0
+    assert self_maps.cache_info().currsize == 14
+    assert sum(len(r.composite) for r in maps.values()) == 373
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "522825daca1e9d866bdfa7e6afbac207a2195a62d47aaae166836a2e585b4f6c"
 
 
 # sha256 of every other written output, run in the seeded fixture directory:

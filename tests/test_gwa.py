@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from genxmod.crossed import EXT_ACTION_DETAILS, ExtAction, GXMod
+from genxmod.crossed import EXT_ACTION_DETAILS, ExtAction, GXMod, validate_ext_action
 from genxmod.groups import (
     GroupTable,
     Hom,
     cyclic_group,
     identity_hom,
     kernel,
+    self_maps,
     subgroup,
     subgroup_embedding,
     symmetric_group,
@@ -336,30 +337,73 @@ def _perturbed(act, modulus, rng):
     return tuple(tuple(row) for row in rows)
 
 
+def _check_against_the_per_element_scan(act, actor, space):
+    # the report of action_violations equals the scan's, and every witness
+    # replays; the laws that fail
+    details = SELF_ACTION_DETAILS if actor is space else EXT_ACTION_DETAILS
+    got = report("act", action_violations(act, actor, space.op, details), 1000)
+    want = report("act", _per_element_action_violations(act, actor, space.op, details), 1000)
+    assert got.violations == want.violations
+    if actor is space:
+        replayed = [replay_violation(GwaObject(space, SelfAction(space, act)), v) for v in got.violations]
+    else:
+        a, b = gwa(space), gwa(actor)
+        x = GXMod(a, b, zero_hom(space, actor), ExtAction(b, a, act))
+        replayed = [replay_violation(x, v.prefixed("action")) for v in got.violations]
+    assert all(replayed)
+    return got.laws()
+
+
 @pytest.mark.parametrize(
     "actor_name, space_name",
     [("Z2^3", "Z2^3"), ("D4", "D4"), ("S3", "S3"), ("Q8", "Z4"), ("Z4xZ2", "Z2^3"), ("Z6", "S3")],
 )
 def test_action_violations_match_the_per_element_scan(actor_name, space_name):
     # every violation, witness, detail and their order, on seeded corruptions
-    # of catalog self-actions and ext-actions
+    # of catalog self-actions and ext-actions, first with groups.self_maps
+    # cold, then warm
+    self_maps.cache_clear()
     by_name = {g.name: g for g in group_catalog()}
     actor, space = by_name[actor_name], by_name[space_name]
-    details = SELF_ACTION_DETAILS if actor is space else EXT_ACTION_DETAILS
-    tables = _action_tables(actor, space)
     rng = random.Random(f"{actor_name}-{space_name}")
+    tables = _action_tables(actor, space)
+    acts = [_perturbed(tables[i % len(tables)], space.order, rng) for i in range(40)]
     laws = set()
-    for i in range(40):
-        act = _perturbed(tables[i % len(tables)], space.order, rng)
-        got = report("act", action_violations(act, actor, space.op, details), 1000)
-        want = report("act", _per_element_action_violations(act, actor, space.op, details), 1000)
-        assert got.violations == want.violations
-        if actor is space:
-            replayed = [replay_violation(GwaObject(space, SelfAction(space, act)), v) for v in got.violations]
-        else:
-            a, b = gwa(space), gwa(actor)
-            x = GXMod(a, b, zero_hom(space, actor), ExtAction(b, a, act))
-            replayed = [replay_violation(x, v.prefixed("action")) for v in got.violations]
-        assert all(replayed)
-        laws |= got.laws()
+    for act in acts:
+        laws |= _check_against_the_per_element_scan(act, actor, space)
     assert laws == {"action_identity", "action_compatibility", "action_automorphism"}
+    # again in reverse order, each followed by an action of the other kind
+    # (self-action or ext-action) on the same space table
+    other = by_name["Z2"] if actor is space else space
+    other_tables = _action_tables(other, space)
+    for i, act in enumerate(reversed(acts)):
+        _check_against_the_per_element_scan(act, actor, space)
+        other_act = _perturbed(other_tables[i % len(other_tables)], space.order, rng)
+        _check_against_the_per_element_scan(other_act, other, space)
+
+
+def _listed(table):
+    return [list(row) for row in table]
+
+
+def test_list_valued_tables_give_the_reports_of_their_tuple_twins():
+    # GroupTable, SelfAction and ExtAction take lists through the public API;
+    # groups.self_maps keys a space table by a tuple copy of it
+    by_name = {g.name: g for g in group_catalog()}
+    listed = {name: GroupTable(g.order, _listed(g.op), g.identity, list(g.inv), name) for name, g in by_name.items()}
+    verdicts = set()
+    for actor, space in (("Z2", "Z2"), ("S3", "S3"), ("Z2", "S3")):
+        tables = _action_tables(by_name[actor], by_name[space])
+        rng = random.Random(f"{actor}-{space}-lists")
+        for i in range(8):
+            act = _perturbed(tables[i % len(tables)], by_name[space].order, rng) if i else tables[0]
+            if actor == space:
+                g, h = by_name[space], listed[space]
+                want = validate_gwa(GwaObject(g, SelfAction(g, act)))
+                got = validate_gwa(GwaObject(h, SelfAction(h, _listed(act))))
+            else:
+                want = validate_ext_action(ExtAction(gwa(by_name[actor]), gwa(by_name[space]), act))
+                got = validate_ext_action(ExtAction(gwa(listed[actor]), gwa(listed[space]), _listed(act)))
+            assert got == want
+            verdicts.add(got.ok)
+    assert verdicts == {True, False}
