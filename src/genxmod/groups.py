@@ -9,6 +9,7 @@ every check is a direct exhaustive loop.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
@@ -83,38 +84,30 @@ def _cached_per_name(fn):
     return per_name
 
 
-class _Identity:
-    """A cache key that hashes and compares by the identity of the object it holds."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj) -> None:
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return self.obj is other.obj
-
-
 def _cached_per_identity(fn, maxsize=None):
     """An lru_cache of the one-argument fn keyed by the identity of its argument.
 
     Structures compare by their tables alone, and hashing a nested one walks
-    every table; keyed by identity, an equal structure with another name
-    gets its own result, and a lookup costs no walk.  Each entry holds its
+    every table; keyed by id(), an equal structure with another name gets its
+    own result, and a lookup hashes one int.  A miss reads its argument from
+    a per-thread slot set just before the lookup, and its entry holds the
     argument, so the argument's id cannot pass to another object while the
     entry lives.  maxsize bounds the cache as lru_cache's does.  The wrapper
     has the cache's cache_info() and cache_clear().
     """
-    cached = lru_cache(maxsize=maxsize)(lambda key: fn(key.obj))
+    pending = threading.local()
+
+    @lru_cache(maxsize=maxsize)
+    def by_id(key):
+        arg = pending.arg
+        return arg, fn(arg)
 
     @wraps(fn)
     def per_identity(arg):
-        return cached(_Identity(arg))
+        pending.arg = arg
+        return by_id(id(arg))[1]
 
-    per_identity.cache_info, per_identity.cache_clear = cached.cache_info, cached.cache_clear
+    per_identity.cache_info, per_identity.cache_clear = by_id.cache_info, by_id.cache_clear
     return per_identity
 
 
@@ -505,90 +498,150 @@ def image(f: Hom) -> Subgroup:
 # enumeration of homomorphisms and automorphisms
 
 
-def _generating_sequence(g: GroupTable) -> list[int]:
-    gens: list[int] = []
-    have = {g.identity}
-    for x in range(g.order):
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(subgroup_closure(g, gens).members)
-        if len(have) == g.order:
-            break
-    return gens
+# a step (x, i, y) of a closure: y = x * gens[i]
+_Step = tuple[int, int, int]
 
 
-def _extend_map(src: GroupTable, tgt: GroupTable, gens, imgs) -> dict[int, int] | None:
-    """The map m on the subgroup generated by gens with m(gens[i]) = imgs[i],
-    grown from the identity by right-multiplication closure.
+def _closure_levels(g: GroupTable) -> list[tuple[int, list[_Step], list[_Step]]]:
+    """One level (gen, new, agree) per generator of a generating sequence of g.
 
-    Each step sets m(x * gens[i]) = m(x) * imgs[i].  Returns m as a dict when
-    no two steps give one element two values, which makes m a homomorphism on
-    that subgroup; else None, and then no homomorphism of any larger subgroup
-    sends gens to imgs.  The caller runs the homomorphism law itself.
+    The generators are taken as the least element the earlier ones do not
+    generate, so none lies in the subgroup of those before it.  Level k
+    closes the subgroup of the first k generators by right multiplication
+    from that of the first k - 1: the old members by the new generator,
+    each newly reached member by every generator so far.  new lists the
+    steps that first reach each new member, in an order in which every x is
+    reached before its step; agree lists the steps whose y was reached
+    already.  A map defined on the old members extends to a homomorphism of
+    the larger subgroup with given generator images exactly when the
+    values the new steps give it agree at every agreement step.
     """
-    m = {src.identity: tgt.identity}
-    frontier = [src.identity]
-    steps = tuple(zip(gens, imgs))
-    while frontier:
-        x = frontier.pop()
-        row, trow = src.op[x], tgt.op[m[x]]
-        for gi, hi in steps:
-            y, fy = row[gi], trow[hi]
-            seen = m.get(y)
-            if seen is None:
-                m[y] = fy
-                frontier.append(y)
-            elif seen != fy:
-                return None
+    op = g.op
+    reached = [False] * g.order
+    reached[g.identity] = True
+    members = [g.identity]
+    gens: list[int] = []
+    levels = []
+    for gen in range(g.order):
+        if reached[gen]:
+            continue
+        k, old = len(gens), len(members)
+        gens.append(gen)
+        new: list[_Step] = []
+        agree: list[_Step] = []
+        j = 0
+        while j < len(members):
+            x = members[j]
+            for i in range(k, k + 1) if j < old else range(k + 1):
+                y = op[x][gens[i]]
+                if reached[y]:
+                    agree.append((x, i, y))
+                else:
+                    reached[y] = True
+                    members.append(y)
+                    new.append((x, i, y))
+            j += 1
+        levels.append((gen, new, agree))
+        if len(members) == g.order:
+            break
+    return levels
+
+
+def _generating_sequence(g: GroupTable) -> list[int]:
+    return [gen for gen, _, _ in _closure_levels(g)]
+
+
+def _extend_map(top: Table, m: list, imgs: tuple[int, ...], new: list[_Step], agree: list[_Step]) -> list | None:
+    """The map m, a homomorphism of the subgroup of the first k - 1
+    generators, extended along level k's new steps with gens[i] sent to
+    imgs[i].
+
+    Each new step sets m[x * gens[i]] = m[x] * imgs[i].  Returns the
+    extended map, a new list, when every agreement step agrees with it,
+    which makes it a homomorphism on the subgroup of the first k
+    generators; else None, and then no homomorphism of any larger subgroup
+    sends the generators to imgs.  The caller runs the homomorphism law
+    itself.
+    """
+    m = m.copy()
+    for x, i, y in new:
+        m[y] = top[m[x]][imgs[i]]
+    for x, i, y in agree:
+        if m[y] != top[m[x]][imgs[i]]:
+            return None
     return m
+
+
+def _homs(src: GroupTable, tgt: GroupTable, injective: bool) -> list[Hom]:
+    """The homomorphisms src -> tgt sorted by map tuple, found level by level
+    (see all_homs); when injective is set, an image of a generator that
+    already lies in the image of the earlier generators' subgroup is skipped,
+    along with every map it would start."""
+    levels = _closure_levels(src)
+    gens = [gen for gen, _, _ in levels]
+    sop, top = src.op, tgt.op
+    tgt_orders = [tgt.element_order(h) for h in range(tgt.order)]
+    # a map is a list over src with None off the subgroup it is defined on,
+    # so its set of values is its image and None
+    start: list = [None] * src.order
+    start[src.identity] = tgt.identity
+    prefixes: list[tuple[tuple[int, ...], list]] = [((), start)]
+    for k, (g, new, agree) in enumerate(levels):
+        og = src.element_order(g)
+        options = [h for h in range(tgt.order) if og % tgt_orders[h] == 0]
+        commuting = [j for j in range(k) if sop[gens[j]][g] == sop[g][gens[j]]]
+        grown = []
+        for imgs, m in prefixes:
+            partners = [imgs[j] for j in commuting]
+            taken = set(m) if injective else ()
+            for h in options:
+                if h in taken or any(top[x][h] != top[h][x] for x in partners):
+                    continue
+                extended = _extend_map(top, m, imgs + (h,), new, agree)
+                if extended is not None:
+                    grown.append((imgs + (h,), extended))
+        prefixes = grown
+    found = []
+    for _, m in prefixes:
+        full = tuple(m)
+        if holds(hom_violations(src, tgt, full)):
+            found.append(Hom(src, tgt, full))
+    found.sort(key=lambda f: f.map)
+    return found
 
 
 @_cached_per_name
 def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     """Every homomorphism src -> tgt, sorted by map tuple.
 
-    Grows the images of a generating sequence one generator at a time, each
-    image drawn from the elements whose order divides the generator's.  A
-    prefix of k images is kept only when _extend_map closes it to a
-    homomorphism on the subgroup the first k generators generate, so an
-    inconsistent prefix is dropped with all its extensions.  Before that, an
-    image h of the k-th generator is skipped when some earlier generator
-    commutes with it in src but the earlier image does not commute with h
-    in tgt: _extend_map reaches that product by both orders and would reject
-    the prefix, so the skip drops exactly prefixes it would drop.  The
-    homomorphism law still runs on every complete map.
+    Walks src once (_closure_levels), one level per generator of a
+    generating sequence, and grows the images of the generators one at a
+    time, each image drawn from the elements whose order divides the
+    generator's.  A prefix of k images extends its parent's map along level
+    k's new steps only and is kept only when that map agrees at level k's
+    agreement steps (_extend_map), that is, when it is a homomorphism on the
+    subgroup the first k generators generate; an inconsistent prefix is
+    dropped with all its extensions.  Before that, an image h of the k-th
+    generator is skipped when some earlier generator commutes with it in
+    src but the earlier image does not commute with h in tgt: the walk
+    reaches that product by both orders and would reject the prefix, so the
+    skip drops exactly prefixes it would drop.  The homomorphism law still
+    runs on every complete map.
     """
-    gens = _generating_sequence(src)
-    sop, top = src.op, tgt.op
-    tgt_orders = [tgt.element_order(h) for h in range(tgt.order)]
-    level: list[tuple[tuple[int, ...], dict[int, int]]] = [((), {src.identity: tgt.identity})]
-    for k, g in enumerate(gens, 1):
-        og = src.element_order(g)
-        options = [h for h in range(tgt.order) if og % tgt_orders[h] == 0]
-        commuting = [j for j in range(k - 1) if sop[gens[j]][g] == sop[g][gens[j]]]
-        grown = []
-        for imgs, _ in level:
-            partners = [imgs[j] for j in commuting]
-            for h in options:
-                if any(top[x][h] != top[h][x] for x in partners):
-                    continue
-                m = _extend_map(src, tgt, gens[:k], imgs + (h,))
-                if m is not None:
-                    grown.append((imgs + (h,), m))
-        level = grown
-    found = []
-    for _, m in level:
-        full = tuple([m[x] for x in range(src.order)])
-        if holds(hom_violations(src, tgt, full)):
-            found.append(Hom(src, tgt, full))
-    found.sort(key=lambda f: f.map)
-    return tuple(found)
+    return tuple(_homs(src, tgt, injective=False))
 
 
 @_cached_per_name
 def automorphisms(g: GroupTable) -> tuple[Hom, ...]:
-    return tuple(f for f in all_homs(g, g) if f.is_bijective())
+    """Every automorphism of g, sorted by map tuple.
+
+    The all_homs search from g to itself, except that an image of the k-th
+    generator is skipped when it already lies in the image of the subgroup
+    of the first k - 1: no generator lies in the subgroup of those before
+    it, so such a map is not injective.  Each complete map that passes the
+    homomorphism law is kept when it is bijective.
+    """
+    return tuple(f for f in _homs(g, g, injective=True) if f.is_bijective())
 
 
 @_cached_per_name
@@ -596,12 +649,15 @@ def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
     """Aut(g) as a GroupTable over the sorted automorphism list.
 
     The table index of (f o h) is op[i][j] where i, j index f and h; the
-    identity automorphism sorts first, keeping the identity at index 0.  An
-    automorphism is fixed by its images of a generating sequence, so each
-    composite is looked up by the integer whose base-|g| digits are those
-    images.  Row f maps through f the column of each generator's images
-    under every h, one list per generator, and then looks each entry's code
-    up once.  The trivial group has no generators: its one code is 0.
+    identity automorphism sorts first, keeping the identity at index 0.
+    Only the automorphisms that generate Aut(g), each the first one in
+    sorted order that the earlier ones do not generate, get their rows
+    looked up: an automorphism is fixed by its images of a generating
+    sequence, so each composite f o h is looked up by the integer whose
+    base-|g| digits are those images.  Every other row is a composite:
+    row(s o c) = [row_s[x] for x in row_c], s o c reached by right
+    multiplication closure from the identity, as _closure_levels reaches
+    group elements.  The trivial group has no generators: its one code is 0.
     """
     auts = automorphisms(g)
     columns = [[h.map[x] for h in auts] for x in _generating_sequence(g)]
@@ -614,8 +670,26 @@ def automorphism_group(g: GroupTable) -> tuple[GroupTable, tuple[Hom, ...]]:
         return out
 
     index = {code: i for i, code in enumerate(codes(range(g.order)))}
-    op = [[index[code] for code in codes(f.map)] for f in auts]
-    return group_from_op(op, f"Aut({g.name})"), auts
+    rows: list = [None] * len(auts)
+    rows[0] = list(range(len(auts)))
+    members, gens = [0], []
+    for c in range(len(auts)):
+        if rows[c] is not None:
+            continue
+        rows[c] = [index[code] for code in codes(auts[c].map)]
+        old = len(members)
+        members.append(c)
+        gens.append(c)
+        j = 0
+        while j < len(members):
+            row_s = rows[members[j]]
+            for d in gens[-1:] if j < old else gens:
+                sd = row_s[d]
+                if rows[sd] is None:
+                    rows[sd] = [row_s[x] for x in rows[d]]
+                    members.append(sd)
+            j += 1
+    return group_from_op(rows, f"Aut({g.name})"), auts
 
 
 class SelfMaps:

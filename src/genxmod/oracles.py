@@ -57,39 +57,46 @@ def raw_self_action_tables_bruteforce(op) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def raw_self_action_tables(op) -> list[tuple[tuple[int, ...], ...]]:
-    """Every self-action table via row-level search: each row must distribute
-    over the operation, the identity row is forced, and full compatibility is
-    filtered at the end.  Feasible for n <= 6."""
+    """Every self-action table via row-level backtracking.
+
+    Each row is an automorphism (the row of x^-1 inverts the row of x), so
+    rows are drawn from raw_aut_maps; the identity row is forced, the other
+    rows are assigned one element at a time, and each assigned prefix must
+    be compatible, act[g1*g2] = act[g1] o act[g2], wherever g1, g2 and
+    g1*g2 are all assigned.  Feasible for n <= 8."""
     n = len(op)
-    if n > 6:
-        raise StructuralError("row search is only feasible for n <= 6")
-    endo_rows = [
-        m
-        for m in product(range(n), repeat=n)
-        if all(m[op[a][b]] == op[m[a]][m[b]] for a in range(n) for b in range(n))
-    ]
+    if n > 8:
+        raise StructuralError("row search is only feasible for n <= 8")
+    rows = raw_aut_maps(op)
     e = next(x for x in range(n) if all(op[x][g] == g for g in range(n)))
-    idrow = tuple(range(n))
+    others = [g for g in range(n) if g != e]
+    act: list = [None] * n
+    act[e] = tuple(range(n))
     found = []
 
-    def rows_ok(act) -> bool:
+    def compatible(g) -> bool:
         for g1 in range(n):
-            row1 = act[g1]
             for g2 in range(n):
-                row12 = act[op[g1][g2]]
-                row2 = act[g2]
+                g12 = op[g1][g2]
+                if g not in (g1, g2, g12) or None in (act[g1], act[g2], act[g12]):
+                    continue
+                row1, row2, row12 = act[g1], act[g2], act[g12]
                 if any(row12[h] != row1[row2[h]] for h in range(n)):
                     return False
         return True
 
-    others = [g for g in range(n) if g != e]
-    for combo in product(endo_rows, repeat=len(others)):
-        act = [None] * n
-        act[e] = idrow
-        for g, row in zip(others, combo):
-            act[g] = row
-        if rows_ok(act):
+    def assign(k) -> None:
+        if k == len(others):
             found.append(tuple(act))
+            return
+        g = others[k]
+        for row in rows:
+            act[g] = row
+            if compatible(g):
+                assign(k + 1)
+        act[g] = None
+
+    assign(0)
     return found
 
 

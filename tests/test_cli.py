@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from genxmod import cli, search
+from genxmod import cli, groups, search
 from genxmod.cli import CONSTRUCTIONS, main
 from genxmod.coverlift import lifting_to_covering
 from genxmod.crossed import transport_both
@@ -605,6 +605,22 @@ def test_bound8_catalog_decides_each_row_law_once_per_group_table(tmp_path):
     assert main(["catalog", "--bound", "8", "--out", str(out)]) == 0
     assert self_maps.cache_info().currsize == 14
     assert sum(len(r.composite) for r in maps.values()) == 373
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "522825daca1e9d866bdfa7e6afbac207a2195a62d47aaae166836a2e585b4f6c"
+
+
+def test_a_cold_bound8_catalog_closes_1654_prefixes(tmp_path, monkeypatch):
+    # the hom searches behind a cold catalog, all_homs into each Aut(G) and
+    # automorphisms, close 1654 generator-image prefixes (_extend_map calls)
+    _clear_genxmod_caches()
+    calls = []
+    extend_map = groups._extend_map
+    monkeypatch.setattr(groups, "_extend_map", lambda *args: calls.append(1) or extend_map(*args))
+    out = tmp_path / "catalog.jsonl"
+    try:
+        assert main(["catalog", "--bound", "8", "--out", str(out)]) == 0
+    finally:
+        _clear_genxmod_caches()
+    assert len(calls) == 1654
     assert hashlib.sha256(out.read_bytes()).hexdigest() == "522825daca1e9d866bdfa7e6afbac207a2195a62d47aaae166836a2e585b4f6c"
 
 

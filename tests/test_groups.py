@@ -1,4 +1,8 @@
+import gc
 import itertools
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -223,17 +227,83 @@ def test_all_homs_skips_images_that_break_commuting_generators(monkeypatch):
     assert len(calls) == 906
 
 
+def test_cached_per_identity_keys_each_structure_by_identity():
+    # an equal but distinct structure gets its own entry; each entry holds
+    # its argument, and the cache keeps lru_cache's bound and statistics
+    cached = groups._cached_per_identity(lambda g: [g.name], maxsize=2)
+    a, twin = cyclic_group(4), cyclic_group(4, "C4")
+    assert a == twin and a is not twin
+    assert cached(a) is cached(a) and cached(a) == ["Z4"]
+    assert cached(twin) == ["C4"]
+    assert cached.cache_info() == (2, 2, 2, 2)
+    held = cached(cyclic_group(3))
+    assert held == ["Z3"] and cached.cache_info().currsize == 2
+    assert cached(a) == ["Z4"] and cached.cache_info().misses == 4
+    cached.cache_clear()
+    assert cached.cache_info() == (0, 0, 2, 0)
+    g = cyclic_group(5)
+    ref = weakref.ref(g)
+    cached(g)
+    del g
+    cached(a)
+    gc.collect()
+    assert ref() is not None
+    cached.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
+def test_cached_per_identity_gives_each_thread_its_own_argument():
+    # a miss reads its argument from a per-thread slot: with threads
+    # switching every few bytecodes, each structure still gets its own result
+    cached = groups._cached_per_identity(lambda g: g.name, maxsize=8)
+    structures = [cyclic_group(2, f"T{i}") for i in range(64)]
+    wrong = []
+
+    def work(part):
+        for _ in range(50):
+            wrong.extend(g.name for g in part if cached(g) != g.name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(structures[i::4],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_end_s3_count():
     s3 = symmetric_group(3)
     assert len(all_homs(s3, s3)) == 10
 
 
 def test_automorphisms_against_permutation_oracle():
-    for g in (cyclic_group(4), klein_four_group(), symmetric_group(3),
-              cyclic_group(8), quaternion_group()):
-        fast = {f.map for f in automorphisms(g)}
-        raw = set(raw_aut_maps(g.op))
-        assert fast == raw, g.name
+    # every group of the catalog, Z2^3 included: 5040 permutations at order 8
+    for g in group_catalog():
+        fast = [f.map for f in automorphisms(g)]
+        assert fast == sorted(raw_aut_maps(g.op)), g.name
+
+
+def test_automorphisms_skip_images_inside_the_earlier_image(monkeypatch):
+    # an image of a generator that lies in the image of the earlier
+    # generators' subgroup is skipped before _extend_map runs: Z2^3 closes
+    # 217 prefixes, and 168 complete maps pass the law, all of them bijective
+    z2_3 = next(g for g in group_catalog() if g.name == "Z2^3")
+    calls = []
+    extend_map = groups._extend_map
+    monkeypatch.setattr(groups, "_extend_map", lambda *args: calls.append(1) or extend_map(*args))
+    automorphisms.cache_clear()
+    try:
+        assert len(automorphisms(z2_3)) == 168
+    finally:
+        automorphisms.cache_clear()
+    assert len(calls) == 217
 
 
 def test_automorphism_group_is_a_group():

@@ -101,6 +101,23 @@ def test_self_action_count_s3():
     assert len(fast) == len(raw) == 10
 
 
+@pytest.mark.parametrize("name", ["D4", "Q8", "Z4xZ2", "Z8"])
+def test_order_8_self_actions_against_raw_row_oracle(name):
+    g = next(g for g in group_catalog() if g.name == name)
+    raw = raw_self_action_tables(g.op)
+    assert sorted(s.act for s in enumerate_self_actions(g)) == sorted(raw)
+
+
+@pytest.mark.slow
+def test_z2_cubed_self_actions_against_raw_row_oracle():
+    # the oracle's row search takes seconds on Z2^3: 168 automorphism rows
+    # for each of 7 elements, 736 tables
+    g = next(g for g in group_catalog() if g.name == "Z2^3")
+    raw = raw_self_action_tables(g.op)
+    assert len(raw) == 736
+    assert sorted(s.act for s in enumerate_self_actions(g)) == sorted(raw)
+
+
 def test_self_action_count_equals_hom_count_into_aut():
     # the stated oracle: |self-actions| = |Hom(G, Aut(G))| by raw map search
     from genxmod.oracles import raw_aut_maps
