@@ -10,7 +10,7 @@ commutation of ker s and ker t.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 
 from .crossed import ExtAction, GXMod, GXModMorphism
@@ -43,11 +43,14 @@ from .validation import (
     holds,
     prefixed,
     report,
+    structure,
 )
 
 
-@dataclass(frozen=True)
+@structure
 class GCat1:
+    """A generalized cat1-group: the endomorphisms s and t of the gwa object G."""
+
     G: GwaObject
     s: Hom
     t: Hom
@@ -168,8 +171,11 @@ cat1_to_gxmod.cache_clear = _cat1_image.cache_clear
 cat1_to_gxmod.cache_info = _cat1_image.cache_info
 
 
-@dataclass(frozen=True)
+@structure
 class GCat1Morphism:
+    """A homomorphism f of the G components preserving their self-actions and
+    commuting with s and with t."""
+
     source: GCat1
     target: GCat1
     f: Hom

@@ -61,10 +61,11 @@ from .validation import (
     holds,
     prefixed,
     report,
+    structure,
 )
 
 
-@dataclass(frozen=True)
+@structure
 class Covering:
     """A crossed module morphism <f, g>: total -> base with f an isomorphism."""
 
@@ -73,12 +74,14 @@ class Covering:
     f: Hom
     g: Hom
     name: str = field(default="", compare=False)
+    # covering_to_lifting(self), once built (see _kept_on_object)
+    _image: object = field(default=None, init=False, compare=False, repr=False)
 
     def as_morphism(self) -> GXModMorphism:
         return GXModMorphism(self.total, self.base, self.f, self.g)
 
 
-@dataclass(frozen=True)
+@structure
 class CoveringMorphism:
     """A crossed module morphism between the totals of two coverings of one base,
     commuting with both covering projections."""
@@ -90,7 +93,7 @@ class CoveringMorphism:
     name: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
+@structure
 class Lifting:
     """A factorization of base.alpha as omega o phi through the gwa object X."""
 
@@ -99,9 +102,11 @@ class Lifting:
     phi: Hom
     omega: Hom
     name: str = field(default="", compare=False)
+    # lifting_to_covering(self), once built (see _kept_on_object)
+    _image: object = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@structure
 class LiftingMorphism:
     """A homomorphism between the X components commuting with both triangles.
 
@@ -513,21 +518,20 @@ def _kept_on_object(functor):
     identity checks, and for the images of the endpoints of every
     shape-level morphism and of its image, so the first object of a shape
     has its image asked for once per morphism into or out of its shape.
-    The image is kept in o's __dict__, which a frozen dataclass leaves out
-    of eq, hash and repr: o compares and hashes as before.  Only the image
-    of o itself is kept, never seeded from elsewhere, so the image of an
-    image is built fresh on its own object and a round trip yields a new
-    object equal to o.
+    The image is kept in o's _image field, declared with init=False and
+    compare=False: o compares, hashes and prints as before, and a copy made
+    by dataclasses.replace starts without one.  Only the image of o itself
+    is kept, never seeded from elsewhere, so the image of an image is built
+    fresh on its own object and a round trip yields a new object equal to o.
     """
-    slot = f"_{functor.__name__}"
 
     @wraps(functor)
     def kept(o):
-        try:
-            return o.__dict__[slot]
-        except KeyError:
-            image = o.__dict__[slot] = functor(o)
-            return image
+        image = o._image
+        if image is None:
+            image = functor(o)
+            object.__setattr__(o, "_image", image)
+        return image
 
     return kept
 

@@ -14,7 +14,7 @@ of the axioms and is asserted, not assumed.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 
 from .groups import (
     Hom,
@@ -52,10 +52,11 @@ from .validation import (
     holds,
     prefixed,
     report,
+    structure,
 )
 
 
-@dataclass(frozen=True)
+@structure
 class ExtAction:
     """An action of the group of `actor` on the group of `space` by automorphisms.
 
@@ -87,7 +88,7 @@ EXT_ACTION_DETAILS = (
 )
 
 
-@dataclass(frozen=True)
+@structure
 class GXMod:
     """A generalized crossed module (A, B, alpha) with the action of B on A."""
 
@@ -160,8 +161,10 @@ def validate_gxmod_full(x: GXMod, max_violations: int = DEFAULT_MAX_VIOLATIONS) 
     return full.merged(validate_gxmod(x, max_violations))
 
 
-@dataclass(frozen=True)
+@structure
 class GXModMorphism:
+    """A pair f: A -> A', g: B -> B' commuting with alpha and the external actions."""
+
     source: GXMod
     target: GXMod
     f: Hom  # A -> A'

@@ -21,6 +21,7 @@ from .validation import (
     ValidationReport,
     holds,
     report,
+    structure,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -38,6 +39,11 @@ class GroupTable:
     op[g][h] is the index of g*h, identity the index of the neutral element
     and inv[g] the index of the inverse of g.  Constructors in this module
     always place the identity at index 0.
+
+    A plain frozen dataclass, not a @structure: a slotted dataclass takes no
+    weak reference before Python 3.11's weakref_slot, the identity-keyed
+    caches are tested by a weak reference to a table, and a run builds only
+    some fifty tables.
     """
 
     order: int
@@ -297,7 +303,7 @@ def quaternion_group() -> GroupTable:
 # homomorphisms
 
 
-@dataclass(frozen=True)
+@structure
 class Hom:
     """A map between two GroupTables, given elementwise.
 
@@ -377,8 +383,10 @@ def zero_hom(source: GroupTable, target: GroupTable) -> Hom:
 # subgroups
 
 
-@dataclass(frozen=True)
+@structure
 class Subgroup:
+    """The subgroup of parent with the given members."""
+
     parent: GroupTable
     members: tuple[int, ...]  # sorted
 

@@ -9,7 +9,7 @@ every act[g] distributes over the operation, i.e. acts by automorphisms.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .groups import (
     GroupTable,
@@ -32,16 +32,19 @@ from .validation import (
     ValidationReport,
     holds,
     report,
+    structure,
 )
 
 
-@dataclass(frozen=True)
+@structure
 class SelfAction:
+    """A self-action of group: act[g][h] is the index of ^g h."""
+
     group: GroupTable
     act: Table
 
 
-@dataclass(frozen=True)
+@structure
 class GwaObject:
     """A group together with a self-action: an object of the category of groups with action."""
 

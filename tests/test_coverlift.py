@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from genxmod.coverlift import (
@@ -525,8 +527,19 @@ def test_a_kept_image_leaves_eq_and_hash_alone(base_gx3, pool4):
     assert hash(l) == hash(fresh)
     assert repr(l) == repr(fresh)
     fresh_c = Covering(c.total, c.base, c.f, c.g, c.name)
-    covering_to_lifting(c)
+    back = covering_to_lifting(c)
     assert c == fresh_c and hash(c) == hash(fresh_c)
+    # a renamed copy starts without the kept image and builds its own
+    renamed = replace(l, name="x")
+    assert renamed == l and renamed._image is None
+    renamed_c = lifting_to_covering(renamed)
+    assert renamed_c is not c and renamed_c == c and renamed_c.name == "x"
+    assert lifting_to_covering(renamed) is renamed_c and lifting_to_covering(l) is c
+    renamed = replace(c, name="x")
+    assert renamed == c and renamed._image is None
+    renamed_l = covering_to_lifting(renamed)
+    assert renamed_l is not back and renamed_l == back and renamed_l.name == "x"
+    assert covering_to_lifting(renamed) is renamed_l and covering_to_lifting(c) is back
 
 
 def test_natural_lifting_to_covering_has_iso_g():
