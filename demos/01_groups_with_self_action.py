@@ -10,7 +10,6 @@ generalized theory is that any action qualifies.
 from genxmod import (
     conjugation_self_action,
     cyclic_group,
-    gwa,
     is_ideal,
     is_subobject,
     parity_inversion_action,
@@ -21,6 +20,7 @@ from genxmod import (
     validate_gwa_morphism,
 )
 from genxmod.fixtures import a3_members
+from genxmod.gwa import gwa
 
 # Z4 where odd elements invert: ^1 x = -x, ^2 x = x, ...
 z4 = cyclic_group(4)

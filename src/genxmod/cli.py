@@ -327,32 +327,9 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-# file name -> the builder of the fixture it holds
-_FIXTURES = {
-    "trivial.group.json": lambda: fixtures.fixture_groups()[0],
-    "z2.group.json": lambda: fixtures.fixture_groups()[1],
-    "z3.group.json": lambda: fixtures.fixture_groups()[2],
-    "z4.group.json": lambda: fixtures.fixture_groups()[3],
-    "v4.group.json": lambda: fixtures.fixture_groups()[4],
-    "s3.group.json": lambda: fixtures.fixture_groups()[5],
-    "z8.group.json": lambda: fixtures.fixture_groups()[6],
-    "z4_inversion.gwa.json": fixtures.z4_inversion_gwa,
-    "s3_conjugation.gwa.json": fixtures.s3_conjugation_gwa,
-    "gx1.gxmod.json": fixtures.gx1,
-    "gx2.gxmod.json": fixtures.gx2,
-    "gx3.gxmod.json": fixtures.gx3,
-    "a3_s3.gxmod.json": fixtures.a3_s3,
-    "inner_s3.gxmod.json": fixtures.inner_automorphism_gxmod,
-    "sign_module.gxmod.json": fixtures.zero_module_gxmod,
-    "v4_projection.cat1.json": fixtures.v4_projection_cat1,
-    "s3_identity.cat1.json": fixtures.s3_identity_cat1,
-    "z2_identity.cat1.json": fixtures.z2_identity_cat1,
-    "gx1_identity.covering.json": fixtures.fixture_covering,
-    "gx3_natural.lifting.json": fixtures.fixture_lifting,
-}
-# file name -> the builder of its document, as seed_fixtures and the
-# corruption corpus of the law-core tests read it
-FIXTURE_FILES = {name: (lambda build=build: doc_for(build())) for name, build in _FIXTURES.items()}
+# file name -> the builder of its document, for each of fixtures.FILES, as
+# seed_fixtures and the corruption corpus of the law-core tests read it
+FIXTURE_FILES = {name: (lambda build=build: doc_for(build())) for name, build in fixtures.FILES.items()}
 
 
 def seed_fixtures(directory: str) -> int:

@@ -10,6 +10,7 @@ alternating subgroup into S3 with conjugation everywhere.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .crossed import ExtAction, GXMod, from_invariant_subgroup
 from .cat1 import GCat1
@@ -112,13 +113,12 @@ def zero_module_gxmod() -> GXMod:
     structure map sends everything to the identity.
     """
     m = gwa(cyclic_group(3), name="Z3")
-    s3 = symmetric_group(3)
-    b = GwaObject(s3, conjugation_self_action(s3), "S3-conj")
+    b = s3_conjugation_gwa()
     idr = (0, 1, 2)
     inv = (0, 2, 1)
     # odd permutations invert the module
     signs = [idr if _perm_sign(i) == 1 else inv for i in range(6)]
-    return GXMod(m, b, zero_hom(m.group, s3), ExtAction(b, m, tuple(signs)), "sign-module")
+    return GXMod(m, b, zero_hom(m.group, b.group), ExtAction(b, m, tuple(signs)), "sign-module")
 
 
 def _perm_sign(index: int) -> int:
@@ -146,30 +146,19 @@ def z2_identity_cat1() -> GCat1:
 
 
 def fixture_groups() -> tuple[GroupTable, ...]:
-    return (
-        trivial_group(),
-        cyclic_group(2),
-        cyclic_group(3),
-        cyclic_group(4),
-        klein_four_group(),
-        symmetric_group(3),
-        cyclic_group(8),
-    )
+    return _built(".group.json")
 
 
 def fixture_gwas() -> tuple[GwaObject, ...]:
-    out = [gwa(g) for g in fixture_groups()]
-    out.append(z4_inversion_gwa())
-    out.append(s3_conjugation_gwa())
-    return tuple(out)
+    return (*map(gwa, fixture_groups()), *_built(".gwa.json"))
 
 
 def fixture_gxmods() -> tuple[GXMod, ...]:
-    return (gx1(), gx2(), gx3(), a3_s3(), inner_automorphism_gxmod(), zero_module_gxmod())
+    return _built(".gxmod.json")
 
 
 def fixture_cat1s() -> tuple[GCat1, ...]:
-    return (v4_projection_cat1(), s3_identity_cat1(), z2_identity_cat1())
+    return _built(".cat1.json")
 
 
 def fixture_lifting() -> Lifting:
@@ -178,3 +167,35 @@ def fixture_lifting() -> Lifting:
 
 def fixture_covering() -> Covering:
     return identity_covering(gx1())
+
+
+# file name -> the builder of the fixture it holds, the one list of the
+# shipped fixtures: the CLI writes each to its file, and the fixture_*
+# tuples above take theirs from it by suffix, in its order
+FILES = {
+    "trivial.group.json": trivial_group,
+    "z2.group.json": partial(cyclic_group, 2),
+    "z3.group.json": partial(cyclic_group, 3),
+    "z4.group.json": partial(cyclic_group, 4),
+    "v4.group.json": klein_four_group,
+    "s3.group.json": partial(symmetric_group, 3),
+    "z8.group.json": partial(cyclic_group, 8),
+    "z4_inversion.gwa.json": z4_inversion_gwa,
+    "s3_conjugation.gwa.json": s3_conjugation_gwa,
+    "gx1.gxmod.json": gx1,
+    "gx2.gxmod.json": gx2,
+    "gx3.gxmod.json": gx3,
+    "a3_s3.gxmod.json": a3_s3,
+    "inner_s3.gxmod.json": inner_automorphism_gxmod,
+    "sign_module.gxmod.json": zero_module_gxmod,
+    "v4_projection.cat1.json": v4_projection_cat1,
+    "s3_identity.cat1.json": s3_identity_cat1,
+    "z2_identity.cat1.json": z2_identity_cat1,
+    "gx1_identity.covering.json": fixture_covering,
+    "gx3_natural.lifting.json": fixture_lifting,
+}
+
+
+def _built(suffix: str) -> tuple:
+    """The fixtures of the files named with suffix, in FILES order."""
+    return tuple(build() for name, build in FILES.items() if name.endswith(suffix))

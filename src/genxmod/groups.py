@@ -221,20 +221,12 @@ def direct_product(a: GroupTable, b: GroupTable, name: str = "") -> GroupTable:
     return GroupTable(n, _freeze(op), 0, inv, name or f"{a.name}x{b.name}")
 
 
-def _perm_group(perms: list[tuple[int, ...]], name: str) -> GroupTable:
+def _perm_group(perms, name: str) -> GroupTable:
+    """perms in sorted order, p * q applying q first; group_from_op finds the
+    identity and the inverses."""
     perms = sorted(perms)
     index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    op = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            op[i][j] = index[tuple(p[q[k]] for k in range(len(p)))]
-    table = _freeze(op)
-    identity = index[tuple(range(len(perms[0])))]
-    inv = []
-    for i in range(n):
-        inv.append(next(j for j in range(n) if table[i][j] == identity))
-    return GroupTable(n, table, identity, tuple(inv), name)
+    return group_from_op([[index[tuple(p[k] for k in q)] for q in perms] for p in perms], name)
 
 
 def symmetric_group(n: int) -> GroupTable:
@@ -251,19 +243,10 @@ def klein_four_group() -> GroupTable:
 
 
 def dihedral_group(n: int) -> GroupTable:
-    """Dihedral group of order 2n as permutations of the n-gon's vertices."""
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((n - i) % n for i in range(n))
-    perms = set()
-    frontier = [tuple(range(n))]
-    while frontier:
-        p = frontier.pop()
-        if p in perms:
-            continue
-        perms.add(p)
-        for gen in (rot, ref):
-            frontier.append(tuple(gen[p[k]] for k in range(n)))
-    return _perm_group(sorted(perms), f"D{n}")
+    """Dihedral group of order 2n as permutations of the n-gon's vertices,
+    i -> i + k and i -> k - i; for n <= 2 some of these coincide."""
+    perms = {tuple((s * i + k) % n for i in range(n)) for s in (1, -1) for k in range(n)}
+    return _perm_group(perms, f"D{n}")
 
 
 def quaternion_group() -> GroupTable:
@@ -477,20 +460,6 @@ def map_through(key, value, size: int, what: str) -> Map:
     if None in out:
         raise StructuralError(f"{what} not defined at {out.index(None)}: its fibre is empty")
     return tuple(out)
-
-
-def subgroup_closure(parent: GroupTable, gens) -> Subgroup:
-    s = {parent.identity}
-    frontier = list(s)
-    gens = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (parent.op[x][g], parent.op[g][x]):
-                if y not in s:
-                    s.add(y)
-                    frontier.append(y)
-    return Subgroup(parent, tuple(sorted(s)))
 
 
 def kernel(f: Hom) -> Subgroup:

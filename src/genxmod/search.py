@@ -575,9 +575,10 @@ def verify_equivalence(
     Each side is a _Category record: its objects, the quotient of its
     morphisms by object shape, and the functor out of it.  One check path
     runs from liftings to coverings and from coverings to liftings: object
-    images, morphism images, the identity and composition laws, and the
-    search for the canonical liftings (natural, image, self) and the
-    identity covering, each up to isomorphism.
+    images, with the identity law on each object in the same pass
+    (_object_images), morphism images, the composition law, and the search
+    for the canonical liftings (natural, image, self) and the identity
+    covering, each up to isomorphism, in one loop over both sides.
 
     An object's shape is the object without the self-action of its varying
     group (X of a lifting, B~ of a covering's total), which no morphism law
@@ -640,27 +641,21 @@ def verify_equivalence(
         functor_on_morphism=functor_on_covering_morphism,
     )
 
-    # canonical members the pool must support
-    for label, wanted in (
-        ("natural lifting", _try(natural_lifting, base)),
-        ("image lifting", _try(image_lifting, base)),
-        ("self lifting", _try(self_lifting, base)),
+    # canonical members the pool must support, each in its own category; the
+    # pool must hold its varying group, X or B~, the last of its groups
+    for label, build, category in (
+        ("natural lifting", natural_lifting, liftings),
+        ("image lifting", image_lifting, liftings),
+        ("self lifting", self_lifting, liftings),
+        ("identity covering", identity_covering, coverings),
     ):
+        wanted = _try(build, base)
         if wanted is None:
             incomplete.append(f"{label}: construction not available")
-        elif wanted.X.order > pool.order_bound:
-            incomplete.append(
-                f"{label}: requires a group of order {wanted.X.order} beyond bound {pool.order_bound}"
-            )
-        elif not liftings.has_up_to_iso(wanted):
+        elif (order := category.groups(wanted)[-1].order) > pool.order_bound:
+            incomplete.append(f"{label}: requires a group of order {order} beyond bound {pool.order_bound}")
+        elif not category.has_up_to_iso(wanted):
             incomplete.append(f"{label}: not found in the enumerated pool")
-    if base.B.order <= pool.order_bound:
-        if not coverings.has_up_to_iso(identity_covering(base)):
-            incomplete.append("identity covering: not found in the enumerated pool")
-    else:
-        incomplete.append(
-            f"identity covering: requires a group of order {base.B.order} beyond bound {pool.order_bound}"
-        )
 
     inexact: list[int] = []
     witnesses: list[CoveringMorphism] = []
@@ -701,8 +696,6 @@ def verify_equivalence(
     c2l = _object_images(coverings, liftings, covering_round_trip, tally)
     lifting_images = _morphism_images(liftings, coverings, l2c, lifting_unit_square, tally)
     covering_images = _morphism_images(coverings, liftings, c2l, covering_unit_square, tally)
-    for source, target in ((liftings, coverings), (coverings, liftings)):
-        _identity_law(source, target, tally)
     _composition_law(liftings, lifting_images, tally)
     _composition_law(coverings, covering_images, tally)
 
@@ -757,7 +750,7 @@ class _Category:
     between enumerates Hom(o1, o2), shape gives what of an object between
     and law read, varying the self-action the shape leaves out, components
     gives a morphism's maps, (f) or (f, g), groups an object's groups those
-    maps run between, law their violations, and identity an object's
+    maps run between, its varying group (X or B~) last, law their violations, and identity an object's
     identity morphism.  shapes numbers each object's shape, in object order
     (shape_ids), and positions gives each object's position by its shape id
     and varying self-action (find); firsts and reps hold the position and
@@ -893,8 +886,12 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
 
     The morphism-level checks read the images of the first object of each
     shape only, so each object's image must have the shape of its first
-    object's image.
+    object's image.  The same pass checks the identity law on every object:
+    the image of its identity morphism is the identity of its image.  The
+    law stays per object, not per shape: a functor can break it on one
+    object of a shape and on no other.
     """
+    identity_broken = f"functor law: identity {source.label} morphism not preserved"
     positions = []
     image_shapes: dict[int, object] = {}
     for i, (o, s) in enumerate(zip(source.objects, source.shapes)):
@@ -907,6 +904,9 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
             tally.failures.append(f"{source.label} {i}: functor image shape differs within its shape")
         positions.append(j)
         round_trip(i, o, image)
+        identity_image = source.functor_on_morphism(source.identity(o))
+        preserved = target.components(identity_image) == target.components(target.identity(image))
+        tally.check("functor_law", preserved, identity_broken)
     return tuple(positions)
 
 
@@ -966,15 +966,6 @@ def _morphism_images(
                 tally.check("morphism", valid, invalid, weight)
             unit_square(m, target.functor_on_morphism(image), weight)
     return images, source_ids, image_ids
-
-
-def _identity_law(source: _Category, target: _Category, tally: _Tally) -> None:
-    """The image of the identity of each object is the identity of its image."""
-    for o in source.objects:
-        image = source.functor_on_morphism(source.identity(o))
-        expected = target.identity(source.functor(o))
-        preserved = target.components(image) == target.components(expected)
-        tally.check("functor_law", preserved, f"functor law: identity {source.label} morphism not preserved")
 
 
 def _composition_law(source: _Category, numbered: tuple[dict, dict, dict], tally: _Tally) -> None:

@@ -67,6 +67,48 @@ def test_standard_groups_valid():
         assert report.ok, report.summary()
 
 
+def _searched_perm_group(perms, name):
+    # a permutation group as it was built before group_from_op found its
+    # identity and inverses: sort, compose, then search for both
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    op = tuple(tuple(index[tuple(p[q[k]] for k in range(len(p)))] for q in perms) for p in perms)
+    identity = index[tuple(range(len(perms[0])))]
+    inv = tuple(next(j for j in range(n) if op[i][j] == identity) for i in range(n))
+    return n, op, identity, inv, name
+
+
+def _closed_dihedral(n):
+    # D_n as the closure of {rotation, reflection} from the identity
+    rot = tuple((i + 1) % n for i in range(n))
+    ref = tuple((n - i) % n for i in range(n))
+    perms = set()
+    frontier = [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        if p not in perms:
+            perms.add(p)
+            frontier.extend(tuple(gen[p[k]] for k in range(n)) for gen in (rot, ref))
+    return _searched_perm_group(perms, f"D{n}")
+
+
+def _fields(g):
+    return g.order, g.op, g.identity, g.inv, g.name
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dihedral_group_equals_the_closure_of_rotation_and_reflection(n):
+    # D1 and D2 included: there the maps i -> +-i + k repeat some permutations
+    assert _fields(dihedral_group(n)) == _closed_dihedral(n)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_symmetric_group_equals_the_searched_permutation_table(n):
+    expected = _searched_perm_group(list(itertools.permutations(range(n))), f"S{n}")
+    assert _fields(symmetric_group(n)) == expected
+
+
 def test_corrupted_z4_associativity_witness():
     # spec example, expected value frozen from the triple-loop oracle:
     # with op(1,1) := 3 the lex-first failing triple is (1,1,2)

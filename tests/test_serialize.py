@@ -9,6 +9,7 @@ from genxmod.cat1 import GCat1
 from genxmod.coverlift import Covering, Lifting
 from genxmod.crossed import GXMod
 from genxmod.fixtures import (
+    FILES,
     a3_s3,
     fixture_covering,
     fixture_lifting,
@@ -31,7 +32,7 @@ from genxmod.serialize import (
     load_gxmod_doc,
     load_lifting_doc,
 )
-from genxmod import cli, coverlift, search, serialize
+from genxmod import coverlift, search, serialize
 from genxmod.search import (
     EquivalenceReport,
     enumerate_coverings,
@@ -75,7 +76,7 @@ def test_docs_of_an_enumeration_equal_the_docs_one_by_one(base_gx3, pool4):
     # dumps writes a structure straight from it, with the bytes of its document
     liftings = enumerate_liftings(base_gx3, pool4)
     coverings = enumerate_coverings(base_gx3, pool4)
-    fixtures = [build() for build in cli._FIXTURES.values()]
+    fixtures = [build() for build in FILES.values()]
     for o in (*liftings, *coverings, *fixtures):
         assert dumps(o) == dumps(doc_for(o))
     # and so does the report, inside which they are written
@@ -92,7 +93,7 @@ def test_docs_of_an_enumeration_equal_the_docs_one_by_one(base_gx3, pool4):
 
 
 def test_kind_of_and_doc_for_take_structures_only():
-    for build in cli._FIXTURES.values():
+    for build in FILES.values():
         assert kind_of(build()) == detect_kind(doc_for(build()))
     for obj in (Hom(gx1().A.group, gx1().B.group, (0, 1)), 5, [gx1()]):
         with pytest.raises(StructuralError, match="cannot serialize"):
