@@ -589,9 +589,13 @@ def verify_equivalence(
     morphism-level check runs once per morphism of those hom-sets,
     counting for the n(s1) * n(s2) morphisms between objects of shapes s1
     and s2 (n(s) objects have shape s); a composable pair s1 -> s2 -> s3
-    counts for n(s1) * n(s2) * n(s3) pairs, and the composition law runs on
-    integer ids of the maps, composing each distinct pair of maps once
-    (_composition_law).  This rests on the functors
+    counts for n(s1) * n(s2) * n(s3) pairs.  A morphism's image is valid
+    when its maps are listed in the target hom-set between its endpoints'
+    shapes, and the laws run only on an image that is not listed
+    (_morphism_images).  The composition law runs on the class ids of
+    (maps, image maps) pairs, composing each distinct pair of maps once
+    and deciding each composable pair by one lookup and one membership
+    test (_composition_law).  This rests on the functors
     sending objects of one shape to objects of one shape, which is checked
     object by object, and morphisms with the same maps between objects of
     the same shapes to morphisms with the same maps.  A category with more
@@ -757,7 +761,9 @@ class _Category:
     the object of the first object of each shape, and counts the number of
     objects with it.  homs holds between(reps[s1], reps[s2]) keyed by
     (s1, s2), count the number of morphisms between objects it lists, and
-    cut says there were more than the cap (_shape_homs).
+    cut says there were more than the cap (_shape_homs).  listed keeps the
+    set of maps of each hom-set that lists has been asked about, until
+    _morphism_images is done with it.
     """
 
     def __init__(
@@ -785,6 +791,7 @@ class _Category:
         self.reps = tuple(objects[i] for i in self.firsts)
         self.counts = tuple(Counter(self.shapes).values())
         self.homs, self.count, self.cut = _shape_homs(self.shapes, self.reps, between, cap)
+        self.listed: dict[tuple[int, int], set[tuple[Map, ...]]] = {}
 
     def find(self, o, shape=None) -> int:
         """o's position among the objects, -1 when it is none of them; shape
@@ -801,6 +808,19 @@ class _Category:
 
     def maps(self, m) -> tuple[Map, ...]:
         return tuple(h.map for h in self.components(m))
+
+    def lists(self, ends: tuple[int, int], maps: tuple[Map, ...]) -> bool:
+        """Some morphism of homs[ends] has these maps; no hom-set is keyed
+        by a shape id of -1, so an end that is no object's shape lists none.
+
+        A hom-set holds every map that passes the laws between objects of
+        those shapes and fits their groups, and no other, so maps listed
+        here are valid between any objects of those shapes.
+        """
+        listed = self.listed.get(ends)
+        if listed is None:
+            listed = self.listed[ends] = {self.maps(x) for x in self.homs.get(ends, ())}
+        return maps in listed
 
     def is_valid(self, m) -> bool:
         """m's maps fit the groups of its endpoints, and its laws hold.
@@ -912,29 +932,37 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
 
 def _morphism_images(
     source: _Category, target: _Category, image_positions: tuple[int, ...], unit_square, tally: _Tally
-) -> tuple[dict, dict, dict]:
+) -> tuple[dict, dict, dict, dict]:
     """Each morphism of source.homs has as image a valid morphism of target
     whose maps are among those of the target hom-set between the shapes of
     the image's endpoints, and unit_square(m, back, weight) checks the
     image's way back, back = target.functor_on_morphism(image), against m.
     Each check stands for the n(s1) * n(s2) morphisms of Hom(s1, s2) between
     objects.  image_positions gives each source object's image's position
-    in target, as _object_images returns them.  An endpoint that is not an
-    enumerated object has no shape, so no image with it is enumerated; a
-    cut target lists only some of its morphisms, so there an image is
-    checked for validity alone.
+    in target, as _object_images returns them.
 
-    Returns (images, source_ids, image_ids): each distinct maps tuple of a
-    morphism is numbered in source_ids, and of an image in image_ids, and
-    images[s1, s2][id of m's maps] is the id of its image's maps.  A cut
-    category runs no morphism-level check, and has no images.
+    Validity is decided by membership: the target hom-set between two
+    shapes holds exactly the maps that pass every law between objects of
+    those shapes (target.lists), so a listed image is valid, and
+    target.is_valid runs only on an image that is not listed, to tell an
+    invalid image from a valid one that is not enumerated.  An endpoint that
+    is not an enumerated object has no shape, so no image with it is
+    listed.  A cut target lists only some of its morphisms, so there every
+    image is checked for validity alone.
+
+    Returns (images, classes, source_ids, image_ids): each distinct maps
+    tuple of a morphism is numbered in source_ids, and of an image in
+    image_ids; each distinct pair (id of m's maps, id of its image's maps)
+    is numbered in classes, and images[s1, s2] sends the class of each
+    morphism of Hom(s1, s2), in hom-set order, to the id of its maps.  A
+    cut category runs no morphism-level check, and has no images.
     """
     invalid = f"{source.label} morphism: functor image invalid"
     unlisted = f"{source.label} morphism: functor image not among enumerated {target.label} morphisms"
     images: dict[tuple[int, int], dict[int, int]] = {}
+    classes: dict[tuple[int, int], int] = {}
     source_ids: dict[tuple[Map, ...], int] = {}
     image_ids: dict[tuple[Map, ...], int] = {}
-    listed: dict[tuple[int, int], set[tuple[Map, ...]]] = {}
     # the endpoints of each morphism of source.homs are the first objects of
     # their shapes, and the functor keeps each object's image on the object:
     # an image endpoint that is the kept image of the first object of shape
@@ -955,72 +983,88 @@ def _morphism_images(
         for m in homs:
             image = source.functor_on_morphism(m)
             maps = target.maps(image)
-            found[source_ids.setdefault(source.maps(m), len(source_ids))] = image_ids.setdefault(maps, len(image_ids))
-            valid = target.is_valid(image)
-            if valid and not target.cut:
-                ends = shape_id(image.source, s1), shape_id(image.target, s2)
-                if ends not in listed:
-                    listed[ends] = {target.maps(x) for x in target.homs.get(ends, ())}
-                tally.check("morphism", maps in listed[ends], unlisted, weight)
+            c = source_ids.setdefault(source.maps(m), len(source_ids))
+            found[classes.setdefault((c, image_ids.setdefault(maps, len(image_ids))), len(classes))] = c
+            if target.cut:
+                tally.check("morphism", target.is_valid(image), invalid, weight)
             else:
-                tally.check("morphism", valid, invalid, weight)
+                listed = target.lists((shape_id(image.source, s1), shape_id(image.target, s2)), maps)
+                tally.check("morphism", listed, unlisted if listed or target.is_valid(image) else invalid, weight)
             unit_square(m, target.functor_on_morphism(image), weight)
-    return images, source_ids, image_ids
+    # no later check looks an image up, and the sets would outlive the
+    # composition law's memos
+    target.listed.clear()
+    return images, classes, source_ids, image_ids
 
 
-def _composition_law(source: _Category, numbered: tuple[dict, dict, dict], tally: _Tally) -> None:
+def _composition_law(source: _Category, numbered: tuple[dict, dict, dict, dict], tally: _Tally) -> None:
     """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
 
-    numbered is what _morphism_images returns: images[s1, s2] sends the id
-    of each morphism's maps to the id of its image's maps.  The law runs
-    once per composable pair of morphisms of Hom(s1, s2) and Hom(s2, s3),
-    and stands for the n(s1) * n(s2) * n(s3) pairs between objects with
-    their maps.  The composite's maps are looked up among those of
-    Hom(s1, s3): a composite with none shows the category is not closed
-    under composition, and one whose image is not the composite of the
-    images breaks the law.
+    numbered is what _morphism_images returns: images[s1, s2] holds the
+    class, a numbered pair (maps, image maps), of each morphism of
+    Hom(s1, s2).  The law runs once per composable pair of morphisms of
+    Hom(s1, s2) and Hom(s2, s3), and stands for the n(s1) * n(s2) * n(s3)
+    pairs between objects with their maps.  A pair passes iff the class of
+    (composite of the maps, composite of the images) is among those of
+    Hom(s1, s3): some morphism there has the composite's maps, and its
+    image is the composite of the images.  A failing pair is told apart
+    only then: a composite whose maps no morphism of Hom(s1, s3) has shows
+    the category is not closed under composition, and any other failure
+    breaks the law.
 
-    Composites are memoized by the ids of their two maps, one memo for the
-    morphisms and one for the images, so each distinct pair of maps is
-    composed once however many composable pairs carry it.  A composite that
-    no morphism has, or no image, gets the id -1, which no hom-set holds.
+    The composite class is memoized by the two classes for the rest of the
+    check, so each pair passes or fails with one lookup and one membership
+    test.  The composites of the images are memoized by the ids of their
+    maps, so each distinct pair of maps, of the morphisms or of the images,
+    is composed once however many composable pairs carry it while the
+    image is a function of the maps.  A composite that no morphism has, or
+    no image, or whose pair is no class, gets -1, which no hom-set holds.
     """
-    images, source_ids, image_ids = numbered
+    images, classes, source_ids, image_ids = numbered
     out_of: dict[int, list] = {}
     for (s2, s3), second in images.items():
         out_of.setdefault(s2, []).append((s3, second))
     missing = f"functor law: composite of {source.label} morphisms not enumerated"
     broken = f"functor law: composition of {source.label} morphisms not preserved"
     n = source.counts
-    # the pair of ids (outer, inner) is keyed inner * (number of ids) + outer
-    source_maps, image_maps = list(source_ids), list(image_ids)
-    ns, ni = len(source_maps), len(image_maps)
+    pairs, source_maps, image_maps = list(classes), list(source_ids), list(image_ids)
+    # a pair of classes (outer, inner) is keyed inner * (number of classes)
+    # + outer, and a pair of image ids so too
+    nk, ni = len(pairs), len(image_maps)
     composites: dict[int, int] = {}
     image_composites: dict[int, int] = {}
+
+    def composite_maps(k1: int, k2: int) -> int:
+        return source_ids.get(_composite(source_maps[pairs[k2][0]], source_maps[pairs[k1][0]]), -1)
+
+    def composite_class(k1: int, k2: int) -> int:
+        c = composite_maps(k1, k2)
+        if c < 0:
+            return -1
+        img_key = pairs[k1][1] * ni + pairs[k2][1]
+        img = image_composites.get(img_key)
+        if img is None:
+            img = image_composites[img_key] = image_ids.get(
+                _composite(image_maps[pairs[k2][1]], image_maps[pairs[k1][1]]), -1
+            )
+        return classes.get((c, img), -1)
+
     passed = 0
     for (s1, s2), first in images.items():
         for s3, second in out_of.get(s2, ()):
             weight = n[s1] * n[s2] * n[s3]
             direct = images.get((s1, s3), {})
-            for c1, img1 in first.items():
-                c1_key, img1_key = c1 * ns, img1 * ni
-                for c2, img2 in second.items():
-                    c = composites.get(c1_key + c2)
-                    if c is None:
-                        c = composites[c1_key + c2] = source_ids.get(_composite(source_maps[c2], source_maps[c1]), -1)
-                    img = direct.get(c)
-                    if img is None:
-                        tally.check("functor_law", False, missing, weight)
-                        continue
-                    expected = image_composites.get(img1_key + img2)
-                    if expected is None:
-                        expected = image_composites[img1_key + img2] = image_ids.get(
-                            _composite(image_maps[img2], image_maps[img1]), -1
-                        )
-                    if img == expected:
+            for k1 in first:
+                k1_key = k1 * nk
+                for k2 in second:
+                    k = composites.get(k1_key + k2)
+                    if k is None:
+                        k = composites[k1_key + k2] = composite_class(k1, k2)
+                    if k in direct:
                         passed += weight
                     else:
-                        tally.check("functor_law", False, broken, weight)
+                        closed = composite_maps(k1, k2) in direct.values()
+                        tally.check("functor_law", False, broken if closed else missing, weight)
     tally["functor_law", True] += passed
 
 

@@ -1037,6 +1037,14 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
         return is_valid(category, m)
 
     monkeypatch.setattr(search._Category, "is_valid", counted_is_valid)
+    looked_up = Counter()
+    lists = search._Category.lists
+
+    def counted_lists(category, ends, maps):
+        looked_up[category.label] += 1
+        return lists(category, ends, maps)
+
+    monkeypatch.setattr(search._Category, "lists", counted_lists)
     rep = verify_equivalence(base_gx3, pool4)
 
     # the images <1_A, f> and the round-trip witnesses <f, 1> add no input
@@ -1048,13 +1056,16 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     assert searches["lifting_morphisms_between"] == 9 * 9
     # the 5020 covering morphisms between objects are 412 between the first
     # objects of each pair of shapes, and the 1255 lifting morphisms 103: the
-    # lifting side validates the images of those 412, the covering side
-    # those of the 103 and one round-trip witness per pair of shapes of a
-    # covering and its round-trip image, 18 for the 54 coverings
+    # images of those 412 are looked up among the lifting hom-sets, and of
+    # those 103 among the covering hom-sets, and every one is listed there,
+    # so no image runs the laws; only the round-trip witnesses are
+    # validated, one per pair of shapes of a covering and its round-trip
+    # image, 18 for the 54 coverings
     assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
     assert (sum(map(len, rep.covering_homs.values())), sum(map(len, rep.lifting_homs.values()))) == (412, 103)
-    assert validated["lifting"] == 412
-    assert validated["covering"] == 103 + 18
+    assert looked_up == {"lifting": 412, "covering": 103}
+    assert validated["lifting"] == 0
+    assert validated["covering"] == 18
     assert len(rep.roundtrip_covering_witnesses) == 54
     assert rep.ok
     assert (rep.morphism_checks_passed, rep.functor_law_checks_passed, rep.naturality_checks_passed) == (
@@ -1093,6 +1104,79 @@ def test_composites_are_built_once_per_distinct_pair_of_maps(base_gx3, pool4, mo
     }
     assert rep.ok
     assert rep.functor_law_checks_passed == 546912
+
+
+def _checked_with_images(monkeypatch, base, pool):
+    """verify_equivalence(base, pool), and (source, target, returned) for
+    each of its _morphism_images calls, in call order."""
+    calls = []
+    morphism_images = search._morphism_images
+
+    def recorded(source, target, *args):
+        returned = morphism_images(source, target, *args)
+        calls.append((source, target, returned))
+        return returned
+
+    monkeypatch.setattr(search, "_morphism_images", recorded)
+    return verify_equivalence(base, pool), calls
+
+
+_SHIPPED_CHECKS = pytest.mark.parametrize(
+    "fixture, bound", [(gx1, 4), (gx3, 4), (a3_s3, 6)], ids=["gx1-4", "gx3-4", "a3s3-6"]
+)
+
+
+@_SHIPPED_CHECKS
+def test_a_morphism_image_listed_between_its_shapes_is_valid(monkeypatch, fixture, bound):
+    # the premise of deciding an image's validity by membership: a hom-set
+    # holds only maps that pass every law between objects of its shapes, so
+    # an image whose maps are listed between its endpoints' shapes is valid,
+    # and the check need not run the laws on it
+    rep, calls = _checked_with_images(monkeypatch, fixture(), standard_pool(bound))
+    assert rep.ok
+    assert [(source.label, target.label) for source, target, _ in calls] == [
+        ("lifting", "covering"), ("covering", "lifting")
+    ]
+    for source, target, _ in calls:
+        listed = 0
+        for homs in source.homs.values():
+            for m in homs:
+                image = source.functor_on_morphism(m)
+                ends = tuple(target.shapes[target.find(end)] for end in (image.source, image.target))
+                if target.maps(image) in {target.maps(x) for x in target.homs.get(ends, ())}:
+                    listed += 1
+                    assert target.is_valid(image)
+        # on a check that passes, every image is listed
+        assert listed == sum(map(len, source.homs.values()))
+
+
+@_SHIPPED_CHECKS
+def test_a_morphism_image_is_a_function_of_its_maps(monkeypatch, fixture, bound):
+    # each class is a distinct pair (maps, image maps) of a shape-level
+    # morphism: as many classes as distinct maps means that the image's maps
+    # depend on the morphism's maps alone, not on the shapes it lies between
+    rep, calls = _checked_with_images(monkeypatch, fixture(), standard_pool(bound))
+    assert rep.ok
+    for _, _, (images, classes, source_ids, _) in calls:
+        assert len(classes) == len(source_ids)
+        # images[s1, s2] sends each class to the id of its maps
+        assert {(c, k) for found in images.values() for k, c in found.items()} == {
+            (c, k) for (c, _), k in classes.items()
+        }
+
+
+@pytest.mark.parametrize("side", ["lifting", "covering"])
+@pytest.mark.parametrize("fixture, bound", [(gx1, 4), (gx3, 4)], ids=["gx1-4", "gx3-4"])
+def test_an_image_that_reads_the_shapes_gives_more_classes_than_maps(monkeypatch, fixture, bound, side):
+    # under the "shape pair" seeded fault one morphism's image maps differ
+    # between pairs of shapes, so its maps fall in two classes; the
+    # composition law on class ids still agrees with the reference
+    base, pool = fixture(), standard_pool(bound)
+    monkeypatch.setattr(search, *_seeded_fault("shape pair", fixture, bound, side))
+    rep, calls = _checked_with_images(monkeypatch, base, pool)
+    numbered = {source.label: (len(classes), len(ids)) for source, _, (_, classes, ids, _) in calls}
+    assert numbered[side][0] > numbered[side][1]
+    assert _summary(rep) == _reference_summary(base, pool)
 
 
 @pytest.mark.parametrize("base, bound", [("base_gx1", 4), ("base_gx3", 4), ("base_a3s3", 4)])
@@ -1460,6 +1544,21 @@ def test_the_uncapped_bound_8_check_on_gx1():
     assert rep.functor_law_checks_passed == 141_839_233_731_652
     assert rep.morphism_checks_passed == 2_044_685_043
     assert rep.naturality_checks_passed == 681_561_681
+    assert (rep.functor_law_checks_failed, rep.morphism_checks_failed, rep.naturality_checks_failed) == (0, 0, 0)
+    assert rep.failures == ()
+
+
+@pytest.mark.slow
+def test_the_uncapped_bound_8_check_on_gx3():
+    # gx3/8 in full, which the command line cuts at the default cap: 77
+    # lifting and 154 covering shapes
+    rep = verify_equivalence(gx3(), standard_pool(8), max_morphisms=10**12)
+    assert rep.ok and not rep.truncated
+    assert (len(set(rep.lifting_shapes)), len(set(rep.covering_shapes))) == (77, 154)
+    assert (rep.lifting_morphism_count, rep.covering_morphism_count) == (685_799_223, 2_743_196_892)
+    assert rep.functor_law_checks_passed == 642_211_673_089_296
+    assert rep.morphism_checks_passed == 4_114_795_338
+    assert rep.naturality_checks_passed == 2_743_196_892
     assert (rep.functor_law_checks_failed, rep.morphism_checks_failed, rep.naturality_checks_failed) == (0, 0, 0)
     assert rep.failures == ()
 
