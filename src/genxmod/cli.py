@@ -67,6 +67,7 @@ from .serialize import (
     doc_for,
     dumps,
     equivalence_report_json,
+    json_lines,
     kind_of,
     load_any,
     load_transport_homs,
@@ -255,7 +256,7 @@ def cmd_enumerate(args) -> int:
     else:
         _, base = _input(args.input, "gxmod")
         found = enumerate_coverings(base, standard_pool(args.bound))
-    _write("".join(map(dumps, found)), args.out)
+    _write(json_lines(found), args.out)
     return EXIT_OK
 
 

@@ -17,10 +17,11 @@ dumps writes any of these structures, or a JSON value that holds them, as
 canonical bytes: sorted keys, compact separators, trailing newline; equal
 structures serialize identically.  It builds no document: json.dumps asks
 its default hook (_document) for each structure's document one level deep,
-and writes the parts, maps and tables straight from the structures.  Nothing
-is cached, so a part that many objects share is written out in full in each.
-doc_for gives a structure's parsed document, with lists, as the loaders
-read it.
+and writes the parts, maps and tables straight from the structures.  A
+sequence of structures, and the lines json_lines writes, go through
+_shared_texts instead, which writes each part that several items share
+once per call.  doc_for gives a structure's parsed document, with lists, as
+the loaders read it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,24 @@ from .validation import StructuralError
 
 
 def dumps(value: Any) -> str:
+    """value as canonical JSON with a trailing newline.
+
+    A single structure or JSON value is written by json's encoder, which
+    asks _document for each structure met.  A list or tuple whose first
+    item is a structure is written from _shared_texts, with the same bytes.
+    """
+    if type(value) in (list, tuple) and value and type(value[0]) in _DOCUMENTS:
+        return "[" + ",".join(_shared_texts(value)) + "]\n"
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_document) + "\n"
+
+
+def json_lines(items) -> str:
+    """Each item's canonical JSON on a line of its own: the bytes of
+    "".join(map(dumps, items)), written through one _shared_texts call."""
+    texts = _shared_texts(items)
+    # the empty last text ends the last line: one join, no copy of the output
+    texts.append("")
+    return "\n".join(texts)
 
 
 def _gwa_document(g: GwaObject) -> dict:
@@ -74,6 +92,56 @@ def _document(obj):
     if write is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     return write(obj)
+
+
+# the encoder of a leaf value (a map, a table, a string or a number) in
+# _shared_texts, with dumps' settings
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_document).encode
+
+
+def _shared_texts(items) -> list[str]:
+    """Each item's canonical JSON text, as dumps writes it but without the
+    newline, with the text of each part that the items share built once.
+
+    Parts are keyed by id(): the items hold every part met, so no id is
+    reused during the call.  A text is kept only from its part's second
+    meeting on (seen, then kept), so a part of one item alone, like a
+    covering's total, is never stored; the items themselves are not looked
+    up at all.  An item that is no structure is written by json's encoder.
+    """
+    items = tuple(items)
+    seen: set[int] = set()
+    kept: dict[int, str] = {}
+    return [
+        _document_text(write(item), seen, kept) if (write := _DOCUMENTS.get(type(item))) else _encode(item)
+        for item in items
+    ]
+
+
+def _document_text(doc, seen: set[int], kept: dict[int, str]) -> str:
+    """A document's text: its keys in sorted order, each with its value's
+    text (_part_text); a Hom's document, its map, is a leaf.  The keys are
+    the plain names _DOCUMENTS gives, which JSON writes as they are."""
+    if type(doc) is not dict:
+        return _encode(doc)
+    return "{" + ",".join([f'"{key}":{_part_text(doc[key], seen, kept)}' for key in sorted(doc)]) + "}"
+
+
+def _part_text(value, seen: set[int], kept: dict[int, str]) -> str:
+    """A value's text in _shared_texts: a structure's from the memo, a
+    leaf's (a map, a table, a string or a number) from json's encoder."""
+    write = _DOCUMENTS.get(type(value))
+    if write is None:
+        return _encode(value)
+    key = id(value)
+    text = kept.get(key)
+    if text is None:
+        text = _document_text(write(value), seen, kept)
+        if key in seen:
+            kept[key] = text
+        else:
+            seen.add(key)
+    return text
 
 
 def equivalence_report_json(rep: EquivalenceReport) -> str:
@@ -139,11 +207,13 @@ def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
     An entry is {"f": [...], "g": [...], "source": i, "target": j}, without
     "g" for a lifting morphism, listed in (i, j) order and cut after the
     category's count.  Every object of one shape has the same row of
-    entries but for i, so each source shape's row is written once, with
-    every target j filled in and i left open, and each object's row is that
-    text with its own i filled in.  Only a cut splits a row: the last one
-    listed.  _shape_homs searched every hom-set of each listed row, and of
-    the cut row those its listed entries lie in.
+    entries but for i, so each source shape's row is written once, with i
+    left open, and each object's row is that text with its own i filled in.
+    The row is built from the hom-sets' texts: each hom-set's entries are
+    joined once, with j left open, and filled in with each target j of the
+    target shape.  Only a cut splits a row: the last one listed, written
+    entry by entry.  _shape_homs searched every hom-set of each listed row,
+    and of the cut row those its listed entries lie in.
     """
     map_texts: dict[Map, str] = {}
 
@@ -154,9 +224,11 @@ def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
         return found
 
     def listed(shapes, homs, count, template) -> str:
-        templates = {pair: tuple(map(template, found)) for pair, found in homs.items()}
-        # per source shape: its row's entries with source %d left open, and their text
-        rows: dict[int, tuple[list[str], str]] = {}
+        numbers = [str(k) for k in range(len(shapes))]
+        # per non-empty hom-set: its entries' text, split where j goes
+        blocks = {pair: ",".join(map(template, found)).split("<j>") for pair, found in homs.items() if found}
+        # per source shape: its row's text, split where i goes (once per entry)
+        rows: dict[int, list[str]] = {}
         texts = []
         room = count
         for i, s1 in enumerate(shapes):
@@ -164,26 +236,30 @@ def _morphism_list_texts(rep: EquivalenceReport) -> dict[str, str]:
                 break
             row = rows.get(s1)
             if row is None:
-                entries = [t % j for j, s2 in enumerate(shapes) for t in templates.get((s1, s2), ())]
-                row = rows[s1] = entries, ",".join(entries)
-            entries, row_text = row
-            if len(entries) > room:
-                entries, row_text = entries[:room], ",".join(entries[:room])
-            if entries:
-                texts.append(row_text.replace("%d", str(i)))
-            room -= len(entries)
+                row = rows[s1] = ",".join(
+                    [numbers[j].join(block) for j, s2 in enumerate(shapes) if (block := blocks.get((s1, s2)))]
+                ).split("<i>")
+            size = len(row) - 1
+            if size > room:
+                entries = [
+                    template(m).replace("<j>", numbers[j]) for j, s2 in enumerate(shapes) for m in homs.get((s1, s2), ())
+                ]
+                row, size = ",".join(entries[:room]).split("<i>"), room
+            if size:
+                texts.append(numbers[i].join(row))
+            room -= size
         return "[" + ",".join(texts) + "]"
 
-    # a map text holds digits, brackets and commas only, so no % in a
-    # template but its own: %%d, for the source, outlives filling in the target
+    # a map text holds digits, brackets and commas only, so <i> and <j>
+    # occur in a template only where the source and target go
     return {
         "lifting_morphisms": listed(
             rep.lifting_shapes, rep.lifting_homs, rep.lifting_morphism_count,
-            lambda m: '{"f":' + text(m.f) + ',"source":%%d,"target":%d}',
+            lambda m: '{"f":' + text(m.f) + ',"source":<i>,"target":<j>}',
         ),
         "covering_morphisms": listed(
             rep.covering_shapes, rep.covering_homs, rep.covering_morphism_count,
-            lambda m: '{"f":' + text(m.f) + ',"g":' + text(m.g) + ',"source":%%d,"target":%d}',
+            lambda m: '{"f":' + text(m.f) + ',"g":' + text(m.g) + ',"source":<i>,"target":<j>}',
         ),
     }
 

@@ -19,12 +19,14 @@ from genxmod.fixtures import (
     v4_projection_cat1,
     z4_inversion_gwa,
 )
-from genxmod.groups import Hom, _cached_per_identity
+from genxmod.groups import Hom, _cached_per_identity, all_homs
+from genxmod.gwa import GwaObject
 from genxmod.serialize import (
     detect_kind,
     doc_for,
     dumps,
     equivalence_report_json,
+    json_lines,
     kind_of,
     load_cat1_doc,
     load_covering_doc,
@@ -32,7 +34,7 @@ from genxmod.serialize import (
     load_gxmod_doc,
     load_lifting_doc,
 )
-from genxmod import coverlift, search, serialize
+from genxmod import cli, coverlift, search, serialize
 from genxmod.search import (
     EquivalenceReport,
     enumerate_coverings,
@@ -254,6 +256,91 @@ def test_equivalence_report_json_encodes_each_map_and_shape_level_morphism_once(
     homs = (rep.lifting_homs, rep.covering_homs)
     maps = {h.map for found in homs for ms in found.values() for m in ms for h in (m.f, getattr(m, "g", m.f))}
     assert len(encoded) == len(json.loads(reference)) - 2 + len(maps)
+
+
+def _c_encoded(value) -> str:
+    """value as json's encoder writes it through the default hook alone,
+    with dumps' settings: the path a single structure takes."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=serialize._document) + "\n"
+
+
+def _sequences_of_structures():
+    """Sequences written through the shared texts: enumerated objects of
+    gx3/4 that share their base and pool parts, gwa objects with trivial and
+    non-trivial self-actions and gxmods over them, each drawn as it is or
+    renamed (names with quotes, backslashes, non-ASCII and control
+    characters), with a part renamed, or with a part copied (equal but not
+    the same object); and sequences of homs alone, the empty one included."""
+    pool = standard_pool(4)
+    gwas = gwa_objects(pool)
+    base = gx3()
+    objects = [
+        *gwas,
+        *enumerate_gxmods(gwas[3], gwas[5]),
+        *enumerate_liftings(base, pool),
+        *enumerate_coverings(base, pool),
+    ]
+    homs = [h for g in pool.groups for h in all_homs(g, g)]
+    names = st.text(max_size=5) | st.sampled_from(['"', "\\", '\\"', "é", "Z₂", "\x00\n\x1f", "\u2028", ""])
+    parts = {GXMod: "A", Lifting: "X", Covering: "base"}
+
+    @st.composite
+    def drawn(draw):
+        obj = draw(st.sampled_from(objects))
+        how = draw(st.sampled_from(("same", "renamed", "part renamed", "part copied")))
+        if how == "same":
+            return obj
+        if how == "renamed" or type(obj) not in parts:
+            return replace(obj, name=draw(names))
+        part = getattr(obj, parts[type(obj)])
+        if how == "part copied":
+            return replace(obj, **{parts[type(obj)]: replace(part)})
+        return replace(obj, **{parts[type(obj)]: replace(part, name=draw(names))})
+
+    return st.lists(drawn(), max_size=8) | st.lists(st.sampled_from(homs), max_size=6)
+
+
+@given(_sequences_of_structures())
+def test_shared_texts_write_the_bytes_of_each_item_on_its_own(items):
+    assert serialize._shared_texts(items) == [dumps(x)[:-1] for x in items]
+    assert json_lines(items) == "".join(map(dumps, items))
+    assert json_lines(iter(items)) == "".join(map(dumps, items))
+    for sequence in (items, tuple(items)):
+        assert dumps(sequence) == _c_encoded(sequence)
+
+
+def test_each_shared_part_is_written_once(base_gx3, pool4, monkeypatch):
+    coverings = enumerate_coverings(base_gx3, pool4)
+    built: dict[int, int] = {}
+    for cls in (GXMod, GwaObject):
+        write = serialize._DOCUMENTS[cls]
+
+        def counted(obj, write=write):
+            built[id(obj)] = built.get(id(obj), 0) + 1
+            return write(obj)
+
+        monkeypatch.setitem(serialize._DOCUMENTS, cls, counted)
+    expected = {dumps: _c_encoded(coverings), json_lines: "".join(map(_c_encoded, coverings))}
+    for write, text in expected.items():
+        built.clear()
+        assert write(coverings) == text
+        # the base's document is built when it is met first and when it is
+        # met again, and its text kept from then on; so is each pool part's
+        assert len(coverings) == 54 and built[id(base_gx3)] == 2
+        assert max(built.values()) == 2
+        # each total occurs once, so its document is built once
+        assert all(built[id(c.total)] == 1 for c in coverings)
+
+
+def test_a_single_document_and_the_catalog_take_the_encoders_path(monkeypatch, tmp_path):
+    def shared(items):
+        raise AssertionError("a single document went through the shared texts")
+
+    monkeypatch.setattr(serialize, "_shared_texts", shared)
+    for build in FILES.values():
+        assert dumps(build()) == _c_encoded(build())
+    assert dumps([]) == "[]\n" and dumps([1, (2, 3)]) == "[1,[2,3]]\n"
+    assert cli.main(["catalog", "--bound", "4", "--out", str(tmp_path / "catalog.jsonl")]) == 0
 
 
 def test_gxmod_roundtrip():
