@@ -19,7 +19,6 @@ from .validation import (
     RawViolation,
     StructuralError,
     ValidationReport,
-    holds,
     report,
     structure,
 )
@@ -62,10 +61,6 @@ class GroupTable:
             x = self.op[x][g]
             n += 1
         return n
-
-    def is_abelian(self) -> bool:
-        op = self.op
-        return all(op[a][b] == op[b][a] for a in range(self.order) for b in range(self.order))
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name or 'order ' + str(self.order)})"
@@ -305,9 +300,6 @@ class Hom:
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.source.order
 
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.order
-
     def __repr__(self) -> str:
         return f"Hom({self.source.name}->{self.target.name}, {list(self.map)})"
 
@@ -537,8 +529,8 @@ def _extend_map(top: Table, m: list, imgs: tuple[int, ...], new: list[_Step], ag
     extended map, a new list, when every agreement step agrees with it,
     which makes it a homomorphism on the subgroup of the first k
     generators; else None, and then no homomorphism of any larger subgroup
-    sends the generators to imgs.  The caller runs the homomorphism law
-    itself.
+    sends the generators to imgs.  At the last level that subgroup is the
+    whole group.
     """
     m = m.copy()
     for x, i, y in new:
@@ -578,13 +570,7 @@ def _homs(src: GroupTable, tgt: GroupTable, injective: bool) -> list[Hom]:
                 if extended is not None:
                     grown.append((imgs + (h,), extended))
         prefixes = grown
-    found = []
-    for _, m in prefixes:
-        full = tuple(m)
-        if holds(hom_violations(src, tgt, full)):
-            found.append(Hom(src, tgt, full))
-    found.sort(key=lambda f: f.map)
-    return found
+    return sorted((Hom(src, tgt, tuple(m)) for _, m in prefixes), key=lambda f: f.map)
 
 
 @_cached_per_name
@@ -602,8 +588,12 @@ def all_homs(src: GroupTable, tgt: GroupTable) -> tuple[Hom, ...]:
     generator is skipped when some earlier generator commutes with it in
     src but the earlier image does not commute with h in tgt: the walk
     reaches that product by both orders and would reject the prefix, so the
-    skip drops exactly prefixes it would drop.  The homomorphism law still
-    runs on every complete map.
+    skip drops exactly prefixes it would drop.
+
+    A complete map needs no further check: every step x -> x * g_i of the
+    whole group, for every element x and generator g_i, is a new or an
+    agreement step of some level, and the map has m(x * g_i) = m(x) * m(g_i)
+    at each one, so it respects every product of generators.
     """
     return tuple(_homs(src, tgt, injective=False))
 
@@ -615,8 +605,9 @@ def automorphisms(g: GroupTable) -> tuple[Hom, ...]:
     The all_homs search from g to itself, except that an image of the k-th
     generator is skipped when it already lies in the image of the subgroup
     of the first k - 1: no generator lies in the subgroup of those before
-    it, so such a map is not injective.  Each complete map that passes the
-    homomorphism law is kept when it is bijective.
+    it, so such a map is not injective.  Each complete map, a homomorphism
+    as in all_homs, is kept when it is bijective: the skip alone does not
+    make a map injective (x -> 2x on Z4).
     """
     return tuple(f for f in _homs(g, g, injective=True) if f.is_bijective())
 

@@ -556,16 +556,6 @@ class EquivalenceReport:
     def ok(self) -> bool:
         return not self.failures and not self.incomplete and not self.truncated
 
-    def consistent(self) -> bool:
-        """Internal consistency: index tables and witness lists match the object lists."""
-        if len(self.lifting_to_covering_index) != len(self.liftings):
-            return False
-        if len(self.covering_to_lifting_index) != len(self.coverings):
-            return False
-        if not self.failures and len(self.roundtrip_covering_witnesses) != len(self.coverings):
-            return False
-        return True
-
 
 def verify_equivalence(
     base: GXMod, pool: SearchPool, max_morphisms: int = DEFAULT_MAX_MORPHISMS

@@ -15,12 +15,13 @@ Hom file:       {"map": [...], "target": gwa} or {"map": [...], "source": gwa}
 
 dumps writes any of these structures, or a JSON value that holds them, as
 canonical bytes: sorted keys, compact separators, trailing newline; equal
-structures serialize identically.  It builds no document: json.dumps asks
-its default hook (_document) for each structure's document one level deep,
-and writes the parts, maps and tables straight from the structures.  A
-sequence of structures, and the lines json_lines writes, go through
-_shared_texts instead, which writes each part that several items share
-once per call.  doc_for gives a structure's parsed document, with lists, as
+structures serialize identically.  It builds no document: one JSON encoder
+(_encode), made once with those settings, asks its default hook (_document)
+for each structure's document one level deep, and writes the parts, maps
+and tables straight from the structures.  A sequence of structures, and the
+lines json_lines writes, go through _shared_texts instead, which writes
+each part that several items share once per call, its leaves through the
+same encoder.  doc_for gives a structure's parsed document, with lists, as
 the loaders read it.
 """
 
@@ -41,13 +42,13 @@ from .validation import StructuralError
 def dumps(value: Any) -> str:
     """value as canonical JSON with a trailing newline.
 
-    A single structure or JSON value is written by json's encoder, which
-    asks _document for each structure met.  A list or tuple whose first
-    item is a structure is written from _shared_texts, with the same bytes.
+    A single structure or JSON value is written by _encode, which asks
+    _document for each structure met.  A list or tuple whose first item is
+    a structure is written from _shared_texts, with the same bytes.
     """
     if type(value) in (list, tuple) and value and type(value[0]) in _DOCUMENTS:
         return "[" + ",".join(_shared_texts(value)) + "]\n"
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_document) + "\n"
+    return _encode(value) + "\n"
 
 
 def json_lines(items) -> str:
@@ -82,7 +83,7 @@ _DOCUMENTS = {
 
 
 def _document(obj):
-    """The default hook of json.dumps in dumps: obj's document one level deep.
+    """The default hook of _encode: obj's document one level deep.
 
     Its parts stay structures, which json hands back to this hook, and its
     maps and tables stay tuples, which json writes as lists; a Hom is
@@ -94,8 +95,8 @@ def _document(obj):
     return write(obj)
 
 
-# the encoder of a leaf value (a map, a table, a string or a number) in
-# _shared_texts, with dumps' settings
+# the one encoder of dumps and of _shared_texts' leaves (a map, a table, a
+# string or a number), with the canonical settings
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_document).encode
 
 

@@ -24,6 +24,7 @@ from genxmod.groups import (
     dihedral_group,
     direct_product,
     group_from_op,
+    hom_violations,
     homs_by_composite,
     identity_hom,
     image,
@@ -41,7 +42,7 @@ from genxmod.groups import (
 )
 from genxmod.oracles import raw_associativity_witnesses, raw_aut_maps, raw_hom_maps
 from genxmod.search import enumerate_gxmods, group_catalog
-from genxmod.validation import StructuralError
+from genxmod.validation import StructuralError, holds
 
 
 def test_trivial_group_valid():
@@ -243,13 +244,15 @@ def test_all_homs_matches_an_unpruned_search(src):
         assert [f.map for f in all_homs(src, tgt)] == _unpruned_homs(src, tgt), (src.name, tgt.name)
 
 
-def test_all_homs_runs_the_hom_law_on_every_complete_map(monkeypatch):
-    all_homs.cache_clear()
-    monkeypatch.setattr(groups, "hom_violations", lambda *args: iter([("homomorphism", (), "rejected", ())]))
-    try:
-        assert all_homs(cyclic_group(4), cyclic_group(2)) == ()
-    finally:
-        all_homs.cache_clear()
+@pytest.mark.parametrize("src", group_catalog(), ids=lambda g: g.name)
+def test_all_homs_and_automorphisms_return_only_homomorphisms(src):
+    # the level walk's agreement steps are the only check a complete map
+    # gets; the homomorphism law holds on every map it returns
+    for tgt in [*group_catalog(), automorphism_group(src)[0]]:
+        for f in all_homs(src, tgt):
+            assert holds(hom_violations(src, tgt, f.map)), (src.name, tgt.name, f.map)
+    for f in automorphisms(src):
+        assert holds(hom_violations(src, src, f.map)), (src.name, f.map)
 
 
 def test_all_homs_skips_images_that_break_commuting_generators(monkeypatch):

@@ -694,8 +694,10 @@ def _iso_class_count(objects, iso_search):
 def test_verify_equivalence_consistency(base_gx1, pool4):
     rep = verify_equivalence(base_gx1, pool4)
     assert rep.ok
-    assert rep.consistent()
-    assert rep.lifting_count == len(rep.lifting_to_covering_index)
+    # the index tables and the witness list match the object lists
+    assert rep.lifting_count == len(rep.lifting_to_covering_index) == len(rep.liftings)
+    assert rep.covering_count == len(rep.covering_to_lifting_index) == len(rep.coverings)
+    assert len(rep.roundtrip_covering_witnesses) == len(rep.coverings)
     assert not rep.truncated
 
 
@@ -738,7 +740,7 @@ def test_catalog_representatives_pairwise_non_isomorphic():
         profile = (
             g.order,
             tuple(sorted(g.element_order(x) for x in range(g.order))),
-            g.is_abelian(),
+            all(g.op[a][b] == g.op[b][a] for a in range(g.order) for b in range(g.order)),
         )
         assert profile not in profiles, g.name
         profiles.add(profile)

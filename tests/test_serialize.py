@@ -259,8 +259,8 @@ def test_equivalence_report_json_encodes_each_map_and_shape_level_morphism_once(
 
 
 def _c_encoded(value) -> str:
-    """value as json's encoder writes it through the default hook alone,
-    with dumps' settings: the path a single structure takes."""
+    """value as json.dumps writes it through the default hook alone, with
+    the canonical settings: the reference bytes of dumps and json_lines."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=serialize._document) + "\n"
 
 
@@ -270,7 +270,10 @@ def _sequences_of_structures():
     non-trivial self-actions and gxmods over them, each drawn as it is or
     renamed (names with quotes, backslashes, non-ASCII and control
     characters), with a part renamed, or with a part copied (equal but not
-    the same object); and sequences of homs alone, the empty one included."""
+    the same object); plain JSON values holding structures, a round-trip
+    witness {"covering": i, "f": hom, "g": hom} or a catalog line (a gwa's
+    document with "valid" added); and sequences of homs alone, the empty
+    one included."""
     pool = standard_pool(4)
     gwas = gwa_objects(pool)
     base = gx3()
@@ -297,16 +300,24 @@ def _sequences_of_structures():
             return replace(obj, **{parts[type(obj)]: replace(part)})
         return replace(obj, **{parts[type(obj)]: replace(part, name=draw(names))})
 
-    return st.lists(drawn(), max_size=8) | st.lists(st.sampled_from(homs), max_size=6)
+    @st.composite
+    def plain(draw):
+        if draw(st.booleans()):
+            f, g = draw(st.sampled_from(homs)), draw(st.sampled_from(homs))
+            return {"covering": draw(st.integers(0, 99)), "f": f, "g": g}
+        return {**serialize._document(draw(st.sampled_from(gwas))), "valid": draw(st.booleans())}
+
+    return st.lists(drawn() | plain(), max_size=8) | st.lists(st.sampled_from(homs), max_size=6)
 
 
 @given(_sequences_of_structures())
 def test_shared_texts_write_the_bytes_of_each_item_on_its_own(items):
     assert serialize._shared_texts(items) == [dumps(x)[:-1] for x in items]
-    assert json_lines(items) == "".join(map(dumps, items))
+    assert json_lines(items) == "".join(map(_c_encoded, items))
     assert json_lines(iter(items)) == "".join(map(dumps, items))
-    for sequence in (items, tuple(items)):
-        assert dumps(sequence) == _c_encoded(sequence)
+    # each item on its own, and the whole sequence, as the reference writes them
+    for value in (*items, items, tuple(items)):
+        assert dumps(value) == _c_encoded(value)
 
 
 def test_each_shared_part_is_written_once(base_gx3, pool4, monkeypatch):
