@@ -357,8 +357,9 @@ def _preserving_self_actions(rows: _Lines, gens, h: Map) -> int:
     At x the law h(^x y) = ^h(x) h(y) says row h(x) of sa composed with h
     equals h composed with row x, so the rows at h(x) are keyed by the first
     composite and looked up by the second.  x -> ^x is a homomorphism into
-    Aut(g), so the law at x1 and x2 gives it at x1 * x2, and the bitmask is
-    exact on a generating sequence gens; the caller still runs the law.
+    Aut(g), and h is a homomorphism, so the law at x1 and x2 gives it at
+    x1 * x2: the bitmask is exact on a generating sequence gens, and the
+    caller runs no law of its own.
     """
     allowed = -1
     for x in gens:
@@ -378,11 +379,10 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
 
     The pairs (s, t) come from _structure_map_pairs, which runs the
     interchange law without any action.  Each distinct structure map h then
-    looks up the self-actions it preserves at the generators of g
-    (_preserving_self_actions), and each pair joins the buckets of the
-    self-actions both its maps preserve there.  Each self-action runs the full
-    preservation law on the maps of its bucket, once per map, and the kernel
-    action law on each pair whose maps pass, once per kernel pair.  The
+    looks up the self-actions it preserves (_preserving_self_actions, exact
+    on the generators of g), and each pair joins the buckets of the
+    self-actions both its maps preserve.  Each self-action runs the kernel
+    action law on the pairs of its bucket, once per kernel pair.  The
     kernels of each pair are taken once, before the self-actions.  The
     cat1-groups come out by self-action, then pair, as from a loop over every
     self-action and every pair.
@@ -405,18 +405,8 @@ def enumerate_gcat1s(g: GroupTable) -> tuple[GCat1, ...]:
     out: list[GCat1] = []
     for gw, bucket in zip(gwas, buckets):
         act = gw.self_action.act
-        preserved: dict[Map, bool] = {}
-
-        def ok_endo(h: Hom) -> bool:
-            cached = preserved.get(h.map)
-            if cached is None:
-                cached = preserved[h.map] = holds(action_preserved_violations(gw, gw, h.map))
-            return cached
-
         kernel_cond: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for s, t, key in bucket:
-            if not ok_endo(s) or not ok_endo(t):
-                continue
             res = kernel_cond.get(key)
             if res is None:
                 res = kernel_cond[key] = holds(kernel_action_violations(act, *key))
@@ -592,6 +582,31 @@ def verify_equivalence(
     than max_morphisms morphisms between objects is cut: it lists its first
     max_morphisms, and no morphism-level check runs on it.
 
+    The covering side's morphism-level checks run on its f = id slice, once
+    per Aut(A)-orbit of shapes.  Each covering c is isomorphic to its
+    round-trip image back(c), which lies over f = id, through the witness
+    <f, 1>, so Hom(s1, s2) is the transport of the slice hom-set
+    Hom(b s1, b s2), where b(s) is the shape of back of the first object of
+    s.  The morphism images and the composition law then run on the hom-sets
+    between slice shapes r, each r standing for the N(r) objects whose shape
+    s has b(s) = r, and every count comes out as per shape.  This rests on
+    three premises, each checked on the shapes off the slice, in time linear
+    in their shape-level morphisms:
+    - P1: every witness <f, 1> is a valid isomorphism, and each b(s) is a
+      covering shape with b(b(s)) = b(s) (_covering_slice);
+    - P2: each hom-set off the slice is the transport of its slice partner:
+      as long, with the v of the partner's morphism at each position and
+      u = f2^-1 o f1 (_covering_slice);
+    - P3: each morphism off the slice has the image maps, the image endpoint
+      shapes and the way-back maps of its partner (_morphism_images).
+    Under them a pair of morphisms off the slice passes each check iff its
+    partner does: the slice's naturality squares give the slice morphisms
+    u = f2^-1 o f1 too.  When a premise fails, when the covering category is
+    cut, or when the run on the slice records any failure, the checks run per
+    shape, so a failing report has the messages, counts and order of a run
+    per shape.  Every shape of a base whose A has one automorphism is on its
+    slice, and the lifting side is always checked per shape.
+
     The unit of the equivalence differs between the sides, so two checks stay
     per side and report apart.  Object round trip: a lifting comes back
     table-for-table (roundtrip_lifting_exact); a covering comes back through
@@ -656,6 +671,8 @@ def verify_equivalence(
     # the witness's verdict, keyed by the shapes of the covering and of its
     # round-trip image: the maps (f, 1) are read off the covering's shape
     witness_verdicts: dict[tuple, bool] = {}
+    # the shape id of the round-trip image of each covering shape's first object
+    backs: dict[int, int] = {}
 
     def lifting_round_trip(i: int, lift: Lifting, cov: Covering) -> None:
         if covering_to_lifting(cov) != lift:
@@ -666,6 +683,7 @@ def verify_equivalence(
         back = lifting_to_covering(lift)
         witness = CoveringMorphism(cov, back, cov.f, identity_hom(cov.total.B.group))
         key = coverings.shapes[i], coverings.shape(back)
+        backs.setdefault(key[0], coverings.shape_ids.get(key[1], -1))
         verdict = witness_verdicts.get(key)
         if verdict is None:
             verdict = witness_verdicts[key] = coverings.is_valid(witness) and coverings.is_iso(witness)
@@ -674,24 +692,41 @@ def verify_equivalence(
         else:
             tally.failures.append(f"covering {i}: round-trip witness <f, 1> is not an isomorphism")
 
-    def lifting_unit_square(m: LiftingMorphism, back: LiftingMorphism, weight: int) -> None:
+    # each unit square gives the (kind, verdict, message) of its check
+    def lifting_unit_square(m: LiftingMorphism, back: LiftingMorphism) -> tuple[str, bool, str]:
         # the endpoints of m are the first objects of their shapes; each
         # other object's own round trip is the object check above
         exact = back.f == m.f and back.source == m.source and back.target == m.target
-        tally.check("morphism", exact, "lifting morphism: round trip not exact", weight)
+        return "morphism", exact, "lifting morphism: round trip not exact"
 
-    def covering_unit_square(m: CoveringMorphism, back: CoveringMorphism, weight: int) -> None:
+    def covering_unit_square(m: CoveringMorphism, back: CoveringMorphism) -> tuple[str, bool, str]:
         # naturality of the covering-side unit: <f2, 1> o m = F(G(m)) o <f1, 1>
         lhs_f = tuple(m.target.f.map[m.f.map[a]] for a in range(m.source.total.A.order))
         natural = lhs_f == m.source.f.map and m.g.map == back.g.map
-        tally.check("naturality", natural, "covering morphism: naturality square broken", weight)
+        return "naturality", natural, "covering morphism: naturality square broken"
 
     l2c = _object_images(liftings, coverings, lifting_round_trip, tally)
     c2l = _object_images(coverings, liftings, covering_round_trip, tally)
+    # the covering side's morphism-level checks run on the f = id slice
+    # when its premises hold, and again per shape when any of them fails;
+    # the phases after the lifting side's images keep tallies of their own,
+    # added in the order of the phases, so a failing report lists the
+    # messages of a run per shape in their order
+    witnessed = len(witnesses) == len(coverings.objects) and not coverings.cut
+    slice_of = _covering_slice(coverings, backs) if witnessed else None
     lifting_images = _morphism_images(liftings, coverings, l2c, lifting_unit_square, tally)
-    covering_images = _morphism_images(coverings, liftings, c2l, covering_unit_square, tally)
-    _composition_law(liftings, lifting_images, tally)
-    _composition_law(coverings, covering_images, tally)
+    covering_checks, lifting_law, covering_law = _Tally(), _Tally(), _Tally()
+    covering_images = _morphism_images(coverings, liftings, c2l, covering_unit_square, covering_checks, slice_of)
+    _composition_law(liftings, lifting_images, lifting_law)
+    _composition_law(coverings, covering_images, covering_law, slice_of)
+    if slice_of is not None and (covering_checks.failures or covering_law.failures):
+        del covering_images
+        covering_checks, covering_law = _Tally(), _Tally()
+        covering_images = _morphism_images(coverings, liftings, c2l, covering_unit_square, covering_checks)
+        _composition_law(coverings, covering_images, covering_law)
+    for phase in (covering_checks, lifting_law, covering_law):
+        tally.update(phase)
+        tally.failures += phase.failures
 
     return EquivalenceReport(
         base_name=base.name or f"({base.A.group.name},{base.B.group.name})",
@@ -754,6 +789,11 @@ class _Category:
     cut says there were more than the cap (_shape_homs).  listed keeps the
     set of maps of each hom-set that lists has been asked about, until
     _morphism_images is done with it.
+
+    homs holds every ordered pair of shapes, on the covering side too, where
+    the checks run on the f = id slice: P2 and P3 (verify_equivalence)
+    compare each hom-set off the slice with its slice partner, and the run
+    per shape that a failure falls back to reads them all.
     """
 
     def __init__(
@@ -873,6 +913,44 @@ def _shape_homs(shapes: tuple[int, ...], reps: tuple, between, cap: int) -> tupl
     return searched, cap - room, False
 
 
+def _covering_slice(coverings: _Category, backs: dict[int, int]) -> tuple[int, ...] | None:
+    """The slice shape b(s) of each covering shape s, backs[s] being the
+    shape id of the round-trip image of its first object, when P1 and P2
+    (verify_equivalence) hold and some shape lies off the slice; else None.
+    The caller has checked that every witness is an isomorphism and that
+    the category is not cut, so each f is a bijection.
+    """
+    slice_of = tuple(backs.get(s, -1) for s in range(len(coverings.reps)))
+    if any(r < 0 or slice_of[r] != r for r in slice_of):
+        return None
+    if slice_of == tuple(range(len(slice_of))):
+        return None
+    for (s1, s2), homs in coverings.homs.items():
+        ends = slice_of[s1], slice_of[s2]
+        if ends == (s1, s2):
+            continue
+        partner = coverings.homs.get(ends)
+        if partner is None or len(partner) != len(homs):
+            return None
+        f1, f2 = coverings.reps[s1].f.map, coverings.reps[s2].f.map
+        u = tuple(f2.index(x) for x in f1)
+        if any(m.f.map != u or m.g.map != p.g.map for m, p in zip(homs, partner)):
+            return None
+    return slice_of
+
+
+def _orbit_weights(counts: tuple[int, ...], slice_of: tuple[int, ...] | None) -> tuple[int, ...]:
+    """N(r), the number of objects whose shape s has slice shape
+    slice_of[s] = r, for each shape r; 0 off the slice.  Without slice_of
+    each shape is its own slice shape, and N = counts."""
+    if slice_of is None:
+        return counts
+    weights = [0] * len(counts)
+    for s, r in enumerate(slice_of):
+        weights[r] += counts[s]
+    return tuple(weights)
+
+
 def _object_level(shapes: tuple[int, ...], homs: dict, count: int) -> Iterator[tuple[int, int, object]]:
     """The first count morphisms between objects, in (i, j) order, as
     (i, j, m) with m in homs[shapes[i], shapes[j]]."""
@@ -921,15 +999,24 @@ def _object_images(source: _Category, target: _Category, round_trip, tally: _Tal
 
 
 def _morphism_images(
-    source: _Category, target: _Category, image_positions: tuple[int, ...], unit_square, tally: _Tally
+    source: _Category, target: _Category, image_positions: tuple[int, ...], unit_square, tally: _Tally,
+    slice_of: tuple[int, ...] | None = None,
 ) -> tuple[dict, dict, dict, dict]:
     """Each morphism of source.homs has as image a valid morphism of target
     whose maps are among those of the target hom-set between the shapes of
-    the image's endpoints, and unit_square(m, back, weight) checks the
-    image's way back, back = target.functor_on_morphism(image), against m.
+    the image's endpoints, and unit_square(m, back) decides the check of
+    the image's way back, back = target.functor_on_morphism(image), against m.
     Each check stands for the n(s1) * n(s2) morphisms of Hom(s1, s2) between
     objects.  image_positions gives each source object's image's position
     in target, as _object_images returns them.
+
+    With slice_of (_covering_slice), the checks run on the hom-sets between
+    slice shapes only, each standing for N(r1) * N(r2) morphisms
+    (_orbit_weights), and each morphism off the slice is checked against
+    its partner, the morphism at its position in Hom(b s1, b s2) (P3): its
+    image has the partner image's maps and endpoint shapes, and its way back
+    the partner's maps.  A morphism that fails P3 records a failure, so the
+    caller runs the checks again per shape.
 
     Validity is decided by membership: the target hom-set between two
     shapes holds exactly the maps that pass every law between objects of
@@ -967,37 +1054,69 @@ def _morphism_images(
         j = target.find(end)
         return target.shapes[j] if j >= 0 else -1
 
+    def image_of(m, s1: int, s2: int) -> tuple:
+        """m's image, its maps, the shapes of its endpoints and its way back."""
+        image = source.functor_on_morphism(m)
+        ends = shape_id(image.source, s1), shape_id(image.target, s2)
+        return image, target.maps(image), ends, target.functor_on_morphism(image)
+
+    weights = _orbit_weights(source.counts, slice_of)
+    # (image maps, image endpoint shapes, maps of the way back) of each
+    # morphism of each slice hom-set, for P3
+    seen: dict[tuple[int, int], list] = {}
     for (s1, s2), homs in () if source.cut else source.homs.items():
-        weight = source.counts[s1] * source.counts[s2]
+        weight = weights[s1] * weights[s2]
+        if not weight:
+            continue
         found = images[s1, s2] = {}
+        seen_here = seen[s1, s2] = []
         for m in homs:
-            image = source.functor_on_morphism(m)
-            maps = target.maps(image)
+            image, maps, ends, back = image_of(m, s1, s2)
             c = source_ids.setdefault(source.maps(m), len(source_ids))
             found[classes.setdefault((c, image_ids.setdefault(maps, len(image_ids))), len(classes))] = c
             if target.cut:
                 tally.check("morphism", target.is_valid(image), invalid, weight)
             else:
-                listed = target.lists((shape_id(image.source, s1), shape_id(image.target, s2)), maps)
+                listed = target.lists(ends, maps)
                 tally.check("morphism", listed, unlisted if listed or target.is_valid(image) else invalid, weight)
-            unit_square(m, target.functor_on_morphism(image), weight)
+            tally.check(*unit_square(m, back), weight)
+            if slice_of is not None:
+                seen_here.append((maps, ends, source.maps(back)))
+
+    def like_partners(s1: int, s2: int, homs: tuple) -> bool:
+        partners = seen[slice_of[s1], slice_of[s2]]
+        for m, expected in zip(homs, partners):
+            _, maps, ends, back = image_of(m, s1, s2)
+            if (maps, ends, source.maps(back)) != expected:
+                return False
+        return True
+
+    # P3 on the hom-sets off the slice, none without slice_of
+    if slice_of is not None and not all(
+        like_partners(s1, s2, homs) for (s1, s2), homs in source.homs.items() if not weights[s1] * weights[s2]
+    ):
+        tally.failures.append(f"{source.label} morphism: image differs from its slice partner's")
     # no later check looks an image up, and the sets would outlive the
     # composition law's memos
     target.listed.clear()
     return images, classes, source_ids, image_ids
 
 
-def _composition_law(source: _Category, numbered: tuple[dict, dict, dict, dict], tally: _Tally) -> None:
+def _composition_law(
+    source: _Category, numbered: tuple[dict, dict, dict, dict], tally: _Tally,
+    slice_of: tuple[int, ...] | None = None,
+) -> None:
     """F(m2 o m1) = F(m2) o F(m1) for every m1 in Hom(i, j) and m2 in Hom(j, k).
 
-    numbered is what _morphism_images returns: images[s1, s2] holds the
-    class, a numbered pair (maps, image maps), of each morphism of
-    Hom(s1, s2).  The law runs once per composable pair of morphisms of
-    Hom(s1, s2) and Hom(s2, s3), and stands for the n(s1) * n(s2) * n(s3)
-    pairs between objects with their maps.  A pair passes iff the class of
-    (composite of the maps, composite of the images) is among those of
-    Hom(s1, s3): some morphism there has the composite's maps, and its
-    image is the composite of the images.  A failing pair is told apart
+    numbered is what _morphism_images returns, with the same slice_of:
+    images[s1, s2] holds the class, a numbered pair (maps, image maps), of
+    each morphism of Hom(s1, s2).  The law runs once per composable pair of
+    morphisms of Hom(s1, s2) and Hom(s2, s3), and stands for the
+    n(s1) * n(s2) * n(s3) pairs between objects with their maps, or for
+    N(s1) * N(s2) * N(s3) with slice_of (_orbit_weights).  A pair passes
+    iff the class of (composite of the maps, composite of the images) is
+    among those of Hom(s1, s3): some morphism there has the composite's
+    maps, and its image is the composite of the images.  A failing pair is told apart
     only then: a composite whose maps no morphism of Hom(s1, s3) has shows
     the category is not closed under composition, and any other failure
     breaks the law.
@@ -1016,7 +1135,7 @@ def _composition_law(source: _Category, numbered: tuple[dict, dict, dict, dict],
         out_of.setdefault(s2, []).append((s3, second))
     missing = f"functor law: composite of {source.label} morphisms not enumerated"
     broken = f"functor law: composition of {source.label} morphisms not preserved"
-    n = source.counts
+    n = _orbit_weights(source.counts, slice_of)
     pairs, source_maps, image_maps = list(classes), list(source_ids), list(image_ids)
     # a pair of classes (outer, inner) is keyed inner * (number of classes)
     # + outer, and a pair of image ids so too

@@ -528,6 +528,8 @@ PINNED_EQUIVALENCE = [
     ("gx3", 4, 100, 3, "b96ea38e9e38fe524e84d7265143ebd260f72be091c6a574510ee3d2e14bc18d"),
     ("gx3", 4, 1000, 3, "4ec94b418f29dbe88bd58b729e2c67f90818d0cbe5d49faa092e38c959ba09ac"),
     ("gx3", 4, 3000, 3, "ce67cf9507882d72b0455eaa2d5584d63b18bfecc2e4dbe0645fa320d68e07be"),
+    # 35/70 objects, 1815/7260 morphisms: 13 covering shapes off the f = id slice
+    ("gx3", 6, None, 0, "a354d75e26e49c3bf839befc686b090ccdc213a9a4c23ad5c3dd6eca2cd4dd6b"),
 ]
 
 

@@ -29,6 +29,7 @@ from genxmod.groups import (
     klein_four_group,
     symmetric_group,
     trivial_group,
+    zero_hom,
 )
 from genxmod.gwa import GwaObject, gwa, is_gwa_morphism, trivial_self_action
 from genxmod.oracles import (
@@ -57,16 +58,18 @@ from genxmod.coverlift import (
     Lifting,
     LiftingMorphism,
     covering_morphism_violations,
+    covering_to_lifting,
     covering_violations,
     factorization_violations,
     image_lifting,
     induced_action,
     lifting_morphism_violations,
+    lifting_to_covering,
     lifting_violations,
     natural_lifting,
     self_lifting,
 )
-from genxmod.fixtures import a3_s3, fixture_gxmods, gx1, gx2, gx3
+from genxmod.fixtures import a3_s3, fixture_gxmods, gx1, gx2, gx3, zero_module_gxmod
 import pytest
 
 from genxmod.validation import StructuralError, holds
@@ -625,8 +628,7 @@ _ENUMERATOR_LAWS = [
 ] + [
     ("enumerate_gxmods", _gxmod_enumeration, "gxmod_violations"),
 ] + [
-    ("enumerate_gcat1s", _gcat1_enumeration, law)
-    for law in ("action_preserved_violations", "kernel_action_violations")
+    ("enumerate_gcat1s", _gcat1_enumeration, "kernel_action_violations"),
 ]
 
 
@@ -641,6 +643,26 @@ def test_every_enumerator_law_runs_on_every_candidate(base_gx3, pool4, monkeypat
     assert enumerate_objects()
     monkeypatch.setattr(search, law, lambda *args: iter([(law, (), "rejected", ())]))
     assert enumerate_objects() == ()
+
+
+def test_the_preserving_bitmask_decides_the_preservation_law():
+    # enumerate_gcat1s runs no preservation law of its own: the bitmask of
+    # _preserving_self_actions, read on the generators of g alone, must give
+    # the law's verdict on every structure map and every self-action of each
+    # group of the catalog, a preserving pair and a breaking one alike
+    verdicts = Counter()
+    for g in group_catalog():
+        gwas = search.gwa_objects_for(g)
+        rows = search._action_table_lines(g, g, False)
+        gens = search._generating_sequence(g)
+        for h in sorted({h.map for pair in search._structure_map_pairs(g) for h in pair}):
+            mask = search._preserving_self_actions(rows, gens, h)
+            for i, gw in enumerate(gwas):
+                preserved = holds(search.action_preserved_violations(gw, gw, h))
+                assert bool(mask >> i & 1) == preserved, (g.name, h, i)
+                verdicts[preserved] += 1
+    assert sum(verdicts.values()) == 43_631
+    assert verdicts[True] and verdicts[False]
 
 
 @pytest.mark.parametrize("make_base", [gx1, gx2, gx3, a3_s3], ids=["gx1", "gx2", "gx3", "a3s3"])
@@ -1058,14 +1080,15 @@ def test_equivalence_runs_each_law_once_per_distinct_input(base_gx3, pool4, monk
     assert searches["lifting_morphisms_between"] == 9 * 9
     # the 5020 covering morphisms between objects are 412 between the first
     # objects of each pair of shapes, and the 1255 lifting morphisms 103: the
-    # images of those 412 are looked up among the lifting hom-sets, and of
-    # those 103 among the covering hom-sets, and every one is listed there,
-    # so no image runs the laws; only the round-trip witnesses are
+    # images of the 103 covering morphisms between the 9 shapes over f = id
+    # (the slice) are looked up among the lifting hom-sets, and of those 103
+    # lifting morphisms among the covering hom-sets, and every one is listed
+    # there, so no image runs the laws; only the round-trip witnesses are
     # validated, one per pair of shapes of a covering and its round-trip
     # image, 18 for the 54 coverings
     assert (rep.covering_morphism_count, rep.lifting_morphism_count) == (5020, 1255)
     assert (sum(map(len, rep.covering_homs.values())), sum(map(len, rep.lifting_homs.values()))) == (412, 103)
-    assert looked_up == {"lifting": 412, "covering": 103}
+    assert looked_up == {"lifting": 103, "covering": 103}
     assert validated["lifting"] == 0
     assert validated["covering"] == 18
     assert len(rep.roundtrip_covering_witnesses) == 54
@@ -1097,9 +1120,10 @@ def test_composites_are_built_once_per_distinct_pair_of_maps(base_gx3, pool4, mo
     monkeypatch.setattr(search, "_composite", counted_composite)
     rep = verify_equivalence(base_gx3, pool4)
     assert side == ["lifting", "covering"]
-    # 10 152 composable covering pairs and 1269 lifting pairs at shape level
+    # 1269 composable pairs at shape level on each side: the covering side's
+    # law runs on the slice over f = id, not on its 10 152 pairs
     assert composed == {
-        ("covering", "covering"): 984,
+        ("covering", "covering"): 246,
         ("covering", "lifting"): 246,
         ("lifting", "lifting"): 246,
         ("lifting", "covering"): 246,
@@ -1265,6 +1289,195 @@ def test_each_distinct_morphism_image_is_mapped_back_once(base_gx3, pool4, monke
     assert rep.ok
     shape_level = sum(map(len, rep.lifting_homs.values())) + sum(map(len, rep.covering_homs.values()))
     assert calls["functor_on_lifting_morphism"] == shape_level + rep.lifting_count == 103 + 412 + 27
+
+
+def test_the_covering_law_runs_on_the_slice_over_f_id(base_gx3, pool4, monkeypatch):
+    # the composition law visits each composable pair of shape-level
+    # morphisms it is given: on gx3/4 the covering side gets the 1269 pairs
+    # between its 9 shapes over f = id, as the lifting side gets its 1269,
+    # not the 10 152 between all 18 covering shapes; every count stays
+    visited = {}
+    law = search._composition_law
+
+    def counted(source, numbered, *args):
+        images = numbered[0]
+        out_of = Counter()
+        for (s2, _), second in images.items():
+            out_of[s2] += len(second)
+        visited[source.label] = sum(len(first) * out_of[s2] for (_, s2), first in images.items())
+        return law(source, numbered, *args)
+
+    monkeypatch.setattr(search, "_composition_law", counted)
+    rep = verify_equivalence(base_gx3, pool4)
+    homs = rep.covering_homs
+    every_pair = sum(len(homs[s1, s2]) * len(homs[s2, s3]) for s1, s2 in homs for s3 in set(rep.covering_shapes))
+    assert every_pair == 10_152
+    assert visited == {"lifting": 1269, "covering": 1269}
+    assert rep.ok
+    assert rep.functor_law_checks_passed == 546_912
+
+
+def _v4_over_the_trivial_group():
+    """V4 -> 1 with trivial actions: |Aut(V4)| = 6, so each slice shape of
+    its coverings stands for six."""
+    a, b = gwa(klein_four_group()), gwa(trivial_group())
+    return GXMod(a, b, zero_hom(a.group, b.group), ExtAction(b, a, (tuple(range(4)),)), "V4->1")
+
+
+@lru_cache(maxsize=None)
+def _uncapped_report(fixture, bound):
+    return verify_equivalence(fixture(), standard_pool(bound), max_morphisms=10**12)
+
+
+@pytest.mark.parametrize(
+    "fixture, bound",
+    [(gx3, 4), (gx3, 6), (a3_s3, 4), (a3_s3, 6), (zero_module_gxmod, 4), (zero_module_gxmod, 6),
+     (_v4_over_the_trivial_group, 4)],
+    ids=["gx3-4", "gx3-6", "a3s3-4", "a3s3-6", "sign_module-4", "sign_module-6", "V4-1-4"],
+)
+def test_every_covering_hom_set_is_the_transport_of_its_slice_partner(fixture, bound):
+    # the premise of checking the covering side on its f = id slice: a
+    # covering c is isomorphic to its round-trip image back(c), over f = id,
+    # through <f, 1>, and each hom-set the search finds between two covering
+    # shapes is the one between the shapes of their round-trip images,
+    # transported: the same v at each position, and u = f2^-1 o f1
+    rep = _uncapped_report(fixture, bound)
+    assert not rep.truncated and not rep.failures
+    shape = _SHAPES["covering"]
+    first = {}
+    for o, s in zip(rep.coverings, rep.covering_shapes):
+        first.setdefault(s, o)
+    shape_ids = {shape(o): s for s, o in first.items()}
+    slice_of = {s: shape_ids[shape(lifting_to_covering(covering_to_lifting(o)))] for s, o in first.items()}
+    identity = tuple(range(fixture().A.order))
+    for s, r in slice_of.items():
+        assert slice_of[r] == r and first[r].f.map == identity
+    assert len(set(slice_of.values())) == len(set(rep.lifting_shapes))
+    assert len(first) == len(automorphisms(fixture().A.group)) * len(set(slice_of.values()))
+    for (s1, s2), homs in rep.covering_homs.items():
+        f1, f2 = first[s1].f.map, first[s2].f.map
+        u = tuple(f2.index(x) for x in f1)
+        partner = rep.covering_homs[slice_of[s1], slice_of[s2]]
+        assert [(m.f.map, m.g.map) for m in homs] == [(u, m.g.map) for m in partner], (s1, s2)
+
+
+def test_the_v4_base_over_the_trivial_group_is_checked_in_full():
+    rep = _uncapped_report(_v4_over_the_trivial_group, 4)
+    assert rep.ok
+    assert (rep.lifting_count, rep.covering_count) == (66, 396)
+    assert (len(set(rep.lifting_shapes)), len(set(rep.covering_shapes))) == (26, 156)
+    assert (rep.lifting_morphism_count, rep.covering_morphism_count) == (6394, 230_184)
+    assert (rep.functor_law_checks_passed, rep.functor_law_checks_failed) == (185_053_722, 0)
+
+
+def _covering_phases(monkeypatch):
+    """The failures each covering-side _morphism_images and _composition_law
+    call records in the tally it is given, as (name, failures), in call order."""
+    phases = []
+    for name, at in (("_morphism_images", 3), ("_composition_law", 1)):
+
+        def recorded(source, *args, fn=getattr(search, name), name=name, at=at):
+            returned = fn(source, *args)
+            if source.label == "covering":
+                phases.append((name, list(args[at].failures)))
+            return returned
+
+        monkeypatch.setattr(search, name, recorded)
+    return phases
+
+
+def _reading_u(functor):
+    """functor_on_covering_morphism with the image of each morphism whose u
+    is not the identity sent to identity maps: the slice over f = id keeps
+    every image, and the morphisms off it that lie between two objects over
+    one f keep theirs."""
+    return lambda m: _zeroed(functor(m)) if m.f.map != tuple(range(len(m.f.map))) else functor(m)
+
+
+def _swapped_on_whole_orbits(functor):
+    """functor_on_covering_morphism with the image maps of the parallel
+    morphisms a and b of _parallel_morphisms on gx3/4 swapped, on every
+    morphism with the v of a or b between coverings whose round-trip images
+    have the shapes of a's endpoints: the fault is the same on a morphism
+    off the slice and on its partner."""
+    o1, o2, (a, b) = _parallel_morphisms(gx3(), standard_pool(4), "covering")
+    shape = _SHAPES["covering"]
+
+    def slice_shape(c):
+        return shape(lifting_to_covering(covering_to_lifting(c)))
+
+    ends = shape(o1), shape(o2)
+    assert (slice_shape(o1), slice_shape(o2)) == ends
+    swapped = {a.g.map: functor(b), b.g.map: functor(a)}
+
+    def faulty(m):
+        image = functor(m)
+        other = swapped.get(m.g.map)
+        if other is not None and (slice_shape(m.source), slice_shape(m.target)) == ends:
+            return _with_maps_of(image, other)
+        return image
+
+    return faulty
+
+
+def _without_a_last_morphism_off_the_slice(between):
+    """covering_morphisms_between with the last morphism dropped from every
+    hom-set between coverings with the shapes of the first pair of gx3/4
+    with two morphisms, one of them off the f = id slice: the morphisms
+    before it still match their partners'."""
+    coverings = enumerate_coverings(gx3(), standard_pool(4))
+    identity = tuple(range(gx3().A.order))
+    shape = _SHAPES["covering"]
+    o1, o2 = next(
+        (c1, c2) for c1 in coverings for c2 in coverings
+        if identity != c1.f.map and len(between(c1, c2)) == 2
+    )
+    ends = shape(o1), shape(o2)
+    return lambda s, t: between(s, t)[:-1] if (shape(s), shape(t)) == ends else between(s, t)
+
+
+def test_a_hom_set_off_the_slice_unlike_its_partner_fails_p2(monkeypatch):
+    # no check on the slice sees a morphism missing off it: P2 sends the
+    # check per shape before the run on the slice, and it reports what the
+    # object-level reference does
+    base, pool = gx3(), standard_pool(4)
+    fault = _without_a_last_morphism_off_the_slice(search.covering_morphisms_between)
+    monkeypatch.setattr(search, "covering_morphisms_between", fault)
+    phases = _covering_phases(monkeypatch)
+    summary = _summary(verify_equivalence(base, pool))
+    assert [name for name, _ in phases] == ["_morphism_images", "_composition_law"]
+    assert summary == _reference_summary(base, pool)
+    assert "functor law: composite of covering morphisms not enumerated" in summary["failures"]
+
+
+def test_an_image_that_reads_u_fails_p3_and_is_checked_per_shape(monkeypatch):
+    # on the slice every image is right, so only P3 shows the fault: the
+    # run on the slice stops at it, and the run per shape reports what the
+    # object-level reference does
+    base, pool = gx3(), standard_pool(4)
+    monkeypatch.setattr(search, "functor_on_covering_morphism", _reading_u(search.functor_on_covering_morphism))
+    phases = _covering_phases(monkeypatch)
+    summary = _summary(verify_equivalence(base, pool))
+    assert [name for name, _ in phases] == ["_morphism_images", "_composition_law"] * 2
+    assert phases[0][1] == ["covering morphism: image differs from its slice partner's"]
+    assert summary == _reference_summary(base, pool)
+    assert summary["counters"]["morphism", False] > 0
+
+
+def test_a_fault_on_whole_orbits_is_caught_on_the_slice_and_checked_per_shape(monkeypatch):
+    # P1-P3 hold under a fault that is the same on each orbit, so the run on
+    # the slice runs to its end: its unit squares and its composition law
+    # fail, and the run per shape reports what the object-level reference does
+    base, pool = gx3(), standard_pool(4)
+    fault = _swapped_on_whole_orbits(search.functor_on_covering_morphism)
+    monkeypatch.setattr(search, "functor_on_covering_morphism", fault)
+    phases = _covering_phases(monkeypatch)
+    summary = _summary(verify_equivalence(base, pool))
+    assert [name for name, _ in phases] == ["_morphism_images", "_composition_law"] * 2
+    assert phases[0][1] and "covering morphism: image differs from its slice partner's" not in phases[0][1]
+    assert "functor law: composition of covering morphisms not preserved" in phases[1][1]
+    assert summary == _reference_summary(base, pool)
+    assert summary["counters"]["functor_law", False] > 0
 
 
 # ---------------------------------------------------------------------------
